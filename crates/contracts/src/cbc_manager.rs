@@ -19,7 +19,7 @@ use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
 
-use crate::escrow::{EscrowCore, EscrowResolution};
+use crate::escrow::{DealEscrow, EscrowCore, EscrowResolution};
 
 /// Deal information the CBC protocol passes to each escrow contract at escrow
 /// time: the deal id, plist, the hash `h` of the definitive startDeal record,
@@ -54,33 +54,9 @@ impl CbcManager {
         }
     }
 
-    /// The configured deal information (checked by parties during validation).
-    pub fn info(&self) -> &CbcDealInfo {
-        &self.info
-    }
-
-    /// Read access to the escrow state.
-    pub fn core(&self) -> &EscrowCore {
-        &self.core
-    }
-
-    /// How the escrow resolved, if it has.
-    pub fn resolution(&self) -> Option<EscrowResolution> {
-        self.core.resolution()
-    }
-
     /// Escrow phase: `escrow(D, plist, h, a, validators)`.
     pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
         self.core.escrow(ctx, asset)
-    }
-
-    /// Escrow phase with a pre-interned asset (plan-based engines).
-    pub fn escrow_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
     }
 
     /// Transfer phase: `transfer(D, a, a', Q)`.
@@ -91,16 +67,6 @@ impl CbcManager {
         to: PartyId,
     ) -> ChainResult<()> {
         self.core.transfer(ctx, asset, to)
-    }
-
-    /// Transfer phase with a pre-interned asset (plan-based engines).
-    pub fn transfer_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
     }
 
     /// Verifies a status certificate following Figure 6: unique signers, all
@@ -199,6 +165,35 @@ impl CbcManager {
             DealStatus::Aborted { .. } => self.core.distribute_abort(ctx),
             DealStatus::Active => ctx.require(false, "proof does not decide the deal"),
         }
+    }
+}
+
+impl DealEscrow for CbcManager {
+    type Info = CbcDealInfo;
+
+    fn info(&self) -> &CbcDealInfo {
+        &self.info
+    }
+
+    fn core(&self) -> &EscrowCore {
+        &self.core
+    }
+
+    fn resolution(&self) -> Option<EscrowResolution> {
+        self.core.resolution()
+    }
+
+    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow_interned(ctx, asset)
+    }
+
+    fn transfer_interned(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        asset: &InternedAsset,
+        to: PartyId,
+    ) -> ChainResult<()> {
+        self.core.transfer_interned(ctx, asset, to)
     }
 }
 

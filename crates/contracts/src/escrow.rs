@@ -283,6 +283,37 @@ impl EscrowCore {
     }
 }
 
+/// A deal's escrow contract: an [`EscrowCore`] plus the deal information its
+/// parties check at validation, implemented by both commit protocols'
+/// managers ([`crate::TimelockManager`], [`crate::CbcManager`]). The deal
+/// engines run the shared escrow, tentative-transfer and validation phases
+/// and read resolutions through this trait, generic over the protocol.
+pub trait DealEscrow: Contract {
+    /// The deal information the contract is configured with (`Dinfo`).
+    type Info: PartialEq;
+
+    /// The deal information this contract was configured with (parties check
+    /// it during validation).
+    fn info(&self) -> &Self::Info;
+
+    /// Read access to the escrow state.
+    fn core(&self) -> &EscrowCore;
+
+    /// How the escrow resolved, if it has.
+    fn resolution(&self) -> Option<EscrowResolution>;
+
+    /// Escrow phase with a pre-interned asset (plan-based engines).
+    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
+
+    /// Transfer phase with a pre-interned asset (plan-based engines).
+    fn transfer_interned(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        asset: &InternedAsset,
+        to: PartyId,
+    ) -> ChainResult<()>;
+}
+
 /// A bare escrow manager exposing only the Section 4 escrow/transfer
 /// semantics plus explicit commit/abort. It has no commit *protocol* of its
 /// own — the timelock and CBC managers wrap [`EscrowCore`] with one — but it

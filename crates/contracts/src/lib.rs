@@ -22,7 +22,7 @@ pub mod timelock;
 pub mod token;
 
 pub use cbc_manager::{CbcDealInfo, CbcManager};
-pub use escrow::{EscrowCore, EscrowDeposit, EscrowManager, EscrowResolution};
+pub use escrow::{DealEscrow, EscrowCore, EscrowDeposit, EscrowManager, EscrowResolution};
 pub use ticket::{Seat, TicketRegistry};
 pub use timelock::{TimelockDealInfo, TimelockManager};
 pub use token::TokenContract;

@@ -19,7 +19,7 @@ use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
 use xchain_sim::time::{Duration, Time};
 
-use crate::escrow::{EscrowCore, EscrowResolution};
+use crate::escrow::{DealEscrow, EscrowCore, EscrowResolution};
 
 /// Deal information broadcast by the market-clearing service and checked by
 /// every escrow contract in the timelock protocol: `Dinfo` in the paper.
@@ -68,17 +68,6 @@ impl TimelockManager {
         }
     }
 
-    /// The deal information this contract was configured with (parties check
-    /// it during validation).
-    pub fn info(&self) -> &TimelockDealInfo {
-        &self.info
-    }
-
-    /// Read access to the escrow state.
-    pub fn core(&self) -> &EscrowCore {
-        &self.core
-    }
-
     /// Parties whose commit votes have been accepted so far.
     pub fn voted(&self) -> &BTreeSet<PartyId> {
         &self.voted
@@ -89,23 +78,9 @@ impl TimelockManager {
         self.info.plist.iter().all(|p| self.voted.contains(p))
     }
 
-    /// How the escrow resolved, if it has.
-    pub fn resolution(&self) -> Option<EscrowResolution> {
-        self.core.resolution()
-    }
-
     /// Escrow phase: `escrow(D, Dinfo, a)`.
     pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
         self.core.escrow(ctx, asset)
-    }
-
-    /// Escrow phase with a pre-interned asset (plan-based engines).
-    pub fn escrow_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
     }
 
     /// Transfer phase: `transfer(D, a, a', Q)`.
@@ -116,16 +91,6 @@ impl TimelockManager {
         to: PartyId,
     ) -> ChainResult<()> {
         self.core.transfer(ctx, asset, to)
-    }
-
-    /// Transfer phase with a pre-interned asset (plan-based engines).
-    pub fn transfer_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
     }
 
     /// Commit phase: `commit(D, v, p)` — accept a (possibly forwarded) commit
@@ -202,6 +167,35 @@ impl TimelockManager {
         ctx.require(!self.all_voted(), "all votes accepted; deal committed")?;
         self.core.distribute_abort(ctx)?;
         Ok(())
+    }
+}
+
+impl DealEscrow for TimelockManager {
+    type Info = TimelockDealInfo;
+
+    fn info(&self) -> &TimelockDealInfo {
+        &self.info
+    }
+
+    fn core(&self) -> &EscrowCore {
+        &self.core
+    }
+
+    fn resolution(&self) -> Option<EscrowResolution> {
+        self.core.resolution()
+    }
+
+    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow_interned(ctx, asset)
+    }
+
+    fn transfer_interned(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        asset: &InternedAsset,
+        to: PartyId,
+    ) -> ChainResult<()> {
+        self.core.transfer_interned(ctx, asset, to)
     }
 }
 

@@ -6,25 +6,32 @@
 //! eventual synchrony: before the global stabilization time votes simply take
 //! longer to be observed, and impatient parties may rescind by voting abort —
 //! but the deal still either commits everywhere or aborts everywhere.
+//!
+//! The engine supplies the protocol's clearing step (create the CBC, record
+//! startDeal, install a [`CbcManager`] on every involved chain) and its
+//! commit step (votes, patience, proof presentation); the escrow,
+//! tentative-transfer and validation phases run on the shared
+//! [`DealDriver`].
 
 use std::collections::BTreeMap;
 
 use xchain_bft::log::CbcLog;
 use xchain_bft::proof::DealStatus;
 use xchain_contracts::cbc_manager::{CbcDealInfo, CbcManager};
-use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
+use xchain_contracts::escrow::DealEscrow;
+use xchain_sim::ids::{Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
+use crate::driver::DealDriver;
+use crate::engine::{EngineRun, ProtocolExt};
 use crate::error::DealError;
-use crate::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use crate::party::{config_of, PartyConfig};
-use crate::phases::{Phase, PhaseMetrics};
+use crate::outcome::ProtocolKind;
+use crate::party::PartyConfig;
+use crate::phases::Phase;
 use crate::plan::DealPlan;
 use crate::setup::advance_one_observation;
-use crate::strategy::{ObservationHub, Vote};
-use crate::timelock::holdings_by_party;
-use crate::{setup, validation};
+use crate::strategy::Vote;
 
 /// Tunable options for the CBC protocol engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,236 +68,133 @@ impl Default for CbcOptions {
     }
 }
 
-/// The result of a CBC deal execution.
-#[derive(Debug)]
-pub struct CbcRun {
-    /// The measured outcome.
-    pub outcome: DealOutcome,
-    /// The CBC escrow contract installed on each involved chain.
-    pub contracts: BTreeMap<ChainId, ContractId>,
-    /// The certified log after the run (for post-mortem inspection).
-    pub log: CbcLog,
-    /// Which parties passed validation.
-    pub validated: BTreeMap<PartyId, bool>,
-    /// The final deal status recorded on the CBC.
-    pub status: DealStatus,
-}
-
 /// The CBC protocol driver behind [`crate::Protocol::Cbc`].
 pub(crate) fn drive(
     world: &mut World,
     plan: &DealPlan,
     configs: &[PartyConfig],
     opts: &CbcOptions,
-) -> Result<CbcRun, DealError> {
+) -> Result<EngineRun, DealError> {
     let spec = plan.spec();
-    setup::check_parties_exist(world, spec)?;
-    setup::check_chains_exist(world, spec)?;
-    setup::apply_offline_windows(world, configs);
+    let mut d = DealDriver::new(world, plan, configs)?;
 
-    let mut metrics = PhaseMetrics::new();
-    let initial_holdings = holdings_by_party(world, spec);
-    // One shared observation hub for the whole deal (see the timelock
-    // engine): a single filtered ingest pass per chain, one view per party.
-    let mut hub = ObservationHub::new(plan);
-
-    // ------------------------------------------------------------------
-    // Clearing phase: create the CBC, publish startDeal, install contracts.
-    // ------------------------------------------------------------------
-    let clearing_started = world.now();
-    let gas_before = world.total_gas();
-    let mut cbc = CbcLog::new(opts.f, world.seed() ^ 0xCBC);
-    for p in &opts.censored_parties {
-        cbc.censor(*p);
-    }
-    // Register validator keys on every involved chain so escrow contracts can
-    // verify certificates.
-    for &chain in plan.chains() {
-        let chain_ref = world.chain_mut(chain).map_err(DealError::Chain)?;
-        cbc.validators().register_on_chain(chain_ref);
-    }
-    // One party (the first that is not censored) records the start of the deal.
-    let starter = spec
-        .parties
-        .iter()
-        .copied()
-        .find(|p| !opts.censored_parties.contains(p))
-        .ok_or_else(|| DealError::Config("every party is censored".into()))?;
-    let (_, start_hash) = cbc
-        .start_deal(world.now(), starter, spec.deal, spec.parties.clone())
-        .map_err(DealError::Cbc)?;
-    let info = CbcDealInfo {
-        deal: spec.deal,
-        plist: spec.parties.clone(),
-        start_hash,
-        validators: cbc.initial_validators(),
-    };
-    let mut contracts: BTreeMap<ChainId, ContractId> = BTreeMap::new();
-    for &chain in plan.chains() {
-        let id = world
-            .chain_mut(chain)
-            .map_err(DealError::Chain)?
-            .install(CbcManager::new(info.clone()));
-        contracts.insert(chain, id);
-    }
-    metrics.add_gas(Phase::Clearing, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Clearing, world.now() - clearing_started);
-
-    // ------------------------------------------------------------------
-    // Escrow phase.
-    // ------------------------------------------------------------------
-    let escrow_started = world.now();
-    let gas_before = world.total_gas();
-    for e in plan.escrows() {
-        let cfg = config_of(configs, e.owner);
-        let willing = {
-            let ctx = hub.ctx(world, spec, e.owner, Phase::Escrow, None);
-            cfg.strategy.is_online(ctx.now) && cfg.strategy.on_escrow(&ctx)
+    // Clearing: create the CBC, publish startDeal, install contracts.
+    let (mut cbc, info) = d.phase(Phase::Clearing, |d| -> Result<_, DealError> {
+        let mut cbc = CbcLog::new(opts.f, d.world.seed() ^ 0xCBC);
+        for p in &opts.censored_parties {
+            cbc.censor(*p);
+        }
+        // Register validator keys on every involved chain so escrow
+        // contracts can verify certificates.
+        for &chain in plan.chains() {
+            let chain_ref = d.world.chain_mut(chain).map_err(DealError::Chain)?;
+            cbc.validators().register_on_chain(chain_ref);
+        }
+        // One party (the first that is not censored) records the start of
+        // the deal.
+        let starter = spec
+            .parties
+            .iter()
+            .copied()
+            .find(|p| !opts.censored_parties.contains(p))
+            .ok_or_else(|| DealError::Config("every party is censored".into()))?;
+        let (_, start_hash) = cbc
+            .start_deal(d.world.now(), starter, spec.deal, spec.parties.clone())
+            .map_err(DealError::Cbc)?;
+        let info = CbcDealInfo {
+            deal: spec.deal,
+            plist: spec.parties.clone(),
+            start_hash,
+            validators: cbc.initial_validators(),
         };
-        if !willing {
-            continue;
-        }
-        let contract = contracts[&e.chain];
-        let result = world.call(
-            e.chain,
-            Owner::Party(e.owner),
-            contract,
-            |m: &mut CbcManager, ctx| m.escrow_interned(ctx, e.asset.clone()),
-        );
-        match result {
-            Ok(()) => {}
-            Err(err) if cfg.is_compliant() && !world.is_offline(e.owner, world.now()) => {
-                return Err(DealError::Chain(err))
-            }
-            Err(_) => {}
-        }
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Escrow, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Escrow, world.now() - escrow_started);
+        d.install_everywhere(|| CbcManager::new(info.clone()))?;
+        Ok((cbc, info))
+    })?;
 
-    // ------------------------------------------------------------------
-    // Transfer phase.
-    // ------------------------------------------------------------------
-    let transfer_started = world.now();
-    let gas_before = world.total_gas();
-    let order = plan.transfer_order();
-    for (step, idx) in order.iter().enumerate() {
-        let t = &plan.transfers()[*idx];
-        let cfg = config_of(configs, t.from);
-        let willing = {
-            let ctx = hub.ctx(world, spec, t.from, Phase::Transfer, None);
-            cfg.strategy.is_online(ctx.now) && cfg.strategy.on_transfer(&ctx)
-        };
-        if willing {
-            let contract = contracts[&t.chain];
-            let _ = world.call(
-                t.chain,
-                Owner::Party(t.from),
-                contract,
-                |m: &mut CbcManager, ctx| m.transfer_interned(ctx, &t.asset, t.to),
-            );
-        }
-        if !opts.concurrent_transfers && step + 1 < order.len() {
-            advance_one_observation(world);
-        }
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Transfer, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Transfer, world.now() - transfer_started);
+    let validated = d.shared_phases::<CbcManager>(&info, opts.concurrent_transfers)?;
 
-    // ------------------------------------------------------------------
-    // Validation phase.
-    // ------------------------------------------------------------------
-    let validation_started = world.now();
-    let gas_before = world.total_gas();
-    let mut validated: BTreeMap<PartyId, bool> = BTreeMap::new();
-    for pp in plan.parties() {
-        let p = pp.id;
-        let cfg = config_of(configs, p);
-        let mechanical = validation::validate_cbc_plan(world, pp, &info, &contracts);
-        let ok = {
-            let ctx = hub.ctx(world, spec, p, Phase::Validation, Some(mechanical));
-            cfg.strategy.on_validate(&ctx)
-        };
-        validated.insert(p, ok);
-    }
-    advance_one_observation(world);
-    metrics.add_gas(Phase::Validation, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Validation, world.now() - validation_started);
+    // Commit: votes on the CBC, then proof presentation to contracts.
+    let status = d.phase(Phase::Commit, |d| {
+        commit(d, &mut cbc, &info, &validated, opts)
+    })?;
 
-    // ------------------------------------------------------------------
-    // Commit phase: votes on the CBC, then proof presentation to contracts.
-    // ------------------------------------------------------------------
-    let commit_started = world.now();
-    let gas_before = world.total_gas();
+    Ok(d.finish(
+        ProtocolKind::Cbc,
+        opts.delta,
+        |m: &CbcManager| m.resolution().into(),
+        ProtocolExt::Cbc {
+            log: cbc,
+            status,
+            validated,
+        },
+    ))
+}
+
+/// The commit step: every party votes on the CBC, compliant parties rescind
+/// after their patience runs out, and the decisive proof is presented to
+/// every escrow contract. Returns the final deal status on the CBC.
+fn commit(
+    d: &mut DealDriver<'_>,
+    cbc: &mut CbcLog,
+    info: &CbcDealInfo,
+    validated: &BTreeMap<PartyId, bool>,
+    opts: &CbcOptions,
+) -> Result<DealStatus, DealError> {
+    let deal = info.deal;
+    let start_hash = info.start_hash;
 
     // All parties vote in parallel (the CBC orders them).
-    for &p in &spec.parties {
-        let cfg = config_of(configs, p);
-        if world.is_offline(p, world.now()) || !cfg.strategy.is_online(world.now()) {
+    for &p in &info.plist {
+        if !d.available(p) {
             continue;
         }
         let verdict = validated.get(&p).copied().unwrap_or(false);
-        let vote = {
-            let ctx = hub.ctx(world, spec, p, Phase::Commit, Some(verdict));
-            cfg.strategy.on_vote(&ctx)
-        };
-        match vote {
+        let now = d.world.now();
+        match d.decide(p, Phase::Commit, Some(verdict), |s, ctx| s.on_vote(ctx)) {
             Vote::Commit => {
-                let _ = cbc.vote_commit(world.now(), spec.deal, start_hash, p);
+                let _ = cbc.vote_commit(now, deal, start_hash, p);
             }
             Vote::Abort => {
-                let _ = cbc.vote_abort(world.now(), spec.deal, start_hash, p);
+                let _ = cbc.vote_abort(now, deal, start_hash, p);
             }
             Vote::Withhold => {}
         }
     }
     // The votes become observable after at most one network delay (longer
     // before GST under eventual synchrony).
-    advance_one_observation(world);
+    advance_one_observation(d.world);
 
     // If the deal is still undecided (some party withheld its vote), compliant
     // parties wait out their patience and then rescind by voting abort.
-    let mut status = cbc
-        .deal_status(spec.deal, start_hash)
-        .map_err(DealError::Cbc)?;
+    let mut status = cbc.deal_status(deal, start_hash).map_err(DealError::Cbc)?;
     if matches!(status, DealStatus::Active) {
-        world.advance_by(opts.patience);
-        for &p in &spec.parties {
-            let cfg = config_of(configs, p);
-            if cfg.is_compliant()
-                && !world.is_offline(p, world.now())
-                && cfg.strategy.is_online(world.now())
+        d.world.advance_by(opts.patience);
+        let now = d.world.now();
+        // Keep trying compliant parties until one abort vote lands (the
+        // first candidate may itself be censored by the CBC).
+        for &p in &info.plist {
+            if d.is_compliant(p)
+                && d.available(p)
+                && cbc.vote_abort(now, deal, start_hash, p).is_ok()
             {
-                // Keep trying compliant parties until one abort vote lands
-                // (the first candidate may itself be censored by the CBC).
-                if cbc
-                    .vote_abort(world.now(), spec.deal, start_hash, p)
-                    .is_ok()
-                {
-                    break;
-                }
+                break;
             }
         }
-        status = cbc
-            .deal_status(spec.deal, start_hash)
-            .map_err(DealError::Cbc)?;
+        status = cbc.deal_status(deal, start_hash).map_err(DealError::Cbc)?;
     }
 
     // Proof presentation: for each chain, an online party presents the proof
     // of the decisive outcome; presentations happen in parallel (≤ ∆).
     if !matches!(status, DealStatus::Active) {
         let epoch_infos = cbc.epoch_infos().to_vec();
-        for (&chain, &contract) in &contracts {
-            let Some(presenter) = setup::pick_online_party(world, spec, configs) else {
+        for &chain in d.plan.chains() {
+            let Some(presenter) = d.online_party() else {
                 continue;
             };
+            let contract = d.contracts[&chain];
             if opts.use_block_proofs {
-                let proof = cbc
-                    .block_proof(spec.deal, start_hash)
-                    .map_err(DealError::Cbc)?;
-                let _ = world.call(
+                let proof = cbc.block_proof(deal, start_hash).map_err(DealError::Cbc)?;
+                let _ = d.world.call(
                     chain,
                     Owner::Party(presenter),
                     contract,
@@ -298,9 +202,9 @@ pub(crate) fn drive(
                 );
             } else {
                 let cert = cbc
-                    .status_certificate(world.now(), spec.deal, start_hash)
+                    .status_certificate(d.world.now(), deal, start_hash)
                     .map_err(DealError::Cbc)?;
-                let _ = world.call(
+                let _ = d.world.call(
                     chain,
                     Owner::Party(presenter),
                     contract,
@@ -308,50 +212,9 @@ pub(crate) fn drive(
                 );
             }
         }
-        advance_one_observation(world);
+        advance_one_observation(d.world);
     }
-    metrics.add_gas(Phase::Commit, gas_before.delta_to(&world.total_gas()));
-    metrics.add_duration(Phase::Commit, world.now() - commit_started);
-
-    // ------------------------------------------------------------------
-    // Collect the outcome.
-    // ------------------------------------------------------------------
-    let final_holdings = holdings_by_party(world, spec);
-    let mut resolutions = BTreeMap::new();
-    for (&chain, &contract) in &contracts {
-        let res = world
-            .chain(chain)
-            .ok()
-            .and_then(|c| c.view(contract, |m: &CbcManager| m.resolution()).ok())
-            .flatten();
-        resolutions.insert(
-            chain,
-            match res {
-                Some(xchain_contracts::escrow::EscrowResolution::Committed) => {
-                    ChainResolution::Committed
-                }
-                Some(xchain_contracts::escrow::EscrowResolution::Aborted) => {
-                    ChainResolution::Aborted
-                }
-                None => ChainResolution::Unresolved,
-            },
-        );
-    }
-
-    Ok(CbcRun {
-        outcome: DealOutcome {
-            protocol: ProtocolKind::Cbc,
-            initial_holdings,
-            final_holdings,
-            resolutions,
-            metrics,
-            delta: opts.delta,
-        },
-        contracts,
-        log: cbc,
-        validated,
-        status,
-    })
+    Ok(status)
 }
 
 #[cfg(test)]

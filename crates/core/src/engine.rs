@@ -235,28 +235,8 @@ impl DealEngine for Protocol {
         configs: &[PartyConfig],
     ) -> Result<EngineRun, DealError> {
         match self {
-            Protocol::Timelock(opts) => {
-                let run = timelock::drive(world, plan, configs, opts)?;
-                Ok(EngineRun {
-                    outcome: run.outcome,
-                    contracts: run.contracts,
-                    ext: ProtocolExt::Timelock {
-                        validated: run.validated,
-                    },
-                })
-            }
-            Protocol::Cbc(opts) => {
-                let run = cbc::drive(world, plan, configs, opts)?;
-                Ok(EngineRun {
-                    outcome: run.outcome,
-                    contracts: run.contracts,
-                    ext: ProtocolExt::Cbc {
-                        log: run.log,
-                        status: run.status,
-                        validated: run.validated,
-                    },
-                })
-            }
+            Protocol::Timelock(opts) => timelock::drive(world, plan, configs, opts),
+            Protocol::Cbc(opts) => cbc::drive(world, plan, configs, opts),
         }
     }
 }

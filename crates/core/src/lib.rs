@@ -49,6 +49,11 @@
 //!   commit protocol for eventually-synchronous networks (Section 6), with
 //!   validator-certified proofs of commit and abort.
 //!
+//! Both, and the HTLC swap engine in `xchain-swap`, run on one
+//! [`driver::DealDriver`]: it owns the escrow, tentative-transfer and
+//! validation phases, strategy consultation, per-phase metering and outcome
+//! collection, so each protocol supplies only its clearing and commit steps.
+//!
 //! Party behaviour is an **open adversary API**: a [`party::PartyConfig`]
 //! pairs a party with a [`strategy::Strategy`] — per-phase decision hooks fed
 //! an [`strategy::ObservationCtx`] (the party's own, cursor-fed view of the
@@ -69,6 +74,7 @@ pub mod builders;
 pub mod cbc;
 pub mod deal;
 pub mod digraph;
+pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod outcome;
@@ -82,7 +88,7 @@ pub mod strategy;
 pub mod timelock;
 pub mod validation;
 
-pub use cbc::{CbcOptions, CbcRun};
+pub use cbc::CbcOptions;
 pub use deal::{Deal, DealRun};
 pub use digraph::{is_well_formed, DealDigraph};
 pub use engine::{DealEngine, EngineRun, Protocol, ProtocolExt};
@@ -99,4 +105,4 @@ pub use strategy::{
     strategies, DealObserver, DealView, ObservationCtx, ObservationHub, ObservedEvent, Strategy,
     Vote,
 };
-pub use timelock::{TimelockOptions, TimelockRun};
+pub use timelock::TimelockOptions;

@@ -4,6 +4,7 @@
 
 use std::collections::BTreeMap;
 
+use xchain_contracts::escrow::EscrowResolution;
 use xchain_sim::asset::AssetBag;
 use xchain_sim::ids::{ChainId, PartyId};
 use xchain_sim::time::Duration;
@@ -41,6 +42,17 @@ pub enum ChainResolution {
     /// The escrow never resolved within the simulation horizon (a weak
     /// liveness violation if any compliant party has assets there).
     Unresolved,
+}
+
+impl From<Option<EscrowResolution>> for ChainResolution {
+    /// How a deal escrow contract's state reads in outcome terms.
+    fn from(resolution: Option<EscrowResolution>) -> Self {
+        match resolution {
+            Some(EscrowResolution::Committed) => ChainResolution::Committed,
+            Some(EscrowResolution::Aborted) => ChainResolution::Aborted,
+            None => ChainResolution::Unresolved,
+        }
+    }
 }
 
 /// The complete, measured outcome of one deal execution.

@@ -12,11 +12,15 @@
 //! [`ObservationCtx`] — the party's own view of the deal so far — so
 //! strategies can be *adaptive and stateful*, not just static flags.
 //!
-//! Observation is first-class: each party owns a [`DealObserver`] holding one
-//! [`LogCursor`] per chain, refreshed via [`Blockchain::log_from`] so
-//! monitoring costs O(new entries) per decision, never a re-scan of the whole
-//! log. What the observer distills (escrow lock-ins, tentative transfers,
-//! commit votes, escrow resolutions) is exposed as a [`DealView`].
+//! Observation is first-class: every engine keeps one [`ObservationHub`] per
+//! deal, holding a single shared [`LogCursor`] per chain, so monitoring costs
+//! O(new entries) per decision, never a re-scan of the whole log, and each
+//! entry is parsed once however many parties watch. What a party has seen
+//! (escrow lock-ins, tentative transfers, commit votes, escrow resolutions)
+//! is exposed as its own [`DealView`]. [`DealObserver`] — one party's private
+//! cursors, refreshed via [`Blockchain::log_from`] — is no longer used by the
+//! engines; it is the reference the hub-parity suite checks the hub's views
+//! against.
 //!
 //! Every legacy `Deviation` variant is available as a built-in strategy (see
 //! [`strategies`]) with *bit-identical* deal outcomes, and three adversaries
@@ -61,8 +65,8 @@ pub enum Vote {
 }
 
 /// What one party has observed of a deal so far, distilled from the chain
-/// logs its [`DealObserver`] monitors. All collections are in observation
-/// order and deduplicated.
+/// logs by the deal's [`ObservationHub`] (or a [`DealObserver`]). All
+/// collections are in observation order and deduplicated.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DealView {
     /// Escrow lock-ins observed: `(chain, escrowing party)`. Includes HTLC

@@ -58,7 +58,10 @@ pub fn random_well_formed_deal(deal: DealId, params: &RandomDealParams, seed: u6
         });
     }
     // Extra hops: the ring recipient forwards a slice of what it received to a
-    // random third party on the same chain.
+    // random third party on the same chain. Slices are clamped to what is
+    // left of the chain's `amount`, so a recipient never forwards more than
+    // it got (the spec stays plannable); a hop with nothing left is skipped.
+    let mut left = vec![params.amount; n as usize];
     for _ in 0..params.extra_transfers {
         let i = rng.gen_range(0..n);
         let recipient = PartyId((i + 1) % n);
@@ -70,7 +73,13 @@ pub fn random_well_formed_deal(deal: DealId, params: &RandomDealParams, seed: u6
         let Some(&target) = others.choose(&mut rng) else {
             continue;
         };
-        let slice = rng.gen_range(1..=(params.amount / 2).max(1));
+        let slice = rng
+            .gen_range(1..=(params.amount / 2).max(1))
+            .min(left[i as usize]);
+        if slice == 0 {
+            continue;
+        }
+        left[i as usize] -= slice;
         transfers.push(TransferSpec {
             from: recipient,
             to: target,
@@ -85,19 +94,25 @@ pub fn random_well_formed_deal(deal: DealId, params: &RandomDealParams, seed: u6
 mod tests {
     use super::*;
     use xchain_deals::digraph::is_well_formed;
+    use xchain_deals::plan::DealPlan;
 
     #[test]
     fn random_deals_are_valid_and_well_formed() {
-        for seed in 0..30 {
-            let params = RandomDealParams {
-                parties: 2 + (seed % 6) as u32,
-                extra_transfers: (seed % 4) as u32,
-                amount: 50,
-            };
-            let spec = random_well_formed_deal(DealId(seed), &params, seed);
-            spec.validate()
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            assert!(is_well_formed(&spec), "seed {seed} not well formed");
+        for parties in 2..=6 {
+            for extra_transfers in 0..=6 {
+                let params = RandomDealParams {
+                    parties,
+                    extra_transfers,
+                    amount: 50,
+                };
+                for seed in 0..500 {
+                    let case = format!("n={parties} extra={extra_transfers} seed={seed}");
+                    let spec = random_well_formed_deal(DealId(seed), &params, seed);
+                    spec.validate().unwrap_or_else(|e| panic!("{case}: {e}"));
+                    assert!(is_well_formed(&spec), "{case} not well formed");
+                    DealPlan::new(&spec).unwrap_or_else(|e| panic!("{case}: {e}"));
+                }
+            }
         }
     }
 

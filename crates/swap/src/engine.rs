@@ -4,29 +4,29 @@
 //! comparable to the timelock and CBC engines in gas and delay.
 //!
 //! The engine maps a two-party [`DealSpec`] onto a [`SwapSpec`] (leader =
-//! first party, follower = second), drives the classic asymmetric-timeout
-//! HTLC exchange with per-phase metrics (funding through the pre-interned
-//! assets of the [`DealPlan`]), and honours each [`PartyConfig`]'s
-//! [`xchain_deals::strategy::Strategy`]: funding asks `on_escrow`, claiming
-//! asks `on_claim`, and every answer sees the party's view from the deal's
-//! shared [`xchain_deals::strategy::ObservationHub`] (a strategy that
-//! refuses to escrow never funds; one that withholds never claims). Results
-//! are reported in the same [`DealOutcome`] vocabulary as the commit
-//! protocols.
+//! first party, follower = second) and runs the classic asymmetric-timeout
+//! HTLC exchange on the shared [`DealDriver`], which meters the phases,
+//! consults each [`PartyConfig`]'s [`xchain_deals::strategy::Strategy`]
+//! through the deal's observation hub, and collects the outcome. The swap
+//! supplies only its own steps: clearing installs the two HTLCs, escrow is
+//! leader-then-follower funding (`on_escrow`), and commit is the claims
+//! (`on_claim`) plus the refunds after timeout. It has no transfer or
+//! validation phase: the claim is the transfer and the hashlock validates.
+//! Results are reported in the same [`DealOutcome`] vocabulary as the commit
+//! protocols, via the [`HtlcState`] mapping.
+//!
+//! [`DealOutcome`]: xchain_deals::outcome::DealOutcome
 
-use std::collections::BTreeMap;
-
+use xchain_deals::driver::DealDriver;
 use xchain_deals::engine::{DealEngine, EngineRun, ProtocolExt};
 use xchain_deals::error::DealError;
-use xchain_deals::outcome::{ChainResolution, DealOutcome, ProtocolKind};
-use xchain_deals::party::{config_of, PartyConfig};
-use xchain_deals::phases::{Phase, PhaseMetrics};
+use xchain_deals::outcome::{ChainResolution, ProtocolKind};
+use xchain_deals::party::PartyConfig;
+use xchain_deals::phases::Phase;
 use xchain_deals::plan::DealPlan;
-use xchain_deals::setup::{self, advance_one_observation};
+use xchain_deals::setup::advance_one_observation;
 use xchain_deals::spec::DealSpec;
-use xchain_deals::strategy::ObservationHub;
-use xchain_sim::asset::AssetBag;
-use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
+use xchain_sim::ids::{ChainId, Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
@@ -99,13 +99,6 @@ impl Default for SwapEngine {
     }
 }
 
-fn holdings_by_party(world: &World, spec: &DealSpec) -> BTreeMap<PartyId, AssetBag> {
-    spec.parties
-        .iter()
-        .map(|&p| (p, world.holdings(Owner::Party(p))))
-        .collect()
-}
-
 impl DealEngine for SwapEngine {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::Swap
@@ -121,93 +114,53 @@ impl DealEngine for SwapEngine {
         plan: &DealPlan,
         configs: &[PartyConfig],
     ) -> Result<EngineRun, DealError> {
-        let spec = plan.spec();
-        let swap = Self::as_swap_spec(spec).ok_or_else(|| {
+        let swap = Self::as_swap_spec(plan.spec()).ok_or_else(|| {
             DealError::Config("deal is not expressible as a two-party HTLC swap".into())
         })?;
-        setup::check_parties_exist(world, spec)?;
-        setup::check_chains_exist(world, spec)?;
-        setup::apply_offline_windows(world, configs);
-
+        let mut d = DealDriver::new(world, plan, configs)?;
         // The two legs' interned assets, resolved once at planning time.
-        let leader_asset = plan
-            .transfers()
-            .iter()
-            .find(|t| t.from == swap.leader)
-            .expect("as_swap_spec checked the legs")
-            .asset
-            .clone();
-        let follower_asset = plan
-            .transfers()
-            .iter()
-            .find(|t| t.from == swap.follower)
-            .expect("as_swap_spec checked the legs")
-            .asset
-            .clone();
+        let leg = |from: PartyId| {
+            plan.transfers()
+                .iter()
+                .find(|t| t.from == from)
+                .expect("as_swap_spec checked the legs")
+                .asset
+                .clone()
+        };
+        let leader_asset = leg(swap.leader);
+        let follower_asset = leg(swap.follower);
+        let secret = 0xA11CE ^ d.world.seed();
 
-        let mut metrics = PhaseMetrics::new();
-        let initial_holdings = holdings_by_party(world, spec);
-        let leader_cfg = config_of(configs, swap.leader);
-        let follower_cfg = config_of(configs, swap.follower);
-        // Both parties monitor both chains through the deal's shared hub; the
-        // swap has no validation phase (the hashlock validates), so every
-        // observation context carries `validated: None`.
-        let mut hub = ObservationHub::new(plan);
-
-        // --------------------------------------------------------------
         // Clearing: install the two HTLCs under one hashlock, with the
         // standard asymmetric timeouts (the leader's escrow outlives the
         // follower's so the follower always has time to claim after the
-        // secret is revealed).
-        // --------------------------------------------------------------
-        let clearing_started = world.now();
-        let gas_before = world.total_gas();
-        let secret = 0xA11CE ^ world.seed();
-        let hashlock = HtlcContract::hash_secret(secret);
-        // Funding consumes up to two observation delays (each bounded by ∆)
-        // before the leader can claim, so the follower's HTLC must live
-        // strictly longer than 2∆; the leader's must outlive the follower's
-        // by more than another observation delay so the follower can always
-        // claim after the reveal.
-        let leader_timeout = world.now() + self.delta.times(6);
-        let follower_timeout = world.now() + self.delta.times(3);
-        let leader_htlc = world
-            .chain_mut(swap.leader_chain)
-            .map_err(DealError::Chain)?
-            .install(HtlcContract::new(
-                swap.leader,
-                swap.follower,
-                hashlock,
-                leader_timeout,
-            ));
-        let follower_htlc = world
-            .chain_mut(swap.follower_chain)
-            .map_err(DealError::Chain)?
-            .install(HtlcContract::new(
-                swap.follower,
-                swap.leader,
-                hashlock,
-                follower_timeout,
-            ));
-        let mut contracts: BTreeMap<ChainId, ContractId> = BTreeMap::new();
-        contracts.insert(swap.leader_chain, leader_htlc);
-        contracts.insert(swap.follower_chain, follower_htlc);
-        metrics.add_gas(Phase::Clearing, gas_before.delta_to(&world.total_gas()));
-        metrics.add_duration(Phase::Clearing, world.now() - clearing_started);
+        // secret is revealed). Funding consumes up to two observation delays
+        // (each bounded by ∆) before the leader can claim, so the follower's
+        // HTLC must live strictly longer than 2∆; the leader's must outlive
+        // the follower's by more than another observation delay so the
+        // follower can always claim after the reveal.
+        let leader_timeout = d.world.now() + self.delta.times(6);
+        let follower_timeout = d.world.now() + self.delta.times(3);
+        let (leader_htlc, follower_htlc) = d.phase(Phase::Clearing, |d| {
+            let hashlock = HtlcContract::hash_secret(secret);
+            let leader_htlc = d.install(
+                swap.leader_chain,
+                HtlcContract::new(swap.leader, swap.follower, hashlock, leader_timeout),
+            )?;
+            let follower_htlc = d.install(
+                swap.follower_chain,
+                HtlcContract::new(swap.follower, swap.leader, hashlock, follower_timeout),
+            )?;
+            Ok::<_, DealError>((leader_htlc, follower_htlc))
+        })?;
 
-        // --------------------------------------------------------------
         // Escrow: the leader funds first; the follower funds only after
         // observing the leader's escrow (one observation delay).
-        // --------------------------------------------------------------
-        let escrow_started = world.now();
-        let gas_before = world.total_gas();
-        let mut leader_funded = false;
-        let leader_escrows = {
-            let ctx = hub.ctx(world, spec, swap.leader, Phase::Escrow, None);
-            leader_cfg.strategy.is_online(ctx.now) && leader_cfg.strategy.on_escrow(&ctx)
-        };
-        if leader_escrows {
-            leader_funded = world
+        let (leader_funded, follower_funded) = d.phase(Phase::Escrow, |d| {
+            let leader_funded = d.decide(swap.leader, Phase::Escrow, None, |s, ctx| {
+                s.is_online(ctx.now) && s.on_escrow(ctx)
+            }) && d
+                .world
                 .call(
                     swap.leader_chain,
                     Owner::Party(swap.leader),
@@ -215,132 +168,93 @@ impl DealEngine for SwapEngine {
                     |h: &mut HtlcContract, ctx| h.fund_interned(ctx, leader_asset.clone()),
                 )
                 .is_ok();
-        }
-        advance_one_observation(world);
-        let mut follower_funded = false;
-        let follower_escrows = leader_funded && {
-            let ctx = hub.ctx(world, spec, swap.follower, Phase::Escrow, None);
-            follower_cfg.strategy.is_online(ctx.now) && follower_cfg.strategy.on_escrow(&ctx)
-        };
-        if follower_escrows {
-            follower_funded = world
-                .call(
-                    swap.follower_chain,
-                    Owner::Party(swap.follower),
-                    follower_htlc,
-                    |h: &mut HtlcContract, ctx| h.fund_interned(ctx, follower_asset.clone()),
-                )
-                .is_ok();
-        }
-        advance_one_observation(world);
-        metrics.add_gas(Phase::Escrow, gas_before.delta_to(&world.total_gas()));
-        metrics.add_duration(Phase::Escrow, world.now() - escrow_started);
+            advance_one_observation(d.world);
+            let follower_funded = leader_funded
+                && d.decide(swap.follower, Phase::Escrow, None, |s, ctx| {
+                    s.is_online(ctx.now) && s.on_escrow(ctx)
+                })
+                && d.world
+                    .call(
+                        swap.follower_chain,
+                        Owner::Party(swap.follower),
+                        follower_htlc,
+                        |h: &mut HtlcContract, ctx| h.fund_interned(ctx, follower_asset.clone()),
+                    )
+                    .is_ok();
+            advance_one_observation(d.world);
+            (leader_funded, follower_funded)
+        });
 
-        // The swap has no separate transfer or validation phases: the
-        // tentative transfer *is* the claim, and validation is the hashlock.
-
-        // --------------------------------------------------------------
-        // Commit: the leader claims the follower's HTLC (revealing the
-        // secret on-chain), then the follower claims the leader's. A party
-        // that withholds its claim plays the same role as one withholding a
+        // Commit: the leader claims the follower's HTLC (revealing the secret
+        // on-chain), then the follower claims the leader's. A party that
+        // withholds its claim plays the same role as one withholding a
         // commit vote in the deal protocols.
-        // --------------------------------------------------------------
-        let commit_started = world.now();
-        let gas_before = world.total_gas();
-        let mut leader_claimed = false;
-        let leader_claims = leader_funded && follower_funded && {
-            let ctx = hub.ctx(world, spec, swap.leader, Phase::Commit, None);
-            leader_cfg.strategy.is_online(ctx.now) && leader_cfg.strategy.on_claim(&ctx)
-        };
-        if leader_claims {
-            leader_claimed = world
-                .call(
-                    swap.follower_chain,
-                    Owner::Party(swap.leader),
-                    follower_htlc,
-                    |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
-                )
-                .is_ok();
-        }
-        advance_one_observation(world);
-        let mut follower_claimed = false;
-        let follower_claims = leader_claimed && {
-            let ctx = hub.ctx(world, spec, swap.follower, Phase::Commit, None);
-            follower_cfg.strategy.is_online(ctx.now) && follower_cfg.strategy.on_claim(&ctx)
-        };
-        if follower_claims {
-            follower_claimed = world
-                .call(
-                    swap.leader_chain,
-                    Owner::Party(swap.follower),
-                    leader_htlc,
-                    |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
-                )
-                .is_ok();
-        }
+        let swapped = d.phase(Phase::Commit, |d| {
+            let leader_claimed = leader_funded
+                && follower_funded
+                && d.decide(swap.leader, Phase::Commit, None, |s, ctx| {
+                    s.is_online(ctx.now) && s.on_claim(ctx)
+                })
+                && d.world
+                    .call(
+                        swap.follower_chain,
+                        Owner::Party(swap.leader),
+                        follower_htlc,
+                        |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
+                    )
+                    .is_ok();
+            advance_one_observation(d.world);
+            let follower_claimed = leader_claimed
+                && d.decide(swap.follower, Phase::Commit, None, |s, ctx| {
+                    s.is_online(ctx.now) && s.on_claim(ctx)
+                })
+                && d.world
+                    .call(
+                        swap.leader_chain,
+                        Owner::Party(swap.follower),
+                        leader_htlc,
+                        |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
+                    )
+                    .is_ok();
 
-        // Timeouts: whatever is still locked refunds to its depositor once
-        // the longer (leader) timeout has passed.
-        if (leader_funded && !follower_claimed) || (follower_funded && !leader_claimed) {
-            world.advance_to(leader_timeout + Duration(1));
-            if leader_funded && !follower_claimed {
-                let _ = world.call(
-                    swap.leader_chain,
-                    Owner::Party(swap.leader),
-                    leader_htlc,
-                    |h: &mut HtlcContract, ctx| h.refund(ctx),
-                );
+            // Timeouts: whatever is still locked refunds to its depositor
+            // once the longer (leader) timeout has passed.
+            let leader_locked = leader_funded && !follower_claimed;
+            let follower_locked = follower_funded && !leader_claimed;
+            if leader_locked || follower_locked {
+                d.world.advance_to(leader_timeout + Duration(1));
+                if leader_locked {
+                    let _ = d.world.call(
+                        swap.leader_chain,
+                        Owner::Party(swap.leader),
+                        leader_htlc,
+                        |h: &mut HtlcContract, ctx| h.refund(ctx),
+                    );
+                }
+                if follower_locked {
+                    let _ = d.world.call(
+                        swap.follower_chain,
+                        Owner::Party(swap.follower),
+                        follower_htlc,
+                        |h: &mut HtlcContract, ctx| h.refund(ctx),
+                    );
+                }
             }
-            if follower_funded && !leader_claimed {
-                let _ = world.call(
-                    swap.follower_chain,
-                    Owner::Party(swap.follower),
-                    follower_htlc,
-                    |h: &mut HtlcContract, ctx| h.refund(ctx),
-                );
-            }
-        }
-        metrics.add_gas(Phase::Commit, gas_before.delta_to(&world.total_gas()));
-        metrics.add_duration(Phase::Commit, world.now() - commit_started);
+            leader_claimed && follower_claimed
+        });
 
-        // --------------------------------------------------------------
-        // Collect the outcome in the protocol-agnostic vocabulary.
-        // --------------------------------------------------------------
-        let final_holdings = holdings_by_party(world, spec);
-        let mut resolutions = BTreeMap::new();
-        for (&chain, &contract) in &contracts {
-            let state = world
-                .chain(chain)
-                .ok()
-                .and_then(|c| c.view(contract, |h: &HtlcContract| h.state()).ok());
-            resolutions.insert(
-                chain,
-                match state {
-                    Some(HtlcState::Claimed) => ChainResolution::Committed,
-                    // Never funded means nothing was ever at stake there; the
-                    // exchange is off, which is an abort in deal terms.
-                    Some(HtlcState::Refunded) | Some(HtlcState::Created) => {
-                        ChainResolution::Aborted
-                    }
-                    Some(HtlcState::Funded) | None => ChainResolution::Unresolved,
-                },
-            );
-        }
-
-        Ok(EngineRun {
-            outcome: DealOutcome {
-                protocol: ProtocolKind::Swap,
-                initial_holdings,
-                final_holdings,
-                resolutions,
-                metrics,
-                delta: self.delta,
+        Ok(d.finish(
+            ProtocolKind::Swap,
+            self.delta,
+            |h: &HtlcContract| match h.state() {
+                HtlcState::Claimed => ChainResolution::Committed,
+                // Never funded means nothing was ever at stake there; the
+                // exchange is off, which is an abort in deal terms.
+                HtlcState::Refunded | HtlcState::Created => ChainResolution::Aborted,
+                HtlcState::Funded => ChainResolution::Unresolved,
             },
-            contracts,
-            ext: ProtocolExt::Swap {
-                swapped: leader_claimed && follower_claimed,
-            },
-        })
+            ProtocolExt::Swap { swapped },
+        ))
     }
 }
 

@@ -16,9 +16,11 @@ use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
 };
 use xchain_deals::{Deal, Protocol};
-use xchain_harness::workload::{random_well_formed_deal, RandomDealParams};
+use xchain_harness::workload::{random_well_formed_deal, ring_spec, RandomDealParams};
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::network::NetworkModel;
+use xchain_sim::time::Duration;
+use xchain_swap::SwapEngine;
 
 const CASES: u64 = 24;
 
@@ -165,6 +167,31 @@ fn all_compliant_random_deals_always_commit() {
             check_strong_liveness(&c.spec, &[], &run.outcome),
             "case {case} (seed {})",
             c.seed
+        );
+    }
+}
+
+/// Negative control: the safety checker can fail. The HTLC swap's
+/// asymmetric timeouts assume every message arrives within ∆ (Section 8);
+/// before the GST of an eventually synchronous network that assumption
+/// breaks, and at this seed a compliant party loses its asset with nobody
+/// deviating (54 of seeds 0–1,999 do; 158 is the first). The timelock and
+/// CBC engines stay safe on the same deal, network and seed.
+#[test]
+fn safety_checker_flags_the_swap_losing_synchrony() {
+    let deal = Deal::new(ring_spec(DealId(2), 2))
+        .network(NetworkModel::eventually_synchronous(500, 100, 1_000))
+        .seed(158);
+    let swap = deal.run(SwapEngine::new(Duration(100))).unwrap();
+    assert!(
+        !check_safety(deal.spec(), deal.configs(), &swap.outcome).holds(),
+        "the swap should violate safety at seed 158"
+    );
+    for protocol in [Protocol::timelock(), Protocol::cbc()] {
+        let run = deal.run(protocol.clone()).unwrap();
+        assert!(
+            check_safety(deal.spec(), deal.configs(), &run.outcome).holds(),
+            "{protocol:?} should stay safe"
         );
     }
 }

@@ -6,8 +6,9 @@
 //! core without giving up reproducibility.
 
 use xchain_deals::builders::{auction_spec, broker_spec, ring_spec};
-use xchain_harness::adversary::single_deviator_configs;
+use xchain_harness::adversary::{single_deviator_configs, strategy_scenarios};
 use xchain_harness::sweep::{standard_engines, Sweep, SweepOutcome};
+use xchain_sim::crypto::FnvHasher;
 use xchain_sim::ids::DealId;
 use xchain_sim::network::NetworkModel;
 
@@ -105,3 +106,69 @@ fn default_thread_count_matches_explicit_serial_run() {
         .unwrap();
     assert_eq!(fingerprint(&auto), fingerprint(&serial));
 }
+
+/// The sweep behind the strategy half of the golden test: the benchmark's
+/// adversarial axis (every built-in deviation at every party, sore loser,
+/// coalition, rational defector) over two- to five-party specs, all three
+/// engines, and a network that loses synchrony before its GST.
+fn strategy_sweep() -> SweepOutcome {
+    Sweep::new()
+        .spec("broker", broker_spec())
+        .spec("ring n=5", ring_spec(DealId(5), 5))
+        .spec("ring n=2", ring_spec(DealId(2), 2))
+        .over_protocols(standard_engines(100))
+        .over_networks(vec![
+            ("sync".into(), NetworkModel::synchronous(100)),
+            (
+                "eventually sync".into(),
+                NetworkModel::eventually_synchronous(500, 100, 1000),
+            ),
+        ])
+        .over_adversaries(|spec| strategy_scenarios(spec, 100))
+        .seed(20261017)
+        .threads(2)
+        .run()
+        .unwrap()
+}
+
+/// Folds fingerprint lines into one FNV hash (each line terminated, so line
+/// boundaries count).
+fn digest<S: AsRef<str>>(lines: impl IntoIterator<Item = S>) -> u64 {
+    let mut h = FnvHasher::new();
+    for line in lines {
+        h.write(line.as_ref().as_bytes());
+        h.write_u8(b'\n');
+    }
+    h.finish().0
+}
+
+/// Cross-commit golden values: both sweeps' outcomes, hashed. Every other
+/// determinism and parity suite compares two paths of the *same* build; this
+/// one pins the outcomes themselves, so an engine refactor that changes any
+/// resolution, holding, gas figure, duration, validation verdict, CBC status
+/// or swap flag fails here. The constants were recorded before the engines
+/// moved onto the shared deal driver and must never be updated to make a
+/// refactor pass.
+#[test]
+fn sweep_outcomes_match_the_recorded_golden_digests() {
+    let fixed = digest(fingerprint(&fixed_seed_sweep(1)));
+    let strategies = strategy_sweep();
+    let lines = fingerprint(&strategies)
+        .into_iter()
+        .zip(&strategies.points)
+        .map(|(line, p)| {
+            format!(
+                "{line}|validated={:?}|cbc={:?}|swapped={:?}",
+                p.run.ext.validated(),
+                p.run.ext.cbc_status(),
+                p.run.ext.swapped()
+            )
+        });
+    let strategic = digest(lines);
+    println!("fixed=0x{fixed:016x} strategic=0x{strategic:016x}");
+    assert_eq!(fixed, GOLDEN_FIXED_SEED_SWEEP, "fixed-seed sweep digest");
+    assert_eq!(strategic, GOLDEN_STRATEGY_SWEEP, "strategy sweep digest");
+}
+
+const GOLDEN_FIXED_SEED_SWEEP: u64 = 0x8c95_e6c2_e026_4748;
+const GOLDEN_STRATEGY_SWEEP: u64 = 0x0543_73b6_4ee2_2ad8;

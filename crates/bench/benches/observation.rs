@@ -1,12 +1,9 @@
-//! Benchmark of the deal observation machinery: the shared, label-filtered
-//! [`ObservationHub`] against the per-party cursor [`DealObserver`]s it
-//! replaced on the engine hot path, over the log of a real 9-party deal.
+//! Benchmark of the deal observation machinery: the shared, tag-filtered
+//! [`ObservationHub`] over the log of a real 9-party deal.
 //!
-//! `observer_views` re-reads (and re-string-matches) every log entry once
-//! per party; `hub_views` reads each entry once, parses it once, and fans it
-//! out — the "second half" of batched log monitoring. `timelock_decisions`
-//! measures the full per-decision pattern the engines use (refresh + fold +
-//! context assembly for every party across several simulated phases).
+//! `timelock_decisions` measures the per-decision pattern the engines use
+//! (ingest + fold + context assembly for every party across several
+//! simulated phases).
 //!
 //! Run with: `cargo bench -p xchain-bench --bench observation`
 
@@ -14,7 +11,7 @@ use xchain_bench::Suite;
 use xchain_deals::builders::ring_spec;
 use xchain_deals::phases::Phase;
 use xchain_deals::plan::DealPlan;
-use xchain_deals::strategy::{DealObserver, ObservationHub};
+use xchain_deals::strategy::ObservationHub;
 use xchain_deals::{Deal, Protocol};
 use xchain_sim::ids::DealId;
 use xchain_sim::network::NetworkModel;
@@ -35,32 +32,10 @@ fn main() {
     assert!(run.outcome.committed_everywhere());
     let world = &run.world;
 
-    suite.bench(&format!("observation/observer_views/{n}"), 200, || {
-        // PR 3 shape: every party re-reads the whole log with its own
-        // cursors and re-matches every label string.
-        let mut total = 0usize;
-        for _ in &spec.parties {
-            let mut obs = DealObserver::new(&spec);
-            obs.observe(world);
-            total += obs.view().escrows.len();
-        }
-        total
-    });
-
-    suite.bench(&format!("observation/hub_views/{n}"), 200, || {
-        // One shared ingest pass; per-party views fold pre-parsed events.
-        let mut hub = ObservationHub::new(&plan);
-        hub.refresh(world);
-        let mut total = 0usize;
-        for &p in &spec.parties {
-            total += hub.view_of(p).escrows.len();
-        }
-        total
-    });
-
     suite.bench(&format!("observation/timelock_decisions/{n}"), 200, || {
         // The engine's actual decision pattern: one context per party per
-        // phase, against an already-caught-up hub (O(chains) refresh checks).
+        // phase. The first ingests the whole log; the rest find nothing new
+        // and cost one cursor check per chain.
         let mut hub = ObservationHub::new(&plan);
         let mut votes = 0usize;
         for phase in [Phase::Escrow, Phase::Transfer, Phase::Commit] {

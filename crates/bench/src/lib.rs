@@ -41,7 +41,7 @@ pub struct BenchResult {
     pub iters: u32,
 }
 
-/// Times `f` over `iters` iterations × [`REPS`] repetitions (after warmup)
+/// Times `f` over `iters` iterations × `REPS` repetitions (after warmup)
 /// and returns the per-iteration statistics, printing a criterion-style line.
 pub fn measure<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> BenchResult {
     for _ in 0..iters.div_ceil(10).max(1) {

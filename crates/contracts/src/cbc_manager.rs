@@ -12,7 +12,6 @@ use std::any::Any;
 
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::Hash;
 use xchain_sim::error::ChainResult;
@@ -52,21 +51,6 @@ impl CbcManager {
             core: EscrowCore::new(info.deal, info.plist.clone()),
             info,
         }
-    }
-
-    /// Escrow phase: `escrow(D, plist, h, a, validators)`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
-    }
-
-    /// Transfer phase: `transfer(D, a, a', Q)`.
-    pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
     }
 
     /// Verifies a status certificate following Figure 6: unique signers, all
@@ -183,17 +167,17 @@ impl DealEscrow for CbcManager {
         self.core.resolution()
     }
 
-    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow(ctx, asset)
     }
 
-    fn transfer_interned(
+    fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
+        self.core.transfer(ctx, asset, to)
     }
 }
 
@@ -216,6 +200,7 @@ impl Contract for CbcManager {
 mod tests {
     use super::*;
     use xchain_bft::log::CbcLog;
+    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -258,12 +243,20 @@ mod tests {
         let alice = fx.info.plist[0];
         let bob = fx.info.plist[1];
         let carol = fx.info.plist[2];
+        let coins = fx
+            .chain
+            .assets()
+            .intern_asset(&Asset::fungible("coin", 101));
+        let hundred = fx
+            .chain
+            .assets()
+            .intern_asset(&Asset::fungible("coin", 100));
         fx.chain
             .call(
                 Time(0),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                |m: &mut CbcManager, ctx| m.escrow(ctx, coins.clone()),
             )
             .unwrap();
         fx.chain
@@ -271,7 +264,7 @@ mod tests {
                 Time(1),
                 Owner::Party(carol),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.transfer(ctx, Asset::fungible("coin", 101), alice),
+                |m: &mut CbcManager, ctx| m.transfer(ctx, &coins, alice),
             )
             .unwrap();
         fx.chain
@@ -279,7 +272,7 @@ mod tests {
                 Time(2),
                 Owner::Party(alice),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.transfer(ctx, Asset::fungible("coin", 100), bob),
+                |m: &mut CbcManager, ctx| m.transfer(ctx, &hundred, bob),
             )
             .unwrap();
     }

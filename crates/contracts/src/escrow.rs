@@ -21,6 +21,7 @@ use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::{InternedAsset, InternedBag, KindTable};
+use xchain_sim::ledger::EventTag;
 
 /// How an escrow ultimately resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,23 +159,13 @@ impl EscrowCore {
     /// `Pre: Owns(P, a)` — enforced by the deposit transfer;
     /// `Post: Owns(D, a) ∧ OwnsC(P, a) ∧ OwnsA(P, a)`.
     ///
+    /// The asset arrives interned against the hosting chain's kind table
+    /// (the engines intern once per deal, at planning time), so escrow entry
+    /// touches no `String`.
+    ///
     /// Gas: 2 storage writes for the deposit transfer plus 1 each for the A
     /// and C map updates — the 4 writes of Figure 3's `escrow`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        // Resolve the kind to a Copy id once; everything after is id-keyed.
-        let asset = ctx.intern_asset(&asset);
-        self.escrow_interned(ctx, asset)
-    }
-
-    /// [`EscrowCore::escrow`] for a pre-interned asset: the plan-based
-    /// engines resolve every escrow's kind once per deal (against the table
-    /// the world was built from), so even escrow *entry* touches no
-    /// `String`. Same checks, gas, and log entry as the named path.
-    pub fn escrow_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
+    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
         let caller = ctx.caller_party()?;
         ctx.require(self.is_active(), "deal already resolved")?;
         ctx.require(self.is_participant(caller), "caller not in plist")?;
@@ -189,7 +180,10 @@ impl EscrowCore {
         ctx.charge_storage_write()?;
         self.on_commit.entry(caller).or_default().add(&asset);
         self.deposits.push((caller, asset));
-        ctx.emit("escrow", vec![self.deal.0, caller.0 as u64, magnitude])?;
+        ctx.emit(
+            EventTag::Escrow,
+            vec![self.deal.0, caller.0 as u64, magnitude],
+        )?;
         Ok(())
     }
 
@@ -199,18 +193,6 @@ impl EscrowCore {
     /// Gas: 2 storage writes (decrement sender's C entry, increment the
     /// recipient's — Figure 3 lines 15–16).
     pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        let asset = ctx.intern_asset(&asset);
-        self.transfer_interned(ctx, &asset, to)
-    }
-
-    /// [`EscrowCore::transfer`] for a pre-interned asset (same checks, gas,
-    /// and log entry as the named path).
-    pub fn transfer_interned(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
@@ -235,7 +217,7 @@ impl EscrowCore {
         ctx.charge_storage_write()?;
         self.on_commit.entry(to).or_default().add(asset);
         ctx.emit(
-            "tentative-transfer",
+            EventTag::TentativeTransfer,
             vec![self.deal.0, caller.0 as u64, to.0 as u64, asset.magnitude()],
         )?;
         Ok(())
@@ -264,7 +246,7 @@ impl EscrowCore {
                 ctx.pay_out_tokens((*party).into(), kind, tokens)?;
             }
         }
-        ctx.emit("escrow-committed", vec![self.deal.0])?;
+        ctx.emit(EventTag::EscrowCommitted, vec![self.deal.0])?;
         Ok(())
     }
 
@@ -278,7 +260,7 @@ impl EscrowCore {
         for (owner, asset) in self.deposits_iter() {
             ctx.pay_out_interned(owner.into(), asset)?;
         }
-        ctx.emit("escrow-aborted", vec![self.deal.0])?;
+        ctx.emit(EventTag::EscrowAborted, vec![self.deal.0])?;
         Ok(())
     }
 }
@@ -302,11 +284,12 @@ pub trait DealEscrow: Contract {
     /// How the escrow resolved, if it has.
     fn resolution(&self) -> Option<EscrowResolution>;
 
-    /// Escrow phase with a pre-interned asset (plan-based engines).
-    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
+    /// Escrow phase: escrows an interned asset (see [`EscrowCore::escrow`]).
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
 
-    /// Transfer phase with a pre-interned asset (plan-based engines).
-    fn transfer_interned(
+    /// Transfer phase: tentatively transfers an escrowed, interned asset (see
+    /// [`EscrowCore::transfer`]).
+    fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
@@ -337,16 +320,17 @@ impl EscrowManager {
         &self.core
     }
 
-    /// Escrows an asset (see [`EscrowCore::escrow`]).
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
+    /// Escrows an interned asset (see [`EscrowCore::escrow`]).
+    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
         self.core.escrow(ctx, asset)
     }
 
-    /// Tentatively transfers an escrowed asset (see [`EscrowCore::transfer`]).
+    /// Tentatively transfers an escrowed, interned asset (see
+    /// [`EscrowCore::transfer`]).
     pub fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
-        asset: Asset,
+        asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
         self.core.transfer(ctx, asset, to)
@@ -410,13 +394,20 @@ mod tests {
     #[test]
     fn escrow_requires_ownership_and_membership() {
         let (mut chain, id, _alice, bob, _carol) = setup();
+        let tickets = chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        let one_coin = chain.assets().intern_asset(&Asset::fungible("coin", 1));
+        let ticket_1 = chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [1]));
         // Bob escrows his tickets: ok.
         chain
             .call(
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, tickets),
             )
             .unwrap();
         // Escrow contract now owns the tickets.
@@ -429,7 +420,7 @@ mod tests {
                 Time(0),
                 Owner::Party(PartyId(9)),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 1)),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, one_coin),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -439,7 +430,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1])),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, ticket_1),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::NotTokenOwner { .. }));
@@ -449,13 +440,16 @@ mod tests {
     fn escrow_costs_four_writes_and_transfer_two() {
         // Figure 3: escrow = 4 storage writes, tentative transfer = 2.
         let (mut chain, id, alice, bob, _carol) = setup();
+        let tickets = chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
         let before = chain.gas_usage();
         chain
             .call(
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, tickets.clone()),
             )
             .unwrap();
         let after_escrow = chain.gas_usage();
@@ -466,9 +460,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), alice)
-                },
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &tickets, alice),
             )
             .unwrap();
         let after_transfer = chain.gas_usage();
@@ -478,12 +470,15 @@ mod tests {
     #[test]
     fn tentative_transfers_update_c_map_only() {
         let (mut chain, id, alice, bob, carol) = setup();
+        let tickets = chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
         chain
             .call(
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, tickets.clone()),
             )
             .unwrap();
         chain
@@ -491,9 +486,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), alice)
-                },
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &tickets, alice),
             )
             .unwrap();
         chain
@@ -501,9 +494,7 @@ mod tests {
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |m: &mut EscrowManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), carol)
-                },
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &tickets, carol),
             )
             .unwrap();
         let (bob_c, carol_c) = chain
@@ -522,12 +513,15 @@ mod tests {
     #[test]
     fn cannot_transfer_what_you_do_not_tentatively_own() {
         let (mut chain, id, alice, bob, carol) = setup();
+        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
+        let fifty = chain.assets().intern_asset(&Asset::fungible("coin", 50));
+        let too_many = chain.assets().intern_asset(&Asset::fungible("coin", 102));
         chain
             .call(
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, coins),
             )
             .unwrap();
         // Bob has escrowed nothing here; he cannot move Carol's coins.
@@ -536,7 +530,7 @@ mod tests {
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 50), alice),
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &fifty, alice),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -546,7 +540,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 102), alice),
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &too_many, alice),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));
@@ -556,12 +550,14 @@ mod tests {
     fn commit_pays_c_map_and_abort_refunds_a_map() {
         // Commit path.
         let (mut chain, id, alice, bob, carol) = setup();
+        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
+        let hundred = chain.assets().intern_asset(&Asset::fungible("coin", 100));
         chain
             .call(
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, coins.clone()),
             )
             .unwrap();
         chain
@@ -569,7 +565,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 101), alice),
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &coins, alice),
             )
             .unwrap();
         chain
@@ -577,7 +573,7 @@ mod tests {
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 100), bob),
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &hundred, bob),
             )
             .unwrap();
         chain
@@ -603,12 +599,13 @@ mod tests {
 
         // Abort path on a fresh chain.
         let (mut chain, id, alice, _bob, carol) = setup();
+        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
         chain
             .call(
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, coins.clone()),
             )
             .unwrap();
         chain
@@ -616,7 +613,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 101), alice),
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &coins, alice),
             )
             .unwrap();
         chain
@@ -641,12 +638,18 @@ mod tests {
     #[test]
     fn resolution_is_terminal() {
         let (mut chain, id, _alice, bob, _carol) = setup();
+        let ticket_1 = chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [1]));
+        let ticket_2 = chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [2]));
         chain
             .call(
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1])),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, ticket_1),
             )
             .unwrap();
         chain
@@ -663,7 +666,7 @@ mod tests {
                 Time(2),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [2])),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, ticket_2),
             ),
             chain.call(
                 Time(2),
@@ -689,66 +692,16 @@ mod tests {
     }
 
     #[test]
-    fn interned_entry_points_match_the_named_path() {
-        // Same deal driven twice: once through the named API, once through
-        // the pre-interned API. State, gas, and log entries must agree.
-        let run = |interned: bool| {
-            let (mut chain, id, alice, bob, _carol) = setup();
-            let tickets = Asset::non_fungible("ticket", [1, 2]);
-            let pre = chain.kinds().intern_asset(&tickets);
-            chain
-                .call(
-                    Time(0),
-                    Owner::Party(bob),
-                    id,
-                    |m: &mut EscrowManager, ctx| {
-                        if interned {
-                            m.core.escrow_interned(ctx, pre.clone())
-                        } else {
-                            m.escrow(ctx, tickets.clone())
-                        }
-                    },
-                )
-                .unwrap();
-            chain
-                .call(
-                    Time(1),
-                    Owner::Party(bob),
-                    id,
-                    |m: &mut EscrowManager, ctx| {
-                        if interned {
-                            m.core.transfer_interned(ctx, &pre, alice)
-                        } else {
-                            m.transfer(ctx, tickets.clone(), alice)
-                        }
-                    },
-                )
-                .unwrap();
-            let deposits = chain
-                .view(id, |m: &EscrowManager| m.core().deposits())
-                .unwrap();
-            let c_map = chain
-                .view(id, |m: &EscrowManager| m.core().on_commit_of(alice))
-                .unwrap();
-            (chain.gas_usage(), chain.log().to_vec(), deposits, c_map)
-        };
-        let (gas_named, log_named, dep_named, c_named) = run(false);
-        let (gas_interned, log_interned, dep_interned, c_interned) = run(true);
-        assert_eq!(gas_named, gas_interned);
-        assert_eq!(log_named, log_interned);
-        assert_eq!(dep_named, dep_interned);
-        assert_eq!(c_named, c_interned);
-    }
-
-    #[test]
     fn deposits_iter_borrows_and_on_commit_covers_compares_interned() {
         let (mut chain, id, alice, _bob, carol) = setup();
+        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
+        let sixty = chain.assets().intern_asset(&Asset::fungible("coin", 60));
         chain
             .call(
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 101)),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, coins),
             )
             .unwrap();
         chain
@@ -756,7 +709,7 @@ mod tests {
                 Time(0),
                 Owner::Party(carol),
                 id,
-                |m: &mut EscrowManager, ctx| m.transfer(ctx, Asset::fungible("coin", 60), alice),
+                |m: &mut EscrowManager, ctx| m.transfer(ctx, &sixty, alice),
             )
             .unwrap();
         let kinds = chain.kinds().clone();
@@ -788,12 +741,13 @@ mod tests {
     #[test]
     fn empty_escrow_rejected() {
         let (mut chain, id, _alice, bob, _carol) = setup();
+        let nothing = chain.assets().intern_asset(&Asset::fungible("coin", 0));
         let err = chain
             .call(
                 Time(0),
                 Owner::Party(bob),
                 id,
-                |m: &mut EscrowManager, ctx| m.escrow(ctx, Asset::fungible("coin", 0)),
+                |m: &mut EscrowManager, ctx| m.escrow(ctx, nothing),
             )
             .unwrap_err();
         assert!(matches!(err, ChainError::Require(_)));

@@ -13,6 +13,7 @@ use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{PartyId, TokenId};
 use xchain_sim::intern::{InternedAsset, KindId, KindTable};
+use xchain_sim::ledger::EventTag;
 
 /// Seat metadata attached to one ticket.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,7 +98,7 @@ impl TicketRegistry {
         };
         ctx.mint_interned_to_self(&asset)?;
         ctx.pay_out_interned(to.into(), &asset)?;
-        ctx.emit("issue-ticket", vec![to.0 as u64, token.0])?;
+        ctx.emit(EventTag::Other, vec![to.0 as u64, token.0])?;
         Ok(token)
     }
 

@@ -11,12 +11,12 @@
 use std::any::Any;
 use std::collections::BTreeSet;
 
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::PathSignature;
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::intern::InternedAsset;
+use xchain_sim::ledger::EventTag;
 use xchain_sim::time::{Duration, Time};
 
 use crate::escrow::{DealEscrow, EscrowCore, EscrowResolution};
@@ -78,21 +78,6 @@ impl TimelockManager {
         self.info.plist.iter().all(|p| self.voted.contains(p))
     }
 
-    /// Escrow phase: `escrow(D, Dinfo, a)`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
-    }
-
-    /// Transfer phase: `transfer(D, a, a', Q)`.
-    pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
-    }
-
     /// Commit phase: `commit(D, v, p)` — accept a (possibly forwarded) commit
     /// vote, following Figure 5:
     ///
@@ -144,7 +129,7 @@ impl TimelockManager {
         ctx.charge_storage_write()?;
         self.voted.insert(vote.voter);
         ctx.emit(
-            "commit-vote",
+            EventTag::CommitVote,
             vec![self.info.deal.0, vote.voter.0 as u64, vote.len() as u64],
         )?;
         // Release once every party's vote has been accepted.
@@ -185,17 +170,17 @@ impl DealEscrow for TimelockManager {
         self.core.resolution()
     }
 
-    fn escrow_interned(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow_interned(ctx, asset)
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+        self.core.escrow(ctx, asset)
     }
 
-    fn transfer_interned(
+    fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer_interned(ctx, asset, to)
+        self.core.transfer(ctx, asset, to)
     }
 }
 
@@ -217,6 +202,7 @@ impl Contract for TimelockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xchain_sim::asset::Asset;
     use xchain_sim::crypto::KeyPair;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
@@ -268,12 +254,16 @@ mod tests {
         let bob = fx.info.plist[1];
         let alice = fx.info.plist[0];
         let carol = fx.info.plist[2];
+        let tickets = fx
+            .chain
+            .assets()
+            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
         fx.chain
             .call(
                 Time(0),
                 Owner::Party(bob),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| m.escrow(ctx, Asset::non_fungible("ticket", [1, 2])),
+                |m: &mut TimelockManager, ctx| m.escrow(ctx, tickets.clone()),
             )
             .unwrap();
         fx.chain
@@ -281,9 +271,7 @@ mod tests {
                 Time(1),
                 Owner::Party(bob),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), alice)
-                },
+                |m: &mut TimelockManager, ctx| m.transfer(ctx, &tickets, alice),
             )
             .unwrap();
         fx.chain
@@ -291,9 +279,7 @@ mod tests {
                 Time(2),
                 Owner::Party(alice),
                 fx.contract,
-                |m: &mut TimelockManager, ctx| {
-                    m.transfer(ctx, Asset::non_fungible("ticket", [1, 2]), carol)
-                },
+                |m: &mut TimelockManager, ctx| m.transfer(ctx, &tickets, carol),
             )
             .unwrap();
     }

@@ -13,6 +13,7 @@ use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::PartyId;
 use xchain_sim::intern::{InternedAsset, KindId, KindTable};
+use xchain_sim::ledger::EventTag;
 
 /// The fungible-token contract.
 #[derive(Debug, Clone)]
@@ -65,7 +66,7 @@ impl TokenContract {
         let kind = self.kind_id(ctx);
         let asset = InternedAsset::Fungible { kind, amount };
         mint_via_ctx(ctx, to, &asset)?;
-        ctx.emit("mint", vec![to.0 as u64, amount])?;
+        ctx.emit(EventTag::Other, vec![to.0 as u64, amount])?;
         Ok(())
     }
 

@@ -1,12 +1,11 @@
 //! The fluent deal session builder: the one entry point for executing a deal
 //! under any [`DealEngine`].
 //!
-//! A [`Deal`] bundles everything that used to be hand-threaded through
-//! `world_for_spec` + `run_timelock` / `run_cbc`: the specification, the
-//! network timing model, the parties' behaviour configurations and the world
-//! seed. Calling [`Deal::run`] builds the world (chains, parties, minted
-//! escrow assets) and executes the chosen engine, returning a unified
-//! [`DealRun`].
+//! A [`Deal`] bundles the specification, the network timing model, the
+//! parties' behaviour configurations and the world seed. Calling
+//! [`Deal::run`] resolves the deal's [`DealPlan`] (once per session), builds
+//! the world from it (chains, parties, minted escrow assets) and executes the
+//! chosen engine, returning a unified [`DealRun`].
 //!
 //! ```
 //! use xchain_deals::builders::broker_spec;
@@ -108,7 +107,7 @@ impl Deal {
     /// callers that need to inspect or enrich the world before running
     /// ([`Deal::run_in`] executes against a caller-supplied world).
     pub fn build_world(&self) -> Result<World, DealError> {
-        setup::world_for_spec(&self.spec, self.network, self.seed)
+        setup::world_for_plan(&*self.plan()?, self.network, self.seed)
     }
 
     /// The session's resolved [`DealPlan`] (validation, transfer order,

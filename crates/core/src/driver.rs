@@ -127,10 +127,16 @@ impl<'a> DealDriver<'a> {
         !self.world.is_offline(party, now) && config(&self.configs, party).strategy.is_online(now)
     }
 
-    /// An online party, compliant ones first, to submit housekeeping calls
-    /// (see [`setup::pick_online_party`]).
+    /// A party to submit housekeeping calls (timeout claims, proof
+    /// presentations): the first available compliant party in plist order,
+    /// else the first available party at all; `None` if everyone is offline.
     pub(crate) fn online_party(&self) -> Option<PartyId> {
-        setup::pick_online_party(self.world, self.plan.spec(), &self.configs)
+        let parties = &self.plan.spec().parties;
+        parties
+            .iter()
+            .copied()
+            .find(|&p| self.is_compliant(p) && self.available(p))
+            .or_else(|| parties.iter().copied().find(|&p| self.available(p)))
     }
 
     /// Installs `contract` on `chain` and records it as that chain's deal
@@ -209,7 +215,7 @@ impl<'a> DealDriver<'a> {
                 e.chain,
                 Owner::Party(e.owner),
                 self.contracts[&e.chain],
-                |m: &mut M, ctx| m.escrow_interned(ctx, e.asset.clone()),
+                |m: &mut M, ctx| m.escrow(ctx, e.asset.clone()),
             );
             // Deviating or offline parties simply fail to escrow.
             if let Err(err) = result {
@@ -236,7 +242,7 @@ impl<'a> DealDriver<'a> {
                     t.chain,
                     Owner::Party(t.from),
                     self.contracts[&t.chain],
-                    |m: &mut M, ctx| m.transfer_interned(ctx, &t.asset, t.to),
+                    |m: &mut M, ctx| m.transfer(ctx, &t.asset, t.to),
                 );
             }
             // Sequential transfers: the next sender must observe this one first.

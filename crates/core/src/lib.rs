@@ -42,12 +42,12 @@
 //!
 //! The engines behind [`engine::Protocol`]:
 //!
-//! * [`Protocol::Timelock`](engine::Protocol::Timelock) — the fully
-//!   decentralized timelock commit protocol for synchronous networks
-//!   (Section 5), with path-signature votes and `|p| · ∆` timeouts;
-//! * [`Protocol::Cbc`](engine::Protocol::Cbc) — the certified-blockchain
-//!   commit protocol for eventually-synchronous networks (Section 6), with
-//!   validator-certified proofs of commit and abort.
+//! * [`Protocol::Timelock`] — the fully decentralized timelock commit
+//!   protocol for synchronous networks (Section 5), with path-signature
+//!   votes and `|p| · ∆` timeouts;
+//! * [`Protocol::Cbc`] — the certified-blockchain commit protocol for
+//!   eventually-synchronous networks (Section 6), with validator-certified
+//!   proofs of commit and abort.
 //!
 //! Both, and the HTLC swap engine in `xchain-swap`, run on one
 //! [`driver::DealDriver`]: it owns the escrow, tentative-transfer and
@@ -102,7 +102,6 @@ pub use properties::{
 };
 pub use spec::{DealSpec, EscrowSpec, TransferSpec};
 pub use strategy::{
-    strategies, DealObserver, DealView, ObservationCtx, ObservationHub, ObservedEvent, Strategy,
-    Vote,
+    strategies, DealView, ObservationCtx, ObservationHub, ObservedEvent, Strategy, Vote,
 };
 pub use timelock::TimelockOptions;

@@ -12,39 +12,15 @@ use crate::error::DealError;
 use crate::plan::DealPlan;
 use crate::spec::DealSpec;
 
-/// Creates a world containing every chain and party the specification
-/// references, with each escrow owner already holding the asset it is supposed
-/// to escrow. Chains are created with a 1-tick block interval so chain time
-/// tracks world time closely; the network model is supplied by the caller.
-pub fn world_for_spec(
-    spec: &DealSpec,
-    network: NetworkModel,
-    seed: u64,
-) -> Result<World, DealError> {
-    let mut world = World::with_network(seed, network);
-    add_chains_and_parties(&mut world, &spec.chains(), &spec.parties);
-    mint_escrow_assets(&mut world, spec)?;
-    Ok(world)
-}
-
-/// The world topology both builders share: one chain per referenced chain id
-/// (1-tick block interval, `chain-{i}` names) and one party per referenced
-/// party id. Kept in one place so plan-based and spec-based worlds can never
-/// drift apart.
-fn add_chains_and_parties(world: &mut World, chains: &[ChainId], parties: &[PartyId]) {
-    let max_chain = chains.iter().map(|c| c.0).max().unwrap_or(0);
-    for i in 0..=max_chain {
-        world.add_chain(&format!("chain-{i}"), Duration(1));
-    }
-    let max_party = parties.iter().map(|p| p.0).max().unwrap_or(0);
-    world.add_parties(max_party as usize + 1);
-}
-
-/// [`world_for_spec`] for a pre-resolved [`DealPlan`]: the world's kind table
-/// starts as a [fork] of the plan's canonical table, so every id the plan
-/// assigned is valid on all of this world's chains, and the escrow assets are
-/// minted through the interned fast path (no name resolution during setup).
-/// This is what [`crate::Deal::run`] and the sweep executor build cells from.
+/// Creates a world containing every chain and party the plan references,
+/// with each escrow owner already holding the asset it is supposed to escrow.
+/// Chains are named `chain-{i}` and created with a 1-tick block interval so
+/// chain time tracks world time closely; the network model is supplied by the
+/// caller. The world's kind table starts as a [fork] of the plan's canonical
+/// table, so every id the plan assigned is valid on all of this world's
+/// chains, and the escrow assets are minted through the interned fast path
+/// (no name resolution during setup). [`crate::Deal::run`],
+/// [`crate::Deal::build_world`] and the sweep executor build worlds here.
 ///
 /// [fork]: xchain_sim::intern::KindTable::fork
 pub fn world_for_plan(
@@ -53,7 +29,12 @@ pub fn world_for_plan(
     seed: u64,
 ) -> Result<World, DealError> {
     let mut world = World::with_network_and_kinds(seed, network, plan.kinds().fork());
-    add_chains_and_parties(&mut world, plan.chains(), &plan.spec().parties);
+    let max_chain = plan.chains().iter().map(|c| c.0).max().unwrap_or(0);
+    for i in 0..=max_chain {
+        world.add_chain(&format!("chain-{i}"), Duration(1));
+    }
+    let max_party = plan.spec().parties.iter().map(|p| p.0).max().unwrap_or(0);
+    world.add_parties(max_party as usize + 1);
     for e in plan.escrows() {
         world
             .mint_interned(e.chain, Owner::Party(e.owner), &e.asset)
@@ -71,18 +52,8 @@ pub fn advance_one_observation(world: &mut World) {
     world.advance_by(delay);
 }
 
-/// Mints each escrow owner's assets on the relevant chains (workload setup).
-pub fn mint_escrow_assets(world: &mut World, spec: &DealSpec) -> Result<(), DealError> {
-    for e in &spec.escrows {
-        world
-            .mint(e.chain, Owner::Party(e.owner), &e.asset)
-            .map_err(DealError::Chain)?;
-    }
-    Ok(())
-}
-
-/// The parties of the spec that actually exist in the world, in plist order —
-/// a sanity check used by the engines.
+/// Checks that every party of the spec exists in the world (a sanity check
+/// the deal driver runs before executing).
 pub fn check_parties_exist(world: &World, spec: &DealSpec) -> Result<(), DealError> {
     let existing = world.party_ids();
     for p in &spec.parties {
@@ -95,7 +66,7 @@ pub fn check_parties_exist(world: &World, spec: &DealSpec) -> Result<(), DealErr
     Ok(())
 }
 
-/// The chains of the spec that actually exist in the world.
+/// Checks that every chain of the spec exists in the world.
 pub fn check_chains_exist(world: &World, spec: &DealSpec) -> Result<(), DealError> {
     for c in spec.chains() {
         if world.chain(c).is_err() {
@@ -116,29 +87,6 @@ pub fn apply_offline_windows(world: &mut World, configs: &[crate::party::PartyCo
     }
 }
 
-/// Picks a party that is online at the world's current time, preferring
-/// compliant parties, to submit housekeeping transactions (timeout claims,
-/// proof presentations). Returns `None` if everyone is offline.
-pub fn pick_online_party(
-    world: &World,
-    spec: &DealSpec,
-    configs: &[crate::party::PartyConfig],
-) -> Option<PartyId> {
-    let now = world.now();
-    let available = |p: PartyId| {
-        !world.is_offline(p, now) && crate::party::config_of(configs, p).strategy.is_online(now)
-    };
-    let compliant_first = spec
-        .parties
-        .iter()
-        .copied()
-        .filter(|&p| crate::party::config_of(configs, p).is_compliant() && available(p));
-    if let Some(p) = compliant_first.into_iter().next() {
-        return Some(p);
-    }
-    spec.parties.iter().copied().find(|&p| available(p))
-}
-
 /// Returns the chains a party must interact with under the timelock protocol
 /// when it behaves compliantly: the chains of its incoming assets (votes) and
 /// outgoing assets (monitoring) only. Used to verify the decentralization
@@ -154,6 +102,7 @@ pub fn chains_touched_by(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::DealDriver;
     use crate::party::{Deviation, PartyConfig};
     use crate::spec::{EscrowSpec, TransferSpec};
     use xchain_sim::asset::Asset;
@@ -196,7 +145,8 @@ mod tests {
     #[test]
     fn world_setup_creates_chains_parties_and_assets() {
         let spec = tiny_spec();
-        let world = world_for_spec(&spec, NetworkModel::synchronous(10), 3).unwrap();
+        let plan = DealPlan::new(&spec).unwrap();
+        let world = world_for_plan(&plan, NetworkModel::synchronous(10), 3).unwrap();
         check_parties_exist(&world, &spec).unwrap();
         check_chains_exist(&world, &spec).unwrap();
         assert!(world
@@ -214,7 +164,8 @@ mod tests {
     #[test]
     fn offline_windows_and_party_picking() {
         let spec = tiny_spec();
-        let mut world = world_for_spec(&spec, NetworkModel::synchronous(10), 3).unwrap();
+        let plan = DealPlan::new(&spec).unwrap();
+        let mut world = world_for_plan(&plan, NetworkModel::synchronous(10), 3).unwrap();
         let configs = vec![PartyConfig::deviating(
             PartyId(0),
             Deviation::OfflineDuring {
@@ -225,10 +176,11 @@ mod tests {
         apply_offline_windows(&mut world, &configs);
         assert!(world.is_offline(PartyId(0), Time(50)));
         // Party 1 is compliant and online, so it is preferred.
-        assert_eq!(pick_online_party(&world, &spec, &configs), Some(PartyId(1)));
+        let driver = DealDriver::new(&mut world, &plan, &configs).unwrap();
+        assert_eq!(driver.online_party(), Some(PartyId(1)));
         // If everyone is offline, no one can be picked.
-        world.set_offline(PartyId(1), Time(0), Time(100));
-        assert_eq!(pick_online_party(&world, &spec, &configs), None);
+        driver.world.set_offline(PartyId(1), Time(0), Time(100));
+        assert_eq!(driver.online_party(), None);
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! O(new entries) per decision, never a re-scan of the whole log, and each
 //! entry is parsed once however many parties watch. What a party has seen
 //! (escrow lock-ins, tentative transfers, commit votes, escrow resolutions)
-//! is exposed as its own [`DealView`]. [`DealObserver`] — one party's private
-//! cursors, refreshed via [`Blockchain::log_from`] — is no longer used by the
-//! engines; it is the reference the hub-parity suite checks the hub's views
-//! against.
+//! is exposed as its own [`DealView`].
 //!
 //! Every legacy `Deviation` variant is available as a built-in strategy (see
 //! [`strategies`]) with *bit-identical* deal outcomes, and three adversaries
@@ -35,10 +32,8 @@
 //! * [`strategies::rational_defector`] — commits iff the value it has
 //!   observed locked in for it exceeds the value it gives up.
 //!
-//! [`Blockchain::log_from`]: xchain_sim::ledger::Blockchain::log_from
 //! [`LogCursor`]: xchain_sim::ledger::LogCursor
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -65,8 +60,9 @@ pub enum Vote {
 }
 
 /// What one party has observed of a deal so far, distilled from the chain
-/// logs by the deal's [`ObservationHub`] (or a [`DealObserver`]). All
-/// collections are in observation order and deduplicated.
+/// logs by the deal's [`ObservationHub`]. All collections are deduplicated
+/// and in observation order: the deal's chains in subscription order, and
+/// each chain's events in log order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DealView {
     /// Escrow lock-ins observed: `(chain, escrowing party)`. Includes HTLC
@@ -109,121 +105,9 @@ impl DealView {
     }
 }
 
-/// One party's monitoring state: a [`LogCursor`] per deal chain plus the
-/// accumulated [`DealView`]. Refreshing reads only the log entries appended
-/// since the last refresh (`Blockchain::log_from`), so the cost of a decision
-/// is proportional to what actually happened since the previous one.
-#[derive(Debug, Clone)]
-pub struct DealObserver {
-    chains: Vec<ChainId>,
-    cursors: BTreeMap<ChainId, LogCursor>,
-    view: DealView,
-}
-
-impl DealObserver {
-    /// An observer for the chains of `spec`, positioned at the start of every
-    /// log.
-    pub fn new(spec: &DealSpec) -> Self {
-        DealObserver {
-            chains: spec.chains(),
-            cursors: BTreeMap::new(),
-            view: DealView::default(),
-        }
-    }
-
-    /// Reads every monitored chain's new log entries and folds them into the
-    /// view. O(new entries).
-    pub fn observe(&mut self, world: &World) {
-        for &chain in &self.chains {
-            let Ok(c) = world.chain(chain) else { continue };
-            let cursor = self.cursors.entry(chain).or_default();
-            for entry in c.log_from(cursor) {
-                ingest(&mut self.view, chain, entry);
-            }
-        }
-    }
-
-    /// The accumulated view.
-    pub fn view(&self) -> &DealView {
-        &self.view
-    }
-
-    /// The cursor position (entries seen so far) on one chain.
-    pub fn cursor_position(&self, chain: ChainId) -> usize {
-        self.cursors.get(&chain).map_or(0, |c| c.position())
-    }
-
-    /// Refreshes the view from the world and assembles the observation
-    /// context a strategy hook receives. `validated` carries the party's
-    /// mechanical validation verdict once the validation phase has run.
-    pub fn ctx<'a>(
-        &'a mut self,
-        world: &World,
-        spec: &'a DealSpec,
-        party: PartyId,
-        phase: Phase,
-        validated: Option<bool>,
-    ) -> ObservationCtx<'a> {
-        self.observe(world);
-        ObservationCtx {
-            party,
-            phase,
-            now: world.now(),
-            spec,
-            view: &self.view,
-            validated,
-        }
-    }
-}
-
-/// Folds one chain-log entry into a view. Label vocabulary is the one the
-/// escrow/timelock/HTLC contracts emit.
-fn ingest(view: &mut DealView, chain: ChainId, entry: &LogEntry) {
-    let caller = match entry.caller {
-        Owner::Party(p) => Some(p),
-        _ => None,
-    };
-    match entry.label.as_str() {
-        "escrow" | "htlc-funded" => {
-            if let Some(p) = caller {
-                if !view.escrows.contains(&(chain, p)) {
-                    view.escrows.push((chain, p));
-                }
-            }
-        }
-        "tentative-transfer" => {
-            if let Some(p) = caller {
-                if !view.transfers.contains(&(chain, p)) {
-                    view.transfers.push((chain, p));
-                }
-            }
-        }
-        "commit-vote" => {
-            // data = [deal, voter, path length]
-            if let Some(&voter) = entry.data.get(1) {
-                let voter = PartyId(voter as u32);
-                if !view.commit_votes.contains(&voter) {
-                    view.commit_votes.push(voter);
-                }
-            }
-        }
-        "htlc-claimed" => {
-            if let Some(p) = caller {
-                if !view.commit_votes.contains(&p) {
-                    view.commit_votes.push(p);
-                }
-            }
-        }
-        "escrow-committed" => view.resolutions.push((chain, true)),
-        "escrow-aborted" | "htlc-refunded" => view.resolutions.push((chain, false)),
-        _ => {}
-    }
-}
-
 /// A deal-relevant event distilled from one log entry. The hub parses each
-/// entry **once** (on the shared ingest pass) into this `Copy` form; the
-/// per-party folds then work on parsed events instead of re-matching label
-/// strings per party.
+/// entry **once** (on the shared ingest pass) into this `Copy` form, and the
+/// per-party folds work on the parsed events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObservedEvent {
     /// An escrow (or HTLC funding) by the party locked in.
@@ -239,8 +123,7 @@ pub enum ObservedEvent {
 
 impl ObservedEvent {
     /// Parses one log entry into the event it contributes to a [`DealView`],
-    /// if any. Mirrors [`ingest`]'s label vocabulary, driven by the entry's
-    /// pre-parsed [`EventTag`] instead of the label string.
+    /// if any, from the entry's [`EventTag`].
     pub fn parse(entry: &LogEntry) -> Option<ObservedEvent> {
         let caller = match entry.caller {
             Owner::Party(p) => Some(p),
@@ -263,7 +146,8 @@ impl ObservedEvent {
         }
     }
 
-    /// Folds the event into a view, deduplicating exactly like [`ingest`].
+    /// Folds the event into a view: lock-ins, transfers and votes are
+    /// recorded once each; every resolution is recorded.
     fn fold_into(self, view: &mut DealView, chain: ChainId) {
         match self {
             ObservedEvent::Escrowed(p) => {
@@ -286,31 +170,24 @@ impl ObservedEvent {
     }
 }
 
-/// Shared, label-filtered deal monitoring: **one** log ingest pass per chain,
-/// fanned out to every subscribed party's [`DealView`].
+/// Shared, tag-filtered deal monitoring: **one** log ingest pass per chain,
+/// fanned out to every party's [`DealView`].
 ///
-/// [`DealObserver`] gives each party its own cursors, so a deal with *n*
-/// parties reads — and string-matches — every log entry *n* times. The hub
-/// is the second half of batched log monitoring (ROADMAP): the engines keep
-/// one hub per deal, each chain has a single shared [`LogCursor`], and a
-/// refresh reads each new entry exactly once, through a [`LogFilter`]
-/// subscription covering only the deal vocabulary (entries the views would
-/// never ingest — token mints, CBC bookkeeping, foreign contracts — are
-/// skipped without being parsed). Parsed [`ObservedEvent`]s are buffered per
-/// chain; each party's view folds them in lazily at its next decision.
-///
-/// **Parity:** a party's [`DealView`] is *identical* to what its own
-/// [`DealObserver`] would have accumulated — per-party folds happen at
-/// decision time, walking the chains in the same order and the buffered
-/// events in log order, so batching changes the cost, never the view (proven
-/// by the hub/observer parity tests against adversarial traces).
+/// The engines keep one hub per deal. Each chain has a single shared
+/// [`LogCursor`], and [`ObservationHub::ctx`] reads each new entry exactly
+/// once, through a [`LogFilter`] covering only the deal vocabulary (entries
+/// the views would never ingest — token mints, CBC bookkeeping, foreign
+/// contracts — are skipped without being parsed). Parsed [`ObservedEvent`]s
+/// are buffered per chain; a party's view folds them in at its next
+/// decision, walking the chains in subscription order and each chain's
+/// events in log order. A view therefore depends only on the log contents at
+/// each of the party's decisions, never on when other parties decided.
 ///
 /// The subscription (chains + parties) is derived from the [`DealPlan`], so
 /// the hub is built once per deal execution alongside the plan.
 #[derive(Debug, Clone)]
 pub struct ObservationHub {
     chains: Vec<ChainId>,
-    filter: LogFilter,
     cursors: Vec<LogCursor>,
     /// Parsed events per chain (indexed like `chains`), in log order.
     events: Vec<Vec<ObservedEvent>>,
@@ -323,33 +200,25 @@ pub struct ObservationHub {
 
 /// The deal vocabulary: every tag the views ingest (everything but
 /// [`EventTag::Other`]).
-fn deal_filter() -> LogFilter {
-    LogFilter::of([
-        EventTag::Escrow,
-        EventTag::TentativeTransfer,
-        EventTag::CommitVote,
-        EventTag::EscrowCommitted,
-        EventTag::EscrowAborted,
-        EventTag::HtlcFunded,
-        EventTag::HtlcClaimed,
-        EventTag::HtlcRefunded,
-    ])
-}
+const DEAL_FILTER: LogFilter = LogFilter::none()
+    .with(EventTag::Escrow)
+    .with(EventTag::TentativeTransfer)
+    .with(EventTag::CommitVote)
+    .with(EventTag::EscrowCommitted)
+    .with(EventTag::EscrowAborted)
+    .with(EventTag::HtlcFunded)
+    .with(EventTag::HtlcClaimed)
+    .with(EventTag::HtlcRefunded);
 
 impl ObservationHub {
     /// A hub subscribed to the plan's chains on behalf of the plan's parties,
     /// filtering to the deal vocabulary.
     pub fn new(plan: &DealPlan) -> Self {
-        Self::for_parties(plan.chains().to_vec(), plan.spec().parties.clone())
-    }
-
-    /// A hub for an explicit chain and party set (tests, custom monitors).
-    pub fn for_parties(chains: Vec<ChainId>, parties: Vec<PartyId>) -> Self {
-        let n_chains = chains.len();
-        let n_parties = parties.len();
+        let chains = plan.chains().to_vec();
+        let parties = plan.spec().parties.clone();
+        let (n_chains, n_parties) = (chains.len(), parties.len());
         ObservationHub {
             chains,
-            filter: deal_filter(),
             cursors: vec![LogCursor::new(); n_chains],
             events: vec![Vec::new(); n_chains],
             parties,
@@ -358,88 +227,14 @@ impl ObservationHub {
         }
     }
 
-    /// The label-filter subscription in force.
-    pub fn filter(&self) -> LogFilter {
-        self.filter
-    }
-
-    /// Ingests one chain's new log entries into its event buffer — the single
-    /// place the shared cursors advance and entries are parsed.
-    fn ingest_chain(
-        events: &mut Vec<ObservedEvent>,
-        cursor: &mut LogCursor,
-        filter: LogFilter,
-        world: &World,
-        chain: ChainId,
-    ) {
-        if let Ok(c) = world.chain(chain) {
-            events.extend(
-                c.log_from_filtered(cursor, filter)
-                    .filter_map(ObservedEvent::parse),
-            );
-        }
-    }
-
-    /// Folds one chain's buffered events from `pos` onward into a view — the
-    /// single place views advance, in log order per chain.
-    fn fold_chain(view: &mut DealView, events: &[ObservedEvent], pos: &mut usize, chain: ChainId) {
-        for ev in &events[*pos..] {
-            ev.fold_into(view, chain);
-        }
-        *pos = events.len();
-    }
-
-    fn party_index(&self, party: PartyId) -> usize {
-        self.parties
-            .iter()
-            .position(|&p| p == party)
-            .expect("party subscribed to the hub")
-    }
-
-    /// Reads every subscribed chain's new log entries **once**, parses them,
-    /// and buffers the resulting events. O(new entries), shared by all
-    /// parties.
-    pub fn refresh(&mut self, world: &World) {
-        for (cix, &chain) in self.chains.iter().enumerate() {
-            Self::ingest_chain(
-                &mut self.events[cix],
-                &mut self.cursors[cix],
-                self.filter,
-                world,
-                chain,
-            );
-        }
-    }
-
-    /// Folds everything `party`'s view has not seen yet (chains in
-    /// subscription order, events in log order — the [`DealObserver`]
-    /// semantics) and returns the view. Assumes [`ObservationHub::refresh`]
-    /// has run for the current world state.
-    fn catch_up(&mut self, party: PartyId) -> &DealView {
-        let pix = self.party_index(party);
-        let view = &mut self.views[pix];
-        for (cix, events) in self.events.iter().enumerate() {
-            Self::fold_chain(
-                view,
-                events,
-                &mut self.positions[pix][cix],
-                self.chains[cix],
-            );
-        }
-        &self.views[pix]
-    }
-
-    /// The party's current view without refreshing (tests, post-mortems).
-    pub fn view_of(&mut self, party: PartyId) -> &DealView {
-        self.catch_up(party)
-    }
-
-    /// Refreshes from the world and assembles the observation context for one
-    /// party's decision — the hub counterpart of [`DealObserver::ctx`].
-    /// Ingest and fold run in one fused pass over the subscribed chains
-    /// (through the same [`ObservationHub::ingest_chain`] /
-    /// [`ObservationHub::fold_chain`] steps `refresh` and `view_of` use), so
-    /// a decision with nothing new costs one cursor check per chain.
+    /// Reads every subscribed chain's new log entries once, then folds
+    /// everything `party`'s view has not seen yet, and assembles the
+    /// observation context for the party's decision. A decision with nothing
+    /// new costs one cursor check per chain.
+    ///
+    /// # Panics
+    ///
+    /// If `party` is not one of the plan's parties.
     pub fn ctx<'a>(
         &'a mut self,
         world: &World,
@@ -448,22 +243,25 @@ impl ObservationHub {
         phase: Phase,
         validated: Option<bool>,
     ) -> ObservationCtx<'a> {
-        let pix = self.party_index(party);
+        let pix = self
+            .parties
+            .iter()
+            .position(|&p| p == party)
+            .expect("party subscribed to the hub");
         let view = &mut self.views[pix];
         for (cix, &chain) in self.chains.iter().enumerate() {
-            Self::ingest_chain(
-                &mut self.events[cix],
-                &mut self.cursors[cix],
-                self.filter,
-                world,
-                chain,
-            );
-            Self::fold_chain(
-                view,
-                &self.events[cix],
-                &mut self.positions[pix][cix],
-                chain,
-            );
+            let events = &mut self.events[cix];
+            if let Ok(c) = world.chain(chain) {
+                events.extend(
+                    c.log_from_filtered(&mut self.cursors[cix], DEAL_FILTER)
+                        .filter_map(ObservedEvent::parse),
+                );
+            }
+            let pos = &mut self.positions[pix][cix];
+            for ev in &events[*pos..] {
+                ev.fold_into(view, chain);
+            }
+            *pos = events.len();
         }
         ObservationCtx {
             party,
@@ -594,7 +392,7 @@ impl fmt::Debug for dyn Strategy {
 ///
 /// [`Deviation`]: crate::party::Deviation
 pub mod strategies {
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Mutex;
 
     use super::*;

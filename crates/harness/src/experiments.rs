@@ -440,8 +440,9 @@ fn matrix_strategy_scenarios(spec: &DealSpec) -> Vec<AdversaryScenario> {
 
 /// The protocol × network × strategy matrix: all three engines (timelock,
 /// CBC, HTLC swap) over synchronous and eventually-synchronous networks, on a
-/// deal each engine can express, against the named adversary strategies of
-/// [`matrix_strategy_scenarios`]. Reproduces the paper's synchrony story in
+/// deal each engine can express, against the all-compliant baseline and one
+/// assignment of each trait-only adversary (sore loser, coalition, rational
+/// defector). Reproduces the paper's synchrony story in
 /// one sweep — the CBC commits under both models when everyone is compliant,
 /// the timelock protocol is only guaranteed to commit under synchrony (it
 /// stays *safe* regardless), the swap engine covers the two-party case — and

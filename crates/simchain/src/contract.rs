@@ -23,7 +23,7 @@ use crate::error::{ChainError, ChainResult};
 use crate::gas::GasMeter;
 use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
 use crate::intern::{InternedAsset, KindId, KindTable};
-use crate::ledger::{AssetLedger, LogEntry};
+use crate::ledger::{AssetLedger, EventTag, LogEntry};
 use crate::time::Time;
 
 /// A blockchain-resident program.
@@ -175,12 +175,6 @@ impl<'a> CallCtx<'a> {
         self.assets.kinds()
     }
 
-    /// Interns an asset's kind, returning the id-keyed counterpart contracts
-    /// store so their later ledger calls skip name resolution entirely.
-    pub fn intern_asset(&self, asset: &Asset) -> InternedAsset {
-        self.assets.intern_asset(asset)
-    }
-
     /// Moves an asset from the *caller* into the contract's custody. This is
     /// the escrow deposit path (Figure 3 line 8, `transferFrom(msg.sender,
     /// this, amount)`); it costs two storage writes like the ERC-20 call it
@@ -264,10 +258,10 @@ impl<'a> CallCtx<'a> {
         self.assets.holds(owner, asset)
     }
 
-    /// Appends an entry to the chain log (an "event"), charging log gas.
-    /// Parties monitor chains by reading this log, subject to the network
-    /// model's observation delay.
-    pub fn emit(&mut self, label: &str, data: Vec<u64>) -> ChainResult<()> {
+    /// Appends an entry to the chain log (an "event"), charging the flat
+    /// per-entry log gas. Parties monitor chains by reading this log, subject
+    /// to the network model's observation delay.
+    pub fn emit(&mut self, tag: EventTag, data: Vec<u64>) -> ChainResult<()> {
         self.gas
             .charge_log_entry()
             .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })?;
@@ -277,8 +271,7 @@ impl<'a> CallCtx<'a> {
             time: self.now,
             contract: Some(self.contract),
             caller: self.caller,
-            tag: crate::ledger::EventTag::parse(label),
-            label: label.to_string(),
+            tag,
             data,
         });
         Ok(())
@@ -431,10 +424,10 @@ mod tests {
                 log: &mut log,
                 log_seq: &mut seq,
             };
-            ctx.emit("escrow", vec![42]).unwrap();
+            ctx.emit(EventTag::Escrow, vec![42]).unwrap();
         }
         assert_eq!(log.len(), 1);
-        assert_eq!(log[0].label, "escrow");
+        assert_eq!(log[0].tag, EventTag::Escrow);
         assert_eq!(log[0].data, vec![42]);
         assert_eq!(log[0].time, Time(9));
         assert_eq!(gas.usage().log_entries, 1);

@@ -79,7 +79,7 @@ impl FnvHasher {
         self
     }
 
-    /// Finalizes the stream into a well-spread [`Hash`].
+    /// Finalizes the stream into a well-spread [`struct@Hash`].
     #[inline]
     pub fn finish(&self) -> Hash {
         Hash(splitmix64(self.0))
@@ -192,8 +192,8 @@ impl Signature {
     /// Verifies the signature against a message and an expected signer.
     ///
     /// Verification recomputes the expected tag from the signer's public key.
-    /// The secret is re-derived internally from the registered key material;
-    /// see [`verify_with_secret_oracle`]. Contract code never calls this
+    /// The secret is re-derived internally from the registered key material
+    /// by the [`KeyDirectory`] oracle. Contract code never calls this
     /// directly — it goes through the gas-metered
     /// [`crate::contract::CallCtx::verify_signature`].
     pub fn verify(

@@ -294,49 +294,31 @@ impl AssetLedger {
     }
 }
 
-/// The pre-parsed classification of a log entry: the protocol-relevant label
-/// vocabulary as a `Copy` enum, computed **once** when the entry is appended
-/// ([`CallCtx::emit`]) instead of string-matched by every observer that later
-/// reads it. Labels outside the deal vocabulary map to [`EventTag::Other`].
+/// What a log entry records, as a `Copy` enum: contracts emit the tag
+/// directly ([`CallCtx::emit`]), so observers classify an entry without
+/// reading a string. Events outside the deal vocabulary are
+/// [`EventTag::Other`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventTag {
-    /// `"escrow"` — an escrow deposit locked in.
+    /// An escrow deposit locked in.
     Escrow = 0,
-    /// `"tentative-transfer"` — a C-map transfer was performed.
+    /// A C-map transfer was performed.
     TentativeTransfer = 1,
-    /// `"commit-vote"` — a timelock commit vote was accepted.
+    /// A timelock commit vote was accepted.
     CommitVote = 2,
-    /// `"escrow-committed"` — the escrow paid out its C map.
+    /// The escrow paid out its C map.
     EscrowCommitted = 3,
-    /// `"escrow-aborted"` — the escrow refunded its A map.
+    /// The escrow refunded its A map.
     EscrowAborted = 4,
-    /// `"htlc-funded"` — an HTLC was funded (plays the escrow role).
+    /// An HTLC was funded (plays the escrow role).
     HtlcFunded = 5,
-    /// `"htlc-claimed"` — an HTLC was claimed (plays the commit-vote role).
+    /// An HTLC was claimed (plays the commit-vote role).
     HtlcClaimed = 6,
-    /// `"htlc-refunded"` — an HTLC timed out and refunded.
+    /// An HTLC timed out and refunded.
     HtlcRefunded = 7,
-    /// Any other label (`"startDeal"`, token registry events, …).
+    /// Any other event (token mints, ticket issues, test contracts, …).
     Other = 8,
-}
-
-impl EventTag {
-    /// Classifies a label string (the single place the label vocabulary is
-    /// string-matched).
-    pub fn parse(label: &str) -> EventTag {
-        match label {
-            "escrow" => EventTag::Escrow,
-            "tentative-transfer" => EventTag::TentativeTransfer,
-            "commit-vote" => EventTag::CommitVote,
-            "escrow-committed" => EventTag::EscrowCommitted,
-            "escrow-aborted" => EventTag::EscrowAborted,
-            "htlc-funded" => EventTag::HtlcFunded,
-            "htlc-claimed" => EventTag::HtlcClaimed,
-            "htlc-refunded" => EventTag::HtlcRefunded,
-            _ => EventTag::Other,
-        }
-    }
 }
 
 /// A subscription over [`EventTag`]s: a tiny bitset observers use to skip log
@@ -346,7 +328,7 @@ pub struct LogFilter(u16);
 
 impl LogFilter {
     /// The empty filter (accepts nothing).
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         LogFilter(0)
     }
 
@@ -365,7 +347,7 @@ impl LogFilter {
     }
 
     /// This filter extended with one more tag.
-    pub fn with(self, tag: EventTag) -> Self {
+    pub const fn with(self, tag: EventTag) -> Self {
         LogFilter(self.0 | (1 << tag as u16))
     }
 
@@ -388,10 +370,7 @@ pub struct LogEntry {
     pub contract: Option<ContractId>,
     /// The caller whose transaction produced the entry.
     pub caller: Owner,
-    /// A short label, e.g. `"escrow"`, `"commit-vote"`, `"startDeal"`.
-    pub label: String,
-    /// The label pre-parsed into the deal vocabulary (set at append time, so
-    /// observers never re-match the string).
+    /// What the entry records.
     pub tag: EventTag,
     /// Numeric payload (ids, amounts, hashes).
     pub data: Vec<u64>,
@@ -401,7 +380,7 @@ pub struct LogEntry {
 /// observer has *not* seen yet. Parties that monitor a chain keep one cursor
 /// per chain and call [`Blockchain::log_from`], which returns only the new
 /// entries and advances the cursor — O(new entries) instead of re-scanning
-/// the whole log with [`Blockchain::log_since`].
+/// the whole log.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogCursor {
     next: usize,
@@ -547,14 +526,9 @@ impl Blockchain {
         &self.log
     }
 
-    /// Log entries appended at or after `since` (chain time).
-    pub fn log_since(&self, since: Time) -> impl Iterator<Item = &LogEntry> {
-        self.log.iter().filter(move |e| e.time >= since)
-    }
-
     /// Log entries the cursor has not seen yet, advancing the cursor past
-    /// them. Repeated monitoring of a chain is O(new entries) instead of the
-    /// O(whole log) re-scan of [`Blockchain::log_since`].
+    /// them. Repeated monitoring of a chain is O(new entries) instead of an
+    /// O(whole log) re-scan.
     pub fn log_from(&self, cursor: &mut LogCursor) -> &[LogEntry] {
         let start = cursor.next.min(self.log.len());
         cursor.next = self.log.len();
@@ -690,7 +664,7 @@ mod tests {
         fn bump(&mut self, ctx: &mut CallCtx<'_>, by: u64) -> ChainResult<u64> {
             ctx.charge_storage_write()?;
             self.value += by;
-            ctx.emit("bump", vec![self.value])?;
+            ctx.emit(EventTag::Other, vec![self.value])?;
             Ok(self.value)
         }
     }
@@ -854,7 +828,7 @@ mod tests {
         let mut c = chain();
         let id = c.install(Counter::default());
         let caller = Owner::Party(PartyId(0));
-        // The Counter emits "bump" (EventTag::Other); emit one entry.
+        // The Counter emits EventTag::Other; emit one entry.
         c.call(Time(5), caller, id, |ctr: &mut Counter, ctx| {
             ctr.bump(ctx, 1)
         })
@@ -869,31 +843,10 @@ mod tests {
             c.log_from_filtered(&mut cursor, LogFilter::all()).count(),
             0
         );
-        // Tag parsing covers the deal vocabulary.
-        assert_eq!(EventTag::parse("escrow"), EventTag::Escrow);
-        assert_eq!(EventTag::parse("commit-vote"), EventTag::CommitVote);
-        assert_eq!(EventTag::parse("htlc-refunded"), EventTag::HtlcRefunded);
-        assert_eq!(EventTag::parse("startDeal"), EventTag::Other);
         // Filter membership behaves like a set.
         let f = LogFilter::of([EventTag::Escrow, EventTag::CommitVote]);
         assert!(f.accepts(EventTag::Escrow));
         assert!(!f.accepts(EventTag::EscrowAborted));
         assert!(!LogFilter::none().accepts(EventTag::Escrow));
-    }
-
-    #[test]
-    fn log_since_filters_by_time() {
-        let mut c = chain();
-        let id = c.install(Counter::default());
-        let caller = Owner::Party(PartyId(0));
-        for t in [5u64, 15, 25, 35] {
-            c.call(Time(t), caller, id, |ctr: &mut Counter, ctx| {
-                ctr.bump(ctx, 1)
-            })
-            .unwrap();
-        }
-        assert_eq!(c.log().len(), 4);
-        assert_eq!(c.log_since(Time(20)).count(), 2);
-        assert_eq!(c.log_since(Time(0)).count(), 4);
     }
 }

@@ -26,13 +26,31 @@ use xchain_deals::phases::Phase;
 use xchain_deals::plan::DealPlan;
 use xchain_deals::setup::advance_one_observation;
 use xchain_deals::spec::DealSpec;
+use xchain_sim::asset::Asset;
 use xchain_sim::ids::{ChainId, Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
 use crate::htlc::{HtlcContract, HtlcState};
 use crate::limits::expressible_as_swap;
-use crate::protocol::SwapSpec;
+
+/// A two-party swap: `leader` gives `leader_asset` (on `leader_chain`) for
+/// `follower_asset` (on `follower_chain`) owned by `follower`.
+#[derive(Debug, Clone)]
+pub struct SwapSpec {
+    /// The party that generates the secret.
+    pub leader: PartyId,
+    /// Its counterparty.
+    pub follower: PartyId,
+    /// The chain of the leader's outgoing asset.
+    pub leader_chain: ChainId,
+    /// The leader's outgoing asset.
+    pub leader_asset: Asset,
+    /// The chain of the follower's outgoing asset.
+    pub follower_chain: ChainId,
+    /// The follower's outgoing asset.
+    pub follower_asset: Asset,
+}
 
 /// The two-party HTLC swap engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +90,7 @@ impl SwapEngine {
             return None;
         }
         // Each leg must be backed by a matching escrow obligation.
-        let escrow_matches = |p: PartyId, chain: ChainId, asset: &xchain_sim::asset::Asset| {
+        let escrow_matches = |p: PartyId, chain: ChainId, asset: &Asset| {
             spec.escrows
                 .iter()
                 .any(|e| e.owner == p && e.chain == chain && e.asset == *asset)
@@ -165,7 +183,7 @@ impl DealEngine for SwapEngine {
                     swap.leader_chain,
                     Owner::Party(swap.leader),
                     leader_htlc,
-                    |h: &mut HtlcContract, ctx| h.fund_interned(ctx, leader_asset.clone()),
+                    |h: &mut HtlcContract, ctx| h.fund(ctx, leader_asset.clone()),
                 )
                 .is_ok();
             advance_one_observation(d.world);
@@ -178,7 +196,7 @@ impl DealEngine for SwapEngine {
                         swap.follower_chain,
                         Owner::Party(swap.follower),
                         follower_htlc,
-                        |h: &mut HtlcContract, ctx| h.fund_interned(ctx, follower_asset.clone()),
+                        |h: &mut HtlcContract, ctx| h.fund(ctx, follower_asset.clone()),
                     )
                     .is_ok();
             advance_one_observation(d.world);
@@ -264,13 +282,23 @@ mod tests {
     use xchain_deals::builders::{broker_spec, ring_spec};
     use xchain_deals::party::Deviation;
     use xchain_deals::properties::{check_conservation, check_safety};
-    use xchain_deals::Deal;
-    use xchain_sim::asset::Asset;
+    use xchain_deals::strategy::{DealView, ObservationHub};
+    use xchain_deals::{Deal, DealRun};
     use xchain_sim::ids::DealId;
     use xchain_sim::network::NetworkModel;
 
     fn two_party() -> DealSpec {
         ring_spec(DealId(77), 2)
+    }
+
+    /// What a party reading the finished run's logs through a fresh hub
+    /// sees: the HTLC tags must land in the same view fields as the escrow
+    /// contracts' tags.
+    fn hub_view(deal: &Deal, run: &DealRun) -> DealView {
+        let plan = deal.plan().unwrap();
+        let mut hub = ObservationHub::new(&plan);
+        let ctx = hub.ctx(&run.world, deal.spec(), PartyId(0), Phase::Commit, None);
+        ctx.view.clone()
     }
 
     #[test]
@@ -301,6 +329,19 @@ mod tests {
             .contains(&Asset::fungible("asset-1", 10)));
         assert!(check_safety(deal.spec(), &[], &run.outcome).holds());
         assert!(check_conservation(deal.spec(), &run.outcome));
+        // Both fundings are escrows; both claims are commit votes (chain 0
+        // first: the follower's claim of the leader's HTLC); a claim is not
+        // an escrow resolution.
+        let (c0, c1, p0, p1) = (ChainId(0), ChainId(1), PartyId(0), PartyId(1));
+        assert_eq!(
+            hub_view(&deal, &run),
+            DealView {
+                escrows: vec![(c0, p0), (c1, p1)],
+                transfers: vec![],
+                commit_votes: vec![p1, p0],
+                resolutions: vec![],
+            }
+        );
     }
 
     #[test]
@@ -327,6 +368,17 @@ mod tests {
         assert!(run.outcome.aborted_everywhere());
         assert!(check_safety(deal.spec(), deal.configs(), &run.outcome).holds());
         assert!(check_conservation(deal.spec(), &run.outcome));
+        // Both fundings, no claims, and a refund on each chain.
+        let (c0, c1, p0, p1) = (ChainId(0), ChainId(1), PartyId(0), PartyId(1));
+        assert_eq!(
+            hub_view(&deal, &run),
+            DealView {
+                escrows: vec![(c0, p0), (c1, p1)],
+                transfers: vec![],
+                commit_votes: vec![],
+                resolutions: vec![(c0, false), (c1, false)],
+            }
+        );
     }
 
     #[test]

@@ -7,12 +7,12 @@
 
 use std::any::Any;
 
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::{FnvHasher, Hash};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::PartyId;
 use xchain_sim::intern::InternedAsset;
+use xchain_sim::ledger::EventTag;
 use xchain_sim::time::Time;
 
 /// The lifecycle state of an HTLC.
@@ -73,19 +73,9 @@ impl HtlcContract {
         self.timeout
     }
 
-    /// The depositor funds the contract.
-    pub fn fund(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        let asset = ctx.intern_asset(&asset);
-        self.fund_interned(ctx, asset)
-    }
-
-    /// [`HtlcContract::fund`] for a pre-interned asset (plan-based engines;
-    /// same checks, gas, and log entry as the named path).
-    pub fn fund_interned(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: InternedAsset,
-    ) -> ChainResult<()> {
+    /// The depositor funds the contract with an asset interned against the
+    /// chain's kind table.
+    pub fn fund(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
         ctx.require(
             self.state == HtlcState::Created,
             "already funded or resolved",
@@ -99,7 +89,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.asset = Some(asset);
         self.state = HtlcState::Funded;
-        ctx.emit("htlc-funded", vec![self.hashlock.0])?;
+        ctx.emit(EventTag::HtlcFunded, vec![self.hashlock.0])?;
         Ok(())
     }
 
@@ -116,7 +106,7 @@ impl HtlcContract {
         self.state = HtlcState::Claimed;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out_interned(self.beneficiary.into(), asset)?;
-        ctx.emit("htlc-claimed", vec![secret])?;
+        ctx.emit(EventTag::HtlcClaimed, vec![secret])?;
         Ok(())
     }
 
@@ -128,7 +118,7 @@ impl HtlcContract {
         self.state = HtlcState::Refunded;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out_interned(self.depositor.into(), asset)?;
-        ctx.emit("htlc-refunded", vec![self.hashlock.0])?;
+        ctx.emit(EventTag::HtlcRefunded, vec![self.hashlock.0])?;
         Ok(())
     }
 }
@@ -148,6 +138,7 @@ impl Contract for HtlcContract {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -173,12 +164,13 @@ mod tests {
             HtlcContract::hash_secret(secret),
             Time(100),
         ));
+        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 50));
         chain
             .call(
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |h: &mut HtlcContract, ctx| h.fund(ctx, Asset::fungible("coin", 50)),
+                |h: &mut HtlcContract, ctx| h.fund(ctx, coins),
             )
             .unwrap();
         // Wrong secret and wrong caller are rejected.
@@ -227,12 +219,13 @@ mod tests {
             HtlcContract::hash_secret(9),
             Time(100),
         ));
+        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 50));
         chain
             .call(
                 Time(0),
                 Owner::Party(alice),
                 id,
-                |h: &mut HtlcContract, ctx| h.fund(ctx, Asset::fungible("coin", 50)),
+                |h: &mut HtlcContract, ctx| h.fund(ctx, coins),
             )
             .unwrap();
         // Too early to refund; too late to claim after the timeout.

@@ -10,8 +10,11 @@ use xchain_deals::spec::DealSpec;
 use xchain_deals::{Deal, DealRun, Protocol};
 use xchain_harness::adversary::single_deviator_configs;
 use xchain_harness::sweep::{standard_engines, Sweep, SweepOutcome};
-use xchain_sim::ids::DealId;
+use xchain_sim::asset::Asset;
+use xchain_sim::ids::{ChainId, DealId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
+use xchain_sim::time::Duration;
+use xchain_sim::world::World;
 use xchain_swap::SwapEngine;
 
 fn specs() -> Vec<(String, DealSpec)> {
@@ -95,14 +98,41 @@ fn sweep_with_shared_plans_matches_per_run_resolution() {
     }
 }
 
+/// A world holding the deal's chains, parties and escrowed assets whose kind
+/// table numbers kinds differently from any plan of the spec: an unrelated
+/// kind is minted before the escrows.
+fn foreign_world(spec: &DealSpec, network: NetworkModel, seed: u64) -> World {
+    let mut world = World::with_network(seed, network);
+    let max_chain = spec.chains().iter().map(|c| c.0).max().unwrap();
+    for i in 0..=max_chain {
+        world.add_chain(&format!("chain-{i}"), Duration(1));
+    }
+    let max_party = spec.parties.iter().map(|p| p.0).max().unwrap();
+    world.add_parties(max_party as usize + 1);
+    let gold = Asset::fungible("gold", 5);
+    world
+        .mint(ChainId(0), Owner::Party(PartyId(0)), &gold)
+        .unwrap();
+    for e in &spec.escrows {
+        world
+            .mint(e.chain, Owner::Party(e.owner), &e.asset)
+            .unwrap();
+    }
+    world
+}
+
 /// One shared plan across many sessions (different seeds and engines) equals
 /// per-session planning, and `run_in` (plan resolved against the caller's
-/// world table) equals both.
+/// world table) equals both — also when the caller's world numbers kinds
+/// differently from the plan.
 #[test]
 fn shared_plan_and_caller_world_agree_with_fresh_plans() {
     let spec = broker_spec();
-    let session = Deal::new(spec.clone()).network(NetworkModel::synchronous(100));
+    let network = NetworkModel::synchronous(100);
+    let session = Deal::new(spec.clone()).network(network);
     let plan = session.plan().unwrap();
+    let escrow_kind = spec.escrows[0].asset.kind().clone();
+    let plan_id = plan.kinds().get(escrow_kind.name()).unwrap();
     for seed in [0u64, 7, 42, 1897] {
         for engine in [Protocol::timelock(), Protocol::cbc()] {
             let deal = session.clone().seed(seed);
@@ -118,6 +148,22 @@ fn shared_plan_and_caller_world_agree_with_fresh_plans() {
                 format!("{:?}", in_run.outcome),
                 "seed {seed}"
             );
+            // A foreign kind table: `run_in` re-plans against it
+            // (`DealPlan::for_table`), so the ids differ from the session
+            // plan's but the deal runs the same. Holdings include the
+            // unrelated kind, so compare what the deal itself decides.
+            let mut world = foreign_world(&spec, network, seed);
+            assert_ne!(world.kinds().get(escrow_kind.name()), Some(plan_id));
+            let foreign = deal.run_in(&mut world, engine.clone()).unwrap();
+            assert_eq!(
+                fresh.outcome.resolutions, foreign.outcome.resolutions,
+                "seed {seed}"
+            );
+            assert_eq!(
+                fresh.outcome.metrics, foreign.outcome.metrics,
+                "seed {seed}"
+            );
+            assert!(foreign.outcome.committed_everywhere(), "seed {seed}");
         }
     }
 }

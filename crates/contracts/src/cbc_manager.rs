@@ -221,9 +221,8 @@ mod tests {
         let (_, start_hash) = cbc
             .start_deal(Time(0), plist[0], DealId(9), plist.clone())
             .unwrap();
-        chain
-            .mint(Owner::Party(plist[2]), &Asset::fungible("coin", 101))
-            .unwrap();
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        chain.mint(Owner::Party(plist[2]), &coins).unwrap();
         let info = CbcDealInfo {
             deal: DealId(9),
             plist: plist.clone(),
@@ -243,14 +242,8 @@ mod tests {
         let alice = fx.info.plist[0];
         let bob = fx.info.plist[1];
         let carol = fx.info.plist[2];
-        let coins = fx
-            .chain
-            .assets()
-            .intern_asset(&Asset::fungible("coin", 101));
-        let hundred = fx
-            .chain
-            .assets()
-            .intern_asset(&Asset::fungible("coin", 100));
+        let coins = fx.chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let hundred = fx.chain.kinds().intern_asset(&Asset::fungible("coin", 100));
         fx.chain
             .call(
                 Time(0),

@@ -171,7 +171,7 @@ impl EscrowCore {
         ctx.require(self.is_participant(caller), "caller not in plist")?;
         ctx.require(!asset.is_empty(), "cannot escrow an empty asset")?;
         // Pre: Owns(P, a): the deposit fails if the caller does not own it.
-        ctx.deposit_interned_from_caller(&asset)?;
+        ctx.deposit_from_caller(&asset)?;
         let magnitude = asset.magnitude();
         // A map entry (1 write) + C map entry (1 write). Both maps are
         // recorded before the emit below can fail (out of gas), so an abort
@@ -258,7 +258,7 @@ impl EscrowCore {
         ctx.charge_storage_write()?;
         self.resolution = Some(EscrowResolution::Aborted);
         for (owner, asset) in self.deposits_iter() {
-            ctx.pay_out_interned(owner.into(), asset)?;
+            ctx.pay_out(owner.into(), asset)?;
         }
         ctx.emit(EventTag::EscrowAborted, vec![self.deal.0])?;
         Ok(())
@@ -381,12 +381,12 @@ mod tests {
         let bob = PartyId(1);
         let alice = PartyId(0);
         let carol = PartyId(2);
-        chain
-            .mint(Owner::Party(bob), &Asset::non_fungible("ticket", [1, 2]))
-            .unwrap();
-        chain
-            .mint(Owner::Party(carol), &Asset::fungible("coin", 101))
-            .unwrap();
+        let tickets = chain
+            .kinds()
+            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        chain.mint(Owner::Party(bob), &tickets).unwrap();
+        chain.mint(Owner::Party(carol), &coins).unwrap();
         let id = chain.install(EscrowManager::new(DealId(7), vec![alice, bob, carol]));
         (chain, id, alice, bob, carol)
     }
@@ -395,11 +395,11 @@ mod tests {
     fn escrow_requires_ownership_and_membership() {
         let (mut chain, id, _alice, bob, _carol) = setup();
         let tickets = chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
-        let one_coin = chain.assets().intern_asset(&Asset::fungible("coin", 1));
+        let one_coin = chain.kinds().intern_asset(&Asset::fungible("coin", 1));
         let ticket_1 = chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [1]));
         // Bob escrows his tickets: ok.
         chain
@@ -412,8 +412,8 @@ mod tests {
             .unwrap();
         // Escrow contract now owns the tickets.
         assert!(chain
-            .assets()
-            .holds(Owner::Contract(id), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Contract(id))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
         // A stranger cannot escrow.
         let err = chain
             .call(
@@ -441,7 +441,7 @@ mod tests {
         // Figure 3: escrow = 4 storage writes, tentative transfer = 2.
         let (mut chain, id, alice, bob, _carol) = setup();
         let tickets = chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
         let before = chain.gas_usage();
         chain
@@ -471,7 +471,7 @@ mod tests {
     fn tentative_transfers_update_c_map_only() {
         let (mut chain, id, alice, bob, carol) = setup();
         let tickets = chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
         chain
             .call(
@@ -506,16 +506,16 @@ mod tests {
         assert!(carol_c.contains(&Asset::non_fungible("ticket", [1, 2])));
         // The chain-level owner is still the contract until resolution.
         assert!(chain
-            .assets()
-            .holds(Owner::Contract(id), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Contract(id))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
     }
 
     #[test]
     fn cannot_transfer_what_you_do_not_tentatively_own() {
         let (mut chain, id, alice, bob, carol) = setup();
-        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
-        let fifty = chain.assets().intern_asset(&Asset::fungible("coin", 50));
-        let too_many = chain.assets().intern_asset(&Asset::fungible("coin", 102));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let fifty = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
+        let too_many = chain.kinds().intern_asset(&Asset::fungible("coin", 102));
         chain
             .call(
                 Time(0),
@@ -550,8 +550,8 @@ mod tests {
     fn commit_pays_c_map_and_abort_refunds_a_map() {
         // Commit path.
         let (mut chain, id, alice, bob, carol) = setup();
-        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
-        let hundred = chain.assets().intern_asset(&Asset::fungible("coin", 100));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let hundred = chain.kinds().intern_asset(&Asset::fungible("coin", 100));
         chain
             .call(
                 Time(0),
@@ -599,7 +599,7 @@ mod tests {
 
         // Abort path on a fresh chain.
         let (mut chain, id, alice, _bob, carol) = setup();
-        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
         chain
             .call(
                 Time(0),
@@ -639,10 +639,10 @@ mod tests {
     fn resolution_is_terminal() {
         let (mut chain, id, _alice, bob, _carol) = setup();
         let ticket_1 = chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [1]));
         let ticket_2 = chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [2]));
         chain
             .call(
@@ -694,8 +694,8 @@ mod tests {
     #[test]
     fn deposits_iter_borrows_and_on_commit_covers_compares_interned() {
         let (mut chain, id, alice, _bob, carol) = setup();
-        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 101));
-        let sixty = chain.assets().intern_asset(&Asset::fungible("coin", 60));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let sixty = chain.kinds().intern_asset(&Asset::fungible("coin", 60));
         chain
             .call(
                 Time(0),
@@ -741,7 +741,7 @@ mod tests {
     #[test]
     fn empty_escrow_rejected() {
         let (mut chain, id, _alice, bob, _carol) = setup();
-        let nothing = chain.assets().intern_asset(&Asset::fungible("coin", 0));
+        let nothing = chain.kinds().intern_asset(&Asset::fungible("coin", 0));
         let err = chain
             .call(
                 Time(0),

@@ -96,8 +96,8 @@ impl TicketRegistry {
             kind,
             tokens: [token].into_iter().collect(),
         };
-        ctx.mint_interned_to_self(&asset)?;
-        ctx.pay_out_interned(to.into(), &asset)?;
+        ctx.mint_to_self(&asset)?;
+        ctx.pay_out(to.into(), &asset)?;
         ctx.emit(EventTag::Other, vec![to.0 as u64, token.0])?;
         Ok(token)
     }
@@ -180,13 +180,12 @@ mod tests {
             )
             .unwrap();
         assert_ne!(t1, t2);
-        assert!(chain.assets().holds(
-            Owner::Party(bob),
-            &Asset::NonFungible {
+        assert!(chain
+            .holdings(Owner::Party(bob))
+            .contains(&Asset::NonFungible {
                 kind: "ticket".into(),
                 tokens: [t1, t2].into_iter().collect(),
-            }
-        ));
+            }));
         let (good, issued) = chain
             .view(id, |r: &TicketRegistry| {
                 (r.all_at_least(&[t1], 90), r.issued())

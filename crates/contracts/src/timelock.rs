@@ -229,12 +229,10 @@ mod tests {
                 kp
             })
             .collect();
-        chain
-            .mint(
-                Owner::Party(parties[1]),
-                &Asset::non_fungible("ticket", [1, 2]),
-            )
-            .unwrap();
+        let tickets = chain
+            .kinds()
+            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        chain.mint(Owner::Party(parties[1]), &tickets).unwrap();
         let info = TimelockDealInfo {
             deal: DealId(7),
             plist: parties,
@@ -256,7 +254,7 @@ mod tests {
         let carol = fx.info.plist[2];
         let tickets = fx
             .chain
-            .assets()
+            .kinds()
             .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
         fx.chain
             .call(
@@ -307,8 +305,8 @@ mod tests {
         }
         assert!(fx
             .chain
-            .assets()
-            .holds(Owner::Party(carol), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Party(carol))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
         assert_eq!(
             fx.chain
                 .view(fx.contract, |m: &TimelockManager| m.resolution())
@@ -488,8 +486,8 @@ mod tests {
             .unwrap();
         assert!(fx
             .chain
-            .assets()
-            .holds(Owner::Party(bob), &Asset::non_fungible("ticket", [1, 2])));
+            .holdings(Owner::Party(bob))
+            .contains(&Asset::non_fungible("ticket", [1, 2])));
         assert_eq!(
             fx.chain
                 .view(fx.contract, |m: &TimelockManager| m.resolution())

@@ -84,8 +84,8 @@ impl TokenContract {
 fn mint_via_ctx(ctx: &mut CallCtx<'_>, to: PartyId, asset: &InternedAsset) -> ChainResult<()> {
     // The escrow-free path: credit the recipient directly through the payout
     // API after granting the units to the contract.
-    ctx.mint_interned_to_self(asset)?;
-    ctx.pay_out_interned(to.into(), asset)
+    ctx.mint_to_self(asset)?;
+    ctx.pay_out(to.into(), asset)
 }
 
 impl Contract for TokenContract {

@@ -223,7 +223,7 @@ mod tests {
     use crate::builders::broker_spec;
     use crate::deal::{Deal, DealRun};
     use crate::engine::Protocol;
-    use crate::party::Deviation;
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::network::NetworkModel;
 
@@ -265,7 +265,10 @@ mod tests {
 
     #[test]
     fn withheld_vote_leads_to_abort_everywhere() {
-        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(1),
+            strategies::withhold_vote(),
+        )];
         let run = run_broker(
             &configs,
             &CbcOptions::default(),
@@ -285,7 +288,10 @@ mod tests {
 
     #[test]
     fn explicit_abort_vote_aborts_everywhere() {
-        let configs = vec![PartyConfig::deviating(PartyId(2), Deviation::VoteAbort)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(2),
+            strategies::vote_abort(),
+        )];
         let run = run_broker(
             &configs,
             &CbcOptions::default(),

@@ -58,10 +58,11 @@
 //! pairs a party with a [`strategy::Strategy`] — per-phase decision hooks fed
 //! an [`strategy::ObservationCtx`] (the party's own, cursor-fed view of the
 //! deal) — so adversaries can be adaptive and stateful, and new attacks are
-//! user code instead of core edits. The classic behaviours survive as
-//! [`party::Deviation`] descriptions realized by built-in strategies
-//! ([`strategy::strategies`]), alongside adversaries the old enum could not
-//! express (sore-loser, colluding coalitions, rational defectors). The
+//! user code instead of core edits. The built-in behaviours
+//! ([`strategy::strategies`]) cover the classic deviations (crashing,
+//! refusing to escrow or transfer, withholding, aborting or never forwarding
+//! votes, rejecting validation, going offline) and adaptive adversaries
+//! (sore-loser, colluding coalitions, rational defectors). The
 //! paper's Properties 1–3 are executable checks in [`properties`]. The
 //! pre-0.2 free functions (`run_timelock`, `run_cbc`) have been removed; the
 //! [`deal::Deal`] builder is the only entry point (see the migration table in
@@ -94,7 +95,7 @@ pub use digraph::{is_well_formed, DealDigraph};
 pub use engine::{DealEngine, EngineRun, Protocol, ProtocolExt};
 pub use error::DealError;
 pub use outcome::{ChainResolution, DealOutcome, ProtocolKind};
-pub use party::{config_of, fresh_configs, Deviation, PartyConfig};
+pub use party::{config_of, fresh_configs, PartyConfig};
 pub use phases::{Phase, PhaseMetrics};
 pub use plan::{DealPlan, PartyPlan, PlannedEscrow, PlannedTransfer};
 pub use properties::{

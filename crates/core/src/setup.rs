@@ -37,7 +37,7 @@ pub fn world_for_plan(
     world.add_parties(max_party as usize + 1);
     for e in plan.escrows() {
         world
-            .mint_interned(e.chain, Owner::Party(e.owner), &e.asset)
+            .mint(e.chain, Owner::Party(e.owner), &e.asset)
             .map_err(DealError::Chain)?;
     }
     Ok(world)
@@ -103,8 +103,9 @@ pub fn chains_touched_by(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
 mod tests {
     use super::*;
     use crate::driver::DealDriver;
-    use crate::party::{Deviation, PartyConfig};
+    use crate::party::PartyConfig;
     use crate::spec::{EscrowSpec, TransferSpec};
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::ids::DealId;
     use xchain_sim::time::Time;
@@ -152,13 +153,13 @@ mod tests {
         assert!(world
             .chain(ChainId(0))
             .unwrap()
-            .assets()
-            .holds(Owner::Party(PartyId(0)), &Asset::fungible("a", 5)));
+            .holdings(Owner::Party(PartyId(0)))
+            .contains(&Asset::fungible("a", 5)));
         assert!(world
             .chain(ChainId(1))
             .unwrap()
-            .assets()
-            .holds(Owner::Party(PartyId(1)), &Asset::fungible("b", 7)));
+            .holdings(Owner::Party(PartyId(1)))
+            .contains(&Asset::fungible("b", 7)));
     }
 
     #[test]
@@ -166,12 +167,9 @@ mod tests {
         let spec = tiny_spec();
         let plan = DealPlan::new(&spec).unwrap();
         let mut world = world_for_plan(&plan, NetworkModel::synchronous(10), 3).unwrap();
-        let configs = vec![PartyConfig::deviating(
+        let configs = vec![PartyConfig::with_strategy(
             PartyId(0),
-            Deviation::OfflineDuring {
-                from: Time(0),
-                until: Time(100),
-            },
+            strategies::offline_during(Time(0), Time(100)),
         )];
         apply_offline_windows(&mut world, &configs);
         assert!(world.is_offline(PartyId(0), Time(50)));

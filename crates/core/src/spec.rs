@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use xchain_sim::asset::{Asset, AssetBag};
+use xchain_sim::asset::{Asset, AssetBag, AssetKind};
 use xchain_sim::ids::{ChainId, DealId, PartyId};
 
 use crate::error::DealError;
@@ -152,9 +152,11 @@ impl DealSpec {
     }
 
     /// Validates the specification: parties are distinct and non-empty, every
-    /// transfer and escrow references listed parties, and the tentative
-    /// transfers can actually be ordered so that every sender tentatively owns
-    /// what it sends (see [`DealSpec::transfer_order`]).
+    /// transfer and escrow references listed parties, the escrowed and
+    /// transferred amounts of each fungible kind sum to at most `u64::MAX`,
+    /// and the tentative transfers can actually be ordered so that every
+    /// sender tentatively owns what it sends (see
+    /// [`DealSpec::transfer_order`]).
     pub fn validate(&self) -> Result<(), DealError> {
         if self.parties.is_empty() {
             return Err(DealError::InvalidSpec("deal has no parties".into()));
@@ -192,6 +194,19 @@ impl DealSpec {
             }
             if t.asset.is_empty() {
                 return Err(DealError::InvalidSpec("empty transfer asset".into()));
+            }
+        }
+        // Every amount the deal adds up (holdings, a party's incoming or
+        // outgoing assets, across chains) sums some of a kind's escrows and
+        // transfers, so all of them fit once the kind's total volume does.
+        let mut volume: BTreeMap<&AssetKind, u64> = BTreeMap::new();
+        let assets = self.escrows.iter().map(|e| &e.asset);
+        for asset in assets.chain(self.transfers.iter().map(|t| &t.asset)) {
+            if let Asset::Fungible { kind, amount } = asset {
+                let total = volume.entry(kind).or_insert(0);
+                *total = total.checked_add(*amount).ok_or_else(|| {
+                    DealError::InvalidSpec(format!("the amounts of '{kind}' overflow u64"))
+                })?;
             }
         }
         // A valid ordering must exist.

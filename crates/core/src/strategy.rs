@@ -1,16 +1,13 @@
-//! The open adversary API: party behaviour as a [`Strategy`] trait instead of
-//! a closed enum.
+//! The open adversary API: party behaviour as a [`Strategy`] trait.
 //!
 //! The paper deliberately makes no assumption about *how* parties deviate —
 //! they are "compliant or deviating, whether rationally or not" (Section 3).
-//! Early versions of this crate encoded deviation as a closed
-//! [`crate::party::Deviation`] enum whose variants the protocol engines
-//! pattern-matched on, so every new attack required editing the core crates.
-//! This module turns behaviour into user code: a [`Strategy`] answers one
-//! question per protocol decision point (escrow? transfer? accept
-//! validation? vote? forward? claim?), and every answer is computed from an
+//! Behaviour is therefore user code: a [`Strategy`] answers one question per
+//! protocol decision point (escrow? transfer? accept validation? vote?
+//! forward? claim?), and every answer is computed from an
 //! [`ObservationCtx`] — the party's own view of the deal so far — so
-//! strategies can be *adaptive and stateful*, not just static flags.
+//! strategies can be *adaptive and stateful*, not just static flags. The
+//! protocol engines only ever call the hooks; a new attack never edits them.
 //!
 //! Observation is first-class: every engine keeps one [`ObservationHub`] per
 //! deal, holding a single shared [`LogCursor`] per chain, so monitoring costs
@@ -19,9 +16,13 @@
 //! (escrow lock-ins, tentative transfers, commit votes, escrow resolutions)
 //! is exposed as its own [`DealView`].
 //!
-//! Every legacy `Deviation` variant is available as a built-in strategy (see
-//! [`strategies`]) with *bit-identical* deal outcomes, and three adversaries
-//! that the old enum could not express at all ride along:
+//! The [`strategies`] module holds the built-in behaviours. The classic
+//! failure and attack modes the paper discusses — crashing or walking away
+//! after any phase, refusing to escrow or transfer, withholding, aborting or
+//! never forwarding votes, declaring dissatisfaction at validation, and
+//! being offline during the commit window — are fixed answer tables
+//! ([`strategies::compliant`], [`strategies::crash_after`], …). Three
+//! adaptive adversaries ride along:
 //!
 //! * [`strategies::sore_loser`] — escrows, then abandons the deal exactly
 //!   when it observes every counterparty's escrow lock in (the sore-loser
@@ -386,168 +387,183 @@ impl fmt::Debug for dyn Strategy {
     }
 }
 
-/// The built-in strategy catalog: every legacy [`Deviation`] as a strategy
-/// (identical deal outcomes, see the parity tests), plus the adversaries only
-/// expressible under the trait.
-///
-/// [`Deviation`]: crate::party::Deviation
+/// The built-in behaviours: the classic fixed-answer deviations and the
+/// adaptive adversaries.
 pub mod strategies {
+    use std::borrow::Cow;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Mutex;
 
     use super::*;
-    use crate::party::Deviation;
 
-    /// The compliant strategy: every hook at its default.
+    /// The compliant strategy: every hook answers as the protocol says.
     pub fn compliant() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::None)
+        Arc::new(Fixed {
+            compliant: true,
+            ..Fixed::deviating("compliant")
+        })
     }
 
-    /// Stops participating after completing `phase` (crash / walk-away),
-    /// like [`Deviation::CrashAfter`].
+    /// Stops participating after completing `phase` (crash / walk-away): it
+    /// skips every later escrow, transfer and commit vote.
     pub fn crash_after(phase: Phase) -> Arc<dyn Strategy> {
-        from_deviation(Deviation::CrashAfter(phase))
+        Arc::new(Fixed {
+            escrow: phase >= Phase::Escrow,
+            transfer: phase >= Phase::Transfer,
+            vote: if phase >= Phase::Commit {
+                Vote::Commit
+            } else {
+                Vote::Withhold
+            },
+            ..Fixed::deviating(format!("crash-after-{phase}"))
+        })
     }
 
-    /// Never escrows its outgoing assets, like [`Deviation::RefuseEscrow`].
+    /// Never escrows its outgoing assets (joins the deal, then reneges), so
+    /// it neither transfers nor votes either.
     pub fn refuse_escrow() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::RefuseEscrow)
+        Arc::new(Fixed {
+            escrow: false,
+            transfer: false,
+            vote: Vote::Withhold,
+            ..Fixed::deviating("refuse-escrow")
+        })
     }
 
-    /// Escrows but never performs its tentative transfers, like
-    /// [`Deviation::SkipTransfers`].
+    /// Escrows but never performs its tentative transfers or votes.
     pub fn skip_transfers() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::SkipTransfers)
+        Arc::new(Fixed {
+            transfer: false,
+            vote: Vote::Withhold,
+            ..Fixed::deviating("skip-transfers")
+        })
     }
 
-    /// Performs every phase but never sends a commit vote, like
-    /// [`Deviation::WithholdVote`].
+    /// Performs every phase but never sends a commit vote.
     pub fn withhold_vote() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::WithholdVote)
+        Arc::new(Fixed {
+            vote: Vote::Withhold,
+            ..Fixed::deviating("withhold-vote")
+        })
     }
 
-    /// Votes but never forwards other parties' votes, like
-    /// [`Deviation::NeverForward`].
+    /// Timelock: sends its own commit votes but never forwards other
+    /// parties' votes (free-rides on the forwarding work of others).
     pub fn never_forward() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::NeverForward)
+        Arc::new(Fixed {
+            forward: false,
+            ..Fixed::deviating("never-forward")
+        })
     }
 
-    /// Votes abort during the commit phase, like [`Deviation::VoteAbort`].
+    /// CBC: votes abort during the commit phase even though validation
+    /// succeeded.
     pub fn vote_abort() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::VoteAbort)
+        Arc::new(Fixed {
+            vote: Vote::Abort,
+            ..Fixed::deviating("vote-abort")
+        })
     }
 
-    /// Declares its incoming assets unsatisfactory at validation, like
-    /// [`Deviation::RejectValidation`].
+    /// Declares its incoming assets unsatisfactory at validation and votes
+    /// abort.
     pub fn reject_validation() -> Arc<dyn Strategy> {
-        from_deviation(Deviation::RejectValidation)
+        Arc::new(Fixed {
+            accept: false,
+            vote: Vote::Abort,
+            ..Fixed::deviating("reject-validation")
+        })
     }
 
     /// Offline (crashed or under denial of service) during `[from, until)`,
-    /// like [`Deviation::OfflineDuring`].
+    /// compliant otherwise. Going offline at the wrong moment is still a
+    /// deviation: such a party can miss the window in which it must claim
+    /// assets or forward votes.
     pub fn offline_during(from: Time, until: Time) -> Arc<dyn Strategy> {
-        from_deviation(Deviation::OfflineDuring { from, until })
+        Arc::new(Fixed {
+            offline: Some((from, until)),
+            ..Fixed::deviating(format!("offline-{}..{}", from.0, until.0))
+        })
     }
 
-    /// The built-in strategy reproducing a legacy [`Deviation`] exactly:
-    /// same decisions at every hook, hence bit-identical runs.
-    pub fn from_deviation(deviation: Deviation) -> Arc<dyn Strategy> {
-        Arc::new(DeviationStrategy(deviation))
+    /// A behaviour with one fixed answer per hook. A failed validation turns
+    /// a commit vote into a withhold, and only a committing party forwards
+    /// or claims.
+    #[derive(Debug, Clone)]
+    struct Fixed {
+        name: Cow<'static, str>,
+        compliant: bool,
+        escrow: bool,
+        transfer: bool,
+        /// Whether the party accepts assets that passed validation.
+        accept: bool,
+        /// The vote after a successful validation.
+        vote: Vote,
+        forward: bool,
+        offline: Option<(Time, Time)>,
     }
 
-    /// The legacy enum behaviours, expressed through the hook table that the
-    /// old `PartyConfig::will_*` predicates implemented.
-    #[derive(Debug, Clone, Copy)]
-    struct DeviationStrategy(Deviation);
-
-    impl DeviationStrategy {
-        fn participates_in(&self, phase: Phase) -> bool {
-            match self.0 {
-                Deviation::CrashAfter(last) => phase <= last,
-                _ => true,
+    impl Fixed {
+        /// A deviating behaviour that nonetheless answers every hook
+        /// compliantly: the base each built-in overrides.
+        fn deviating(name: impl Into<Cow<'static, str>>) -> Fixed {
+            Fixed {
+                name: name.into(),
+                compliant: false,
+                escrow: true,
+                transfer: true,
+                accept: true,
+                vote: Vote::Commit,
+                forward: true,
+                offline: None,
             }
         }
-
-        fn will_vote_commit(&self, ctx: &ObservationCtx<'_>) -> bool {
-            !matches!(
-                self.0,
-                Deviation::RefuseEscrow
-                    | Deviation::SkipTransfers
-                    | Deviation::WithholdVote
-                    | Deviation::VoteAbort
-                    | Deviation::RejectValidation
-            ) && self.participates_in(Phase::Commit)
-                && ctx.validated.unwrap_or(true)
-        }
     }
 
-    impl Strategy for DeviationStrategy {
+    impl Strategy for Fixed {
         fn name(&self) -> String {
-            match self.0 {
-                Deviation::None => "compliant".into(),
-                Deviation::CrashAfter(phase) => format!("crash-after-{phase}"),
-                Deviation::RefuseEscrow => "refuse-escrow".into(),
-                Deviation::SkipTransfers => "skip-transfers".into(),
-                Deviation::WithholdVote => "withhold-vote".into(),
-                Deviation::NeverForward => "never-forward".into(),
-                Deviation::VoteAbort => "vote-abort".into(),
-                Deviation::RejectValidation => "reject-validation".into(),
-                Deviation::OfflineDuring { from, until } => {
-                    format!("offline-{}..{}", from.0, until.0)
-                }
-            }
+            self.name.to_string()
         }
 
         fn is_compliant(&self) -> bool {
-            matches!(self.0, Deviation::None)
+            self.compliant
         }
 
         fn is_online(&self, t: Time) -> bool {
-            match self.0 {
-                Deviation::OfflineDuring { from, until } => !(from <= t && t < until),
-                _ => true,
-            }
+            self.offline
+                .is_none_or(|(from, until)| !(from <= t && t < until))
         }
 
         fn offline_window(&self) -> Option<(Time, Time)> {
-            match self.0 {
-                Deviation::OfflineDuring { from, until } => Some((from, until)),
-                _ => None,
-            }
+            self.offline
         }
 
         fn on_escrow(&self, _ctx: &ObservationCtx<'_>) -> bool {
-            !matches!(self.0, Deviation::RefuseEscrow) && self.participates_in(Phase::Escrow)
+            self.escrow
         }
 
         fn on_transfer(&self, _ctx: &ObservationCtx<'_>) -> bool {
-            !matches!(self.0, Deviation::RefuseEscrow | Deviation::SkipTransfers)
-                && self.participates_in(Phase::Transfer)
+            self.transfer
         }
 
         fn on_validate(&self, ctx: &ObservationCtx<'_>) -> bool {
-            ctx.validated.unwrap_or(true) && !matches!(self.0, Deviation::RejectValidation)
+            ctx.validated.unwrap_or(true) && self.accept
         }
 
         fn on_vote(&self, ctx: &ObservationCtx<'_>) -> Vote {
-            if self.will_vote_commit(ctx) {
-                Vote::Commit
-            } else if matches!(self.0, Deviation::VoteAbort | Deviation::RejectValidation)
-                && self.participates_in(Phase::Commit)
-            {
-                Vote::Abort
-            } else {
-                Vote::Withhold
+            match self.vote {
+                Vote::Commit if !ctx.validated.unwrap_or(true) => Vote::Withhold,
+                vote => vote,
             }
         }
 
         fn on_forward(&self, ctx: &ObservationCtx<'_>) -> bool {
-            self.will_vote_commit(ctx) && !matches!(self.0, Deviation::NeverForward)
+            self.forward && self.on_vote(ctx) == Vote::Commit
         }
     }
 
     // ------------------------------------------------------------------
-    // The adversaries the closed enum could not express.
+    // The adaptive adversaries.
     // ------------------------------------------------------------------
 
     /// The sore-loser attacker: escrows its own assets like a compliant
@@ -793,43 +809,80 @@ mod tests {
         assert!(!s.on_forward(&c));
     }
 
+    /// The six hook answers of `s` at one validation verdict, one letter
+    /// each: escrow `E`, transfer `T`, validate `V`, vote `C`ommit /
+    /// `A`bort / `W`ithhold, forward `F`, claim `K`; `.` is a no.
+    fn hook_code(s: &dyn Strategy, c: &ObservationCtx<'_>) -> String {
+        let yes = |b: bool, letter: char| if b { letter } else { '.' };
+        let vote = match s.on_vote(c) {
+            Vote::Commit => 'C',
+            Vote::Abort => 'A',
+            Vote::Withhold => 'W',
+        };
+        [
+            yes(s.on_escrow(c), 'E'),
+            yes(s.on_transfer(c), 'T'),
+            yes(s.on_validate(c), 'V'),
+            vote,
+            yes(s.on_forward(c), 'F'),
+            yes(s.on_claim(c), 'K'),
+        ]
+        .into_iter()
+        .collect()
+    }
+
+    /// Every built-in behaviour's complete hook table, pinned as literals:
+    /// `compliant()`, the eleven single-party deviations the safety sweep
+    /// runs (`adversary::all_deviations(100)`, in that order), and
+    /// `crash_after(Phase::Commit)`, which answers every hook compliantly
+    /// yet is classed as deviating.
     #[test]
-    fn builtin_strategies_reproduce_the_deviation_table() {
+    fn builtin_behaviours_answer_the_pinned_hook_table() {
+        type Row = (
+            Arc<dyn Strategy>,
+            &'static str,
+            bool,
+            Option<(Time, Time)>,
+            [bool; 3],
+            [&'static str; 3],
+        );
+        let off = Some((Time(0), Time(5000)));
+        // (strategy, name, is_compliant, offline_window, is_online at
+        //  t = 0 / 4999 / 5000, hook codes at validated = Some(true) /
+        //  Some(false) / None)
+        #[rustfmt::skip]
+        let table: Vec<Row> = vec![
+            (compliant(), "compliant", true, None, [true; 3], ["ETVCFK", "ET.W..", "ETVCFK"]),
+            (refuse_escrow(), "refuse-escrow", false, None, [true; 3], ["..VW..", "...W..", "..VW.."]),
+            (skip_transfers(), "skip-transfers", false, None, [true; 3], ["E.VW..", "E..W..", "E.VW.."]),
+            (withhold_vote(), "withhold-vote", false, None, [true; 3], ["ETVW..", "ET.W..", "ETVW.."]),
+            (never_forward(), "never-forward", false, None, [true; 3], ["ETVC.K", "ET.W..", "ETVC.K"]),
+            (vote_abort(), "vote-abort", false, None, [true; 3], ["ETVA..", "ET.A..", "ETVA.."]),
+            (reject_validation(), "reject-validation", false, None, [true; 3], ["ET.A..", "ET.A..", "ET.A.."]),
+            (crash_after(Phase::Clearing), "crash-after-clearing", false, None, [true; 3], ["..VW..", "...W..", "..VW.."]),
+            (crash_after(Phase::Escrow), "crash-after-escrow", false, None, [true; 3], ["E.VW..", "E..W..", "E.VW.."]),
+            (crash_after(Phase::Transfer), "crash-after-transfer", false, None, [true; 3], ["ETVW..", "ET.W..", "ETVW.."]),
+            (crash_after(Phase::Validation), "crash-after-validation", false, None, [true; 3], ["ETVW..", "ET.W..", "ETVW.."]),
+            (offline_during(Time(0), Time(5000)), "offline-0..5000", false, off, [false, false, true], ["ETVCFK", "ET.W..", "ETVCFK"]),
+            (crash_after(Phase::Commit), "crash-after-commit", false, None, [true; 3], ["ETVCFK", "ET.W..", "ETVCFK"]),
+        ];
         let spec = broker_spec();
         let view = DealView::default();
-        let validated = Some(true);
-        let c = ctx(&spec, &view, PartyId(0), validated);
-
-        assert!(!refuse_escrow().on_escrow(&c));
-        assert!(!refuse_escrow().on_transfer(&c));
-        assert_eq!(refuse_escrow().on_vote(&c), Vote::Withhold);
-
-        assert!(skip_transfers().on_escrow(&c));
-        assert!(!skip_transfers().on_transfer(&c));
-
-        assert_eq!(withhold_vote().on_vote(&c), Vote::Withhold);
-
-        assert_eq!(never_forward().on_vote(&c), Vote::Commit);
-        assert!(!never_forward().on_forward(&c));
-
-        assert_eq!(vote_abort().on_vote(&c), Vote::Abort);
-        assert!(!reject_validation().on_validate(&c));
-        assert_eq!(reject_validation().on_vote(&c), Vote::Abort);
-
-        let crash = crash_after(Phase::Escrow);
-        assert!(crash.on_escrow(&c));
-        assert!(!crash.on_transfer(&c));
-        assert_eq!(crash.on_vote(&c), Vote::Withhold);
-        assert_eq!(crash.name(), "crash-after-escrow");
-
-        let off = offline_during(Time(5), Time(10));
-        assert!(off.is_online(Time(4)));
-        assert!(!off.is_online(Time(5)));
-        assert!(!off.is_online(Time(9)));
-        assert!(off.is_online(Time(10)));
-        assert_eq!(off.offline_window(), Some((Time(5), Time(10))));
-        // Offline at the wrong moment is a deviation (paper, Section 3).
-        assert!(!off.is_compliant());
+        for (s, name, compliant, window, online, codes) in table {
+            assert_eq!(s.name(), name);
+            assert_eq!(s.is_compliant(), compliant, "{name}");
+            assert_eq!(s.offline_window(), window, "{name}");
+            let at = [0, 4999, 5000].map(|t| s.is_online(Time(t)));
+            assert_eq!(at, online, "{name}");
+            for (validated, code) in [Some(true), Some(false), None].into_iter().zip(codes) {
+                let c = ctx(&spec, &view, PartyId(0), validated);
+                assert_eq!(
+                    hook_code(&*s, &c),
+                    code,
+                    "{name} at validated = {validated:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -255,7 +255,7 @@ mod tests {
     use crate::builders::broker_spec;
     use crate::deal::{Deal, DealRun};
     use crate::engine::Protocol;
-    use crate::party::Deviation;
+    use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
     use xchain_sim::network::NetworkModel;
 
@@ -302,7 +302,10 @@ mod tests {
 
     #[test]
     fn withheld_vote_times_out_and_refunds() {
-        let configs = vec![PartyConfig::deviating(PartyId(2), Deviation::WithholdVote)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(2),
+            strategies::withhold_vote(),
+        )];
         let (run, spec) = run_broker(&configs, &TimelockOptions::default(), 2);
         assert!(run.outcome.aborted_everywhere());
         let bob = spec.parties[1];
@@ -322,7 +325,10 @@ mod tests {
 
     #[test]
     fn crash_before_escrow_leaves_no_compliant_party_worse_off() {
-        let configs = vec![PartyConfig::deviating(PartyId(1), Deviation::RefuseEscrow)];
+        let configs = vec![PartyConfig::with_strategy(
+            PartyId(1),
+            strategies::refuse_escrow(),
+        )];
         let (run, spec) = run_broker(&configs, &TimelockOptions::default(), 3);
         // Bob never escrowed his tickets, so validation fails for Carol/Alice
         // and the deal aborts everywhere.

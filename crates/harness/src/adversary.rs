@@ -1,20 +1,18 @@
 //! Adversary sweeps: strategy generators for the [`crate::sweep::Sweep`]
 //! adversary axis.
 //!
-//! The generators come in two layers. The *legacy* layer enumerates the
-//! classic [`Deviation`] behaviours and deviating-party subsets, so the
-//! safety experiments cover every misbehaviour the paper discusses, for both
-//! protocols. The *strategy* layer speaks the open adversary API
-//! ([`xchain_deals::strategy::Strategy`]): scenarios are labelled with
-//! strategy names (so sweep tables and `experiments -- matrix` read
-//! "sore-loser@party-1", not an enum debug print), the built-in strategies
-//! reproduce each legacy deviation bit-identically, and the catalog includes
-//! the adversaries only expressible under the trait — the sore-loser, the
-//! colluding coalition, and the rational defector.
+//! Every generator speaks the open adversary API
+//! ([`xchain_deals::strategy::Strategy`]). [`all_deviations`] lists the
+//! classic single-party misbehaviours the paper discusses, so the safety
+//! experiments cover each of them under both commit protocols; the other
+//! generators assign them (and the adaptive adversaries — the sore-loser,
+//! the colluding coalition and the rational defector) to parties. Scenarios
+//! are labelled with strategy names, so sweep tables and
+//! `experiments -- matrix` read "sore-loser@party-1".
 
 use std::sync::Arc;
 
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
 use xchain_deals::spec::DealSpec;
 use xchain_deals::strategy::{strategies, Strategy};
@@ -23,23 +21,20 @@ use xchain_sim::time::Time;
 
 use crate::sweep::AdversaryScenario;
 
-/// Every single-party deviation strategy exercised by the safety sweep.
-pub fn all_deviations(delta: u64) -> Vec<Deviation> {
+/// Every built-in single-party deviation exercised by the safety sweep.
+pub fn all_deviations(delta: u64) -> Vec<Arc<dyn Strategy>> {
     vec![
-        Deviation::RefuseEscrow,
-        Deviation::SkipTransfers,
-        Deviation::WithholdVote,
-        Deviation::NeverForward,
-        Deviation::VoteAbort,
-        Deviation::RejectValidation,
-        Deviation::CrashAfter(Phase::Clearing),
-        Deviation::CrashAfter(Phase::Escrow),
-        Deviation::CrashAfter(Phase::Transfer),
-        Deviation::CrashAfter(Phase::Validation),
-        Deviation::OfflineDuring {
-            from: Time(0),
-            until: Time(delta * 50),
-        },
+        strategies::refuse_escrow(),
+        strategies::skip_transfers(),
+        strategies::withhold_vote(),
+        strategies::never_forward(),
+        strategies::vote_abort(),
+        strategies::reject_validation(),
+        strategies::crash_after(Phase::Clearing),
+        strategies::crash_after(Phase::Escrow),
+        strategies::crash_after(Phase::Transfer),
+        strategies::crash_after(Phase::Validation),
+        strategies::offline_during(Time(0), Time(delta * 50)),
     ]
 }
 
@@ -48,7 +43,7 @@ pub fn single_deviator_configs(spec: &DealSpec, delta: u64) -> Vec<Vec<PartyConf
     let mut configs = Vec::new();
     for &p in &spec.parties {
         for d in all_deviations(delta) {
-            configs.push(vec![PartyConfig::deviating(p, d)]);
+            configs.push(vec![PartyConfig::with_strategy(p, d)]);
         }
     }
     configs
@@ -64,33 +59,18 @@ pub fn all_but_one_deviate(spec: &DealSpec, honest: PartyId, delta: u64) -> Vec<
             spec.parties
                 .iter()
                 .filter(|p| **p != honest)
-                .map(|p| PartyConfig::deviating(*p, d))
+                .map(|p| PartyConfig::with_strategy(*p, d.clone()))
                 .collect()
         })
         .collect()
 }
 
-// ----------------------------------------------------------------------
-// The strategy layer: generators over the open adversary API.
-// ----------------------------------------------------------------------
-
-/// The built-in strategy replacing each legacy deviation, in the
-/// [`all_deviations`] order. Used by the parity tests and by
-/// [`single_strategist_scenarios`].
-pub fn builtin_strategies(delta: u64) -> Vec<Arc<dyn Strategy>> {
-    all_deviations(delta)
-        .into_iter()
-        .map(strategies::from_deviation)
-        .collect()
-}
-
-/// Single-deviator scenarios over the built-in strategies, labelled
-/// `"<strategy name>@<party>"` — the strategy-native counterpart of
-/// [`single_deviator_configs`].
+/// Single-deviator scenarios over [`all_deviations`], labelled
+/// `"<strategy name>@<party>"`.
 pub fn single_strategist_scenarios(spec: &DealSpec, delta: u64) -> Vec<AdversaryScenario> {
     let mut scenarios = Vec::new();
     for &p in &spec.parties {
-        for s in builtin_strategies(delta) {
+        for s in all_deviations(delta) {
             scenarios.push((
                 format!("{}@{p}", s.name()),
                 vec![PartyConfig::with_strategy(p, s)],
@@ -213,10 +193,24 @@ mod tests {
     }
 
     #[test]
-    fn builtin_strategies_match_the_deviation_catalog() {
-        let builtins = builtin_strategies(100);
-        assert_eq!(builtins.len(), all_deviations(100).len());
-        assert_eq!(builtins[0].name(), "refuse-escrow");
-        assert_eq!(builtins.last().unwrap().name(), "offline-0..5000");
+    fn all_deviations_lists_the_builtin_catalog_in_order() {
+        let names: Vec<String> = all_deviations(100).iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "refuse-escrow",
+                "skip-transfers",
+                "withhold-vote",
+                "never-forward",
+                "vote-abort",
+                "reject-validation",
+                "crash-after-clearing",
+                "crash-after-escrow",
+                "crash-after-transfer",
+                "crash-after-validation",
+                "offline-0..5000",
+            ]
+        );
+        assert!(all_deviations(100).iter().all(|s| !s.is_compliant()));
     }
 }

@@ -1,6 +1,8 @@
 //! Command-line entry point that regenerates the paper's tables and figures.
 //!
 //! Usage: `cargo run -p xchain-harness --bin experiments -- [all|fig1|fig3|fig4|fig7|safety|liveness|matrix|pow|crossover|swap]`
+//!
+//! `safety` exits with status 1 if the sweep finds any violation.
 
 use xchain_harness::experiments;
 
@@ -21,7 +23,17 @@ fn main() {
             println!("{}", experiments::fig4_gas(&[3, 5, 7], 2).1.render());
         }
         "fig7" => println!("{}", experiments::fig7_delays(&[3, 5, 7, 9]).1.render()),
-        "safety" => println!("{}", experiments::safety_sweep().1.render()),
+        "safety" => {
+            let (result, table) = experiments::safety_sweep();
+            println!("{}", table.render());
+            let violations = result.safety_violations
+                + result.weak_liveness_violations
+                + result.conservation_violations;
+            if violations > 0 {
+                eprintln!("safety sweep found {violations} violation(s)");
+                std::process::exit(1);
+            }
+        }
         "liveness" => println!("{}", experiments::liveness_experiment().render()),
         "matrix" => println!("{}", experiments::protocol_matrix_experiment().1.render()),
         "pow" => println!("{}", experiments::pow_attack_experiment(500).render()),

@@ -17,7 +17,6 @@
 
 use std::any::Any;
 
-use crate::asset::Asset;
 use crate::crypto::{KeyDirectory, PublicKey, Signature};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasMeter;
@@ -179,48 +178,26 @@ impl<'a> CallCtx<'a> {
     /// the escrow deposit path (Figure 3 line 8, `transferFrom(msg.sender,
     /// this, amount)`); it costs two storage writes like the ERC-20 call it
     /// models, in addition to whatever bookkeeping the contract itself writes.
-    pub fn deposit_from_caller(&mut self, asset: &Asset) -> ChainResult<()> {
+    pub fn deposit_from_caller(&mut self, asset: &InternedAsset) -> ChainResult<()> {
         self.charge_storage_writes(2)?;
         self.assets
             .transfer(self.caller, Owner::Contract(self.contract), asset)
     }
 
-    /// [`CallCtx::deposit_from_caller`] for a pre-interned asset.
-    pub fn deposit_interned_from_caller(&mut self, asset: &InternedAsset) -> ChainResult<()> {
-        self.charge_storage_writes(2)?;
-        self.assets
-            .transfer_interned(self.caller, Owner::Contract(self.contract), asset)
-    }
-
     /// Creates new units of an asset owned by the executing contract. Used by
     /// issuance contracts (token / ticket registries) that act as the minting
     /// authority for their asset kind. Costs one storage write.
-    pub fn mint_to_self(&mut self, asset: &Asset) -> ChainResult<()> {
+    pub fn mint_to_self(&mut self, asset: &InternedAsset) -> ChainResult<()> {
         self.charge_storage_write()?;
         self.assets.mint(Owner::Contract(self.contract), asset)
     }
 
-    /// [`CallCtx::mint_to_self`] for a pre-interned asset.
-    pub fn mint_interned_to_self(&mut self, asset: &InternedAsset) -> ChainResult<()> {
-        self.charge_storage_write()?;
-        self.assets
-            .mint_interned(Owner::Contract(self.contract), asset)
-    }
-
     /// Pays an asset out of the contract's custody to `to`. Costs two storage
     /// writes (debit + credit).
-    pub fn pay_out(&mut self, to: Owner, asset: &Asset) -> ChainResult<()> {
+    pub fn pay_out(&mut self, to: Owner, asset: &InternedAsset) -> ChainResult<()> {
         self.charge_storage_writes(2)?;
         self.assets
             .transfer(Owner::Contract(self.contract), to, asset)
-    }
-
-    /// [`CallCtx::pay_out`] for a pre-interned asset: the zero-string escrow
-    /// release path.
-    pub fn pay_out_interned(&mut self, to: Owner, asset: &InternedAsset) -> ChainResult<()> {
-        self.charge_storage_writes(2)?;
-        self.assets
-            .transfer_interned(Owner::Contract(self.contract), to, asset)
     }
 
     /// Pays `amount` units of an interned fungible kind out of custody.
@@ -240,22 +217,6 @@ impl<'a> CallCtx<'a> {
         self.charge_storage_writes(2)?;
         self.assets
             .transfer_tokens(Owner::Contract(self.contract), to, kind, tokens)
-    }
-
-    /// True if the contract currently holds at least `asset`.
-    pub fn holds(&self, asset: &Asset) -> bool {
-        self.assets.holds(Owner::Contract(self.contract), asset)
-    }
-
-    /// True if the contract currently holds at least the pre-interned `asset`.
-    pub fn holds_interned(&self, asset: &InternedAsset) -> bool {
-        self.assets
-            .holds_interned(Owner::Contract(self.contract), asset)
-    }
-
-    /// True if `owner` currently holds at least `asset` (public chain state).
-    pub fn owner_holds(&self, owner: Owner, asset: &Asset) -> bool {
-        self.assets.holds(owner, asset)
     }
 
     /// Appends an entry to the chain log (an "event"), charging the flat
@@ -281,7 +242,7 @@ impl<'a> CallCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asset::AssetKind;
+    use crate::asset::{Asset, AssetKind};
     use crate::crypto::KeyPair;
     use crate::gas::GasUsage;
 
@@ -333,9 +294,13 @@ mod tests {
         let (mut gas, mut assets, keys, mut log, mut seq) = make_ctx_parts();
         let alice = Owner::Party(PartyId(0));
         let coin = AssetKind::new("coin");
-        assets
-            .mint(alice, &Asset::fungible(coin.clone(), 100))
-            .unwrap();
+        let hundred = assets
+            .kinds()
+            .intern_asset(&Asset::fungible(coin.clone(), 100));
+        let sixty = assets
+            .kinds()
+            .intern_asset(&Asset::fungible(coin.clone(), 60));
+        assets.mint(alice, &hundred).unwrap();
         let mut ctx = CallCtx {
             chain: ChainId(0),
             contract: ContractId(1),
@@ -347,14 +312,14 @@ mod tests {
             log: &mut log,
             log_seq: &mut seq,
         };
-        ctx.deposit_from_caller(&Asset::fungible(coin.clone(), 60))
-            .unwrap();
-        assert!(ctx.holds(&Asset::fungible(coin.clone(), 60)));
-        ctx.pay_out(Owner::Party(PartyId(1)), &Asset::fungible(coin.clone(), 60))
-            .unwrap();
-        assert!(!ctx.holds(&Asset::fungible(coin.clone(), 1)));
+        ctx.deposit_from_caller(&sixty).unwrap();
+        assert_eq!(ctx.assets.balance(ctx.self_owner(), &coin), 60);
+        ctx.pay_out(Owner::Party(PartyId(1)), &sixty).unwrap();
+        assert_eq!(ctx.assets.balance(ctx.self_owner(), &coin), 0);
         assert_eq!(gas.usage().storage_writes, 4);
-        assert!(assets.holds(Owner::Party(PartyId(1)), &Asset::fungible(coin, 60)));
+        assert!(assets
+            .holdings(Owner::Party(PartyId(1)))
+            .contains(&Asset::fungible(coin, 60)));
     }
 
     #[test]
@@ -371,9 +336,8 @@ mod tests {
             log: &mut log,
             log_seq: &mut seq,
         };
-        let err = ctx
-            .deposit_from_caller(&Asset::fungible("coin", 10))
-            .unwrap_err();
+        let ten = ctx.kinds().intern_asset(&Asset::fungible("coin", 10));
+        let err = ctx.deposit_from_caller(&ten).unwrap_err();
         assert!(matches!(err, ChainError::InsufficientBalance { .. }));
     }
 

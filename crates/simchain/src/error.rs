@@ -33,6 +33,13 @@ pub enum ChainError {
         /// The token in question.
         token: TokenId,
     },
+    /// Crediting the owner would overflow its `u64` balance.
+    BalanceOverflow {
+        /// Who would have received the asset.
+        owner: Owner,
+        /// Asset kind name.
+        kind: String,
+    },
     /// A contract rejected a call (the analogue of Solidity's `require`).
     Require(String),
     /// A party attempted to act while offline (e.g. under a denial-of-service
@@ -77,6 +84,12 @@ impl fmt::Display for ChainError {
             ),
             ChainError::NotTokenOwner { owner, kind, token } => {
                 write!(f, "{owner} does not own {token} of kind '{kind}'")
+            }
+            ChainError::BalanceOverflow { owner, kind } => {
+                write!(
+                    f,
+                    "crediting {owner} would overflow its balance of '{kind}'"
+                )
             }
             ChainError::Require(msg) => write!(f, "require failed: {msg}"),
             ChainError::PartyOffline(p) => write!(f, "{p} is offline and cannot act"),

@@ -22,12 +22,11 @@ use crate::time::{Duration, Time};
 
 /// Authoritative record of who owns what on one chain.
 ///
-/// Ownership maps are keyed on interned [`KindId`]s, not kind names: every
-/// per-transaction ledger operation works on `Copy` keys, and name → id
-/// resolution happens by `&str` lookup in the shared [`KindTable`] — the
-/// transfer path never clones a `String`. Interned entry points
-/// ([`AssetLedger::transfer_interned`] and friends) skip even the name lookup
-/// for callers (escrow contracts) that pre-resolved their assets.
+/// Ownership maps are keyed on interned [`KindId`]s, not kind names, and
+/// every asset-moving operation takes an [`InternedAsset`]: callers intern
+/// once through the shared [`KindTable`] and the per-transaction paths work
+/// on `Copy` keys. Only the reporting reads ([`AssetLedger::balance`],
+/// [`AssetLedger::token_owner`], [`AssetLedger::holdings`]) speak kind names.
 #[derive(Debug, Clone, Default)]
 pub struct AssetLedger {
     kinds: KindTable,
@@ -56,25 +55,13 @@ impl AssetLedger {
         &self.kinds
     }
 
-    /// Interns an asset's kind, returning its id-keyed counterpart.
-    pub fn intern_asset(&self, asset: &Asset) -> InternedAsset {
-        self.kinds.intern_asset(asset)
-    }
-
     /// Creates new units of an asset owned by `owner` (test/workload setup;
-    /// real chains would do this in their native issuance rules).
-    pub fn mint(&mut self, owner: Owner, asset: &Asset) -> ChainResult<()> {
-        let interned = self.kinds.intern_asset(asset);
-        self.mint_interned(owner, &interned)
-    }
-
-    /// [`AssetLedger::mint`] for a pre-interned asset.
-    pub fn mint_interned(&mut self, owner: Owner, asset: &InternedAsset) -> ChainResult<()> {
+    /// real chains would do this in their native issuance rules). Fails,
+    /// changing nothing, if a token already exists or the owner's balance
+    /// would overflow.
+    pub fn mint(&mut self, owner: Owner, asset: &InternedAsset) -> ChainResult<()> {
         match asset {
-            InternedAsset::Fungible { kind, amount } => {
-                *self.fungible.entry((owner, *kind)).or_insert(0) += amount;
-                Ok(())
-            }
+            InternedAsset::Fungible { kind, amount } => self.credit(owner, *kind, *amount),
             InternedAsset::NonFungible { kind, tokens } => {
                 // Single pass through the entry API; on a duplicate, roll back
                 // the tokens inserted earlier in this call so the mint stays
@@ -108,9 +95,21 @@ impl AssetLedger {
         }
     }
 
-    /// The fungible balance of `owner` in an interned kind.
-    pub fn balance_id(&self, owner: Owner, kind: KindId) -> u64 {
+    fn balance_id(&self, owner: Owner, kind: KindId) -> u64 {
         self.fungible.get(&(owner, kind)).copied().unwrap_or(0)
+    }
+
+    /// Adds `amount` to `owner`'s balance, failing if it would overflow.
+    /// A failure changes nothing: only an existing balance can overflow.
+    fn credit(&mut self, owner: Owner, kind: KindId, amount: u64) -> ChainResult<()> {
+        let balance = self.fungible.entry((owner, kind)).or_insert(0);
+        *balance = balance
+            .checked_add(amount)
+            .ok_or_else(|| ChainError::BalanceOverflow {
+                owner,
+                kind: self.kinds.name_of(kind),
+            })?;
+        Ok(())
     }
 
     /// The current owner of a non-fungible token, if it exists.
@@ -118,70 +117,13 @@ impl AssetLedger {
         self.token_owner_id(self.kinds.get(kind.name())?, token)
     }
 
-    /// The current owner of a non-fungible token of an interned kind.
-    pub fn token_owner_id(&self, kind: KindId, token: TokenId) -> Option<Owner> {
+    fn token_owner_id(&self, kind: KindId, token: TokenId) -> Option<Owner> {
         self.non_fungible.get(&(kind, token)).copied()
     }
 
-    /// True if `owner` holds at least `asset`.
-    pub fn holds(&self, owner: Owner, asset: &Asset) -> bool {
-        match asset {
-            Asset::Fungible { kind, amount } => self.balance(owner, kind) >= *amount,
-            Asset::NonFungible { kind, tokens } => match self.kinds.get(kind.name()) {
-                Some(id) => tokens
-                    .iter()
-                    .all(|t| self.token_owner_id(id, *t) == Some(owner)),
-                None => tokens.is_empty(),
-            },
-        }
-    }
-
-    /// True if `owner` holds at least the pre-interned `asset`.
-    pub fn holds_interned(&self, owner: Owner, asset: &InternedAsset) -> bool {
-        match asset {
-            InternedAsset::Fungible { kind, amount } => self.balance_id(owner, *kind) >= *amount,
-            InternedAsset::NonFungible { kind, tokens } => tokens
-                .iter()
-                .all(|t| self.token_owner_id(*kind, *t) == Some(owner)),
-        }
-    }
-
-    /// Transfers `asset` from `from` to `to`, failing if `from` does not hold
-    /// it. Resolves the kind by `&str` lookup — no clone on this path.
-    pub fn transfer(&mut self, from: Owner, to: Owner, asset: &Asset) -> ChainResult<()> {
-        match asset {
-            Asset::Fungible { kind, amount } => match self.kinds.get(kind.name()) {
-                Some(id) => self.transfer_fungible(from, to, id, *amount),
-                None if *amount == 0 => Ok(()),
-                None => Err(ChainError::InsufficientBalance {
-                    owner: from,
-                    kind: kind.name().to_string(),
-                    requested: *amount,
-                    available: 0,
-                }),
-            },
-            Asset::NonFungible { kind, tokens } => match self.kinds.get(kind.name()) {
-                Some(id) => self.transfer_tokens(from, to, id, tokens),
-                None => match tokens.iter().next() {
-                    None => Ok(()),
-                    Some(t) => Err(ChainError::NotTokenOwner {
-                        owner: from,
-                        kind: kind.name().to_string(),
-                        token: *t,
-                    }),
-                },
-            },
-        }
-    }
-
-    /// [`AssetLedger::transfer`] for a pre-interned asset: the zero-string
-    /// fast path used by escrow release and HTLC payouts.
-    pub fn transfer_interned(
-        &mut self,
-        from: Owner,
-        to: Owner,
-        asset: &InternedAsset,
-    ) -> ChainResult<()> {
+    /// Transfers `asset` from `from` to `to`. Fails, changing nothing, if
+    /// `from` does not hold it or `to`'s balance would overflow.
+    pub fn transfer(&mut self, from: Owner, to: Owner, asset: &InternedAsset) -> ChainResult<()> {
         match asset {
             InternedAsset::Fungible { kind, amount } => {
                 self.transfer_fungible(from, to, *kind, *amount)
@@ -193,7 +135,7 @@ impl AssetLedger {
     }
 
     /// Transfers `amount` units of an interned fungible kind.
-    pub fn transfer_fungible(
+    pub(crate) fn transfer_fungible(
         &mut self,
         from: Owner,
         to: Owner,
@@ -209,16 +151,21 @@ impl AssetLedger {
                 available: have,
             });
         }
-        if amount == 0 {
+        // A self-transfer changes nothing, so it must not trip the credit's
+        // overflow check.
+        if amount == 0 || from == to {
             return Ok(());
         }
-        *self.fungible.entry((from, kind)).or_insert(0) -= amount;
-        *self.fungible.entry((to, kind)).or_insert(0) += amount;
+        self.credit(to, kind, amount)?;
+        *self
+            .fungible
+            .get_mut(&(from, kind))
+            .expect("`from` holds `amount`") -= amount;
         Ok(())
     }
 
     /// Transfers specific tokens of an interned non-fungible kind.
-    pub fn transfer_tokens(
+    pub(crate) fn transfer_tokens(
         &mut self,
         from: Owner,
         to: Owner,
@@ -265,32 +212,6 @@ impl AssetLedger {
             }
         }
         bag
-    }
-
-    /// Total supply of a fungible kind across all owners (conservation checks).
-    pub fn total_supply(&self, kind: &AssetKind) -> u64 {
-        let Some(id) = self.kinds.get(kind.name()) else {
-            return 0;
-        };
-        self.fungible
-            .iter()
-            .filter(|((_, k), _)| *k == id)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// All owners currently holding anything (parties and contracts).
-    pub fn owners(&self) -> Vec<Owner> {
-        let mut owners: Vec<Owner> = self
-            .fungible
-            .iter()
-            .filter(|(_, v)| **v > 0)
-            .map(|((o, _), _)| *o)
-            .chain(self.non_fungible.values().copied())
-            .collect();
-        owners.sort();
-        owners.dedup();
-        owners
     }
 }
 
@@ -496,14 +417,8 @@ impl Blockchain {
     }
 
     /// Mints assets directly to an owner (workload setup).
-    pub fn mint(&mut self, owner: Owner, asset: &Asset) -> ChainResult<()> {
+    pub fn mint(&mut self, owner: Owner, asset: &InternedAsset) -> ChainResult<()> {
         self.assets.mint(owner, asset)
-    }
-
-    /// [`Blockchain::mint`] for a pre-interned asset (plan-based world
-    /// setup: no name resolution).
-    pub fn mint_interned(&mut self, owner: Owner, asset: &InternedAsset) -> ChainResult<()> {
-        self.assets.mint_interned(owner, asset)
     }
 
     /// Read-only access to the asset ledger.
@@ -673,30 +588,42 @@ mod tests {
         Blockchain::new(ChainId(0), "test-chain", Duration(10))
     }
 
+    fn interned(l: &AssetLedger, asset: Asset) -> InternedAsset {
+        l.kinds().intern_asset(&asset)
+    }
+
     #[test]
     fn mint_transfer_and_holdings() {
         let mut l = AssetLedger::new();
         let alice = Owner::Party(PartyId(0));
         let bob = Owner::Party(PartyId(1));
-        l.mint(alice, &Asset::fungible("coin", 100)).unwrap();
-        l.mint(bob, &Asset::non_fungible("ticket", [1, 2])).unwrap();
+        l.mint(alice, &interned(&l, Asset::fungible("coin", 100)))
+            .unwrap();
+        l.mint(bob, &interned(&l, Asset::non_fungible("ticket", [1, 2])))
+            .unwrap();
         assert_eq!(l.balance(alice, &"coin".into()), 100);
         assert_eq!(l.token_owner(&"ticket".into(), TokenId(1)), Some(bob));
 
-        l.transfer(alice, bob, &Asset::fungible("coin", 40))
+        l.transfer(alice, bob, &interned(&l, Asset::fungible("coin", 40)))
             .unwrap();
         assert_eq!(l.balance(alice, &"coin".into()), 60);
         assert_eq!(l.balance(bob, &"coin".into()), 40);
 
-        l.transfer(bob, alice, &Asset::non_fungible("ticket", [1]))
-            .unwrap();
+        l.transfer(
+            bob,
+            alice,
+            &interned(&l, Asset::non_fungible("ticket", [1])),
+        )
+        .unwrap();
         assert_eq!(l.token_owner(&"ticket".into(), TokenId(1)), Some(alice));
 
         let holdings = l.holdings(alice);
         assert_eq!(holdings.balance(&"coin".into()), 60);
         assert!(holdings.contains(&Asset::non_fungible("ticket", [1])));
-        assert_eq!(l.total_supply(&"coin".into()), 100);
-        assert_eq!(l.owners().len(), 2);
+        assert!(l
+            .holdings(bob)
+            .contains(&Asset::non_fungible("ticket", [2])));
+        assert_eq!(l.holdings(bob).balance(&"coin".into()), 40);
     }
 
     #[test]
@@ -704,14 +631,20 @@ mod tests {
         let mut l = AssetLedger::new();
         let alice = Owner::Party(PartyId(0));
         let bob = Owner::Party(PartyId(1));
-        l.mint(alice, &Asset::fungible("coin", 10)).unwrap();
-        l.mint(alice, &Asset::non_fungible("ticket", [7])).unwrap();
+        l.mint(alice, &interned(&l, Asset::fungible("coin", 10)))
+            .unwrap();
+        l.mint(alice, &interned(&l, Asset::non_fungible("ticket", [7])))
+            .unwrap();
         assert!(matches!(
-            l.transfer(alice, bob, &Asset::fungible("coin", 11)),
+            l.transfer(alice, bob, &interned(&l, Asset::fungible("coin", 11))),
             Err(ChainError::InsufficientBalance { .. })
         ));
         assert!(matches!(
-            l.transfer(bob, alice, &Asset::non_fungible("ticket", [7])),
+            l.transfer(
+                bob,
+                alice,
+                &interned(&l, Asset::non_fungible("ticket", [7]))
+            ),
             Err(ChainError::NotTokenOwner { .. })
         ));
         // failed transfers change nothing
@@ -722,8 +655,31 @@ mod tests {
     fn double_mint_of_token_rejected() {
         let mut l = AssetLedger::new();
         let alice = Owner::Party(PartyId(0));
-        l.mint(alice, &Asset::non_fungible("ticket", [1])).unwrap();
-        assert!(l.mint(alice, &Asset::non_fungible("ticket", [1])).is_err());
+        let ticket = interned(&l, Asset::non_fungible("ticket", [1]));
+        l.mint(alice, &ticket).unwrap();
+        assert!(l.mint(alice, &ticket).is_err());
+    }
+
+    #[test]
+    fn credits_that_would_overflow_are_rejected_without_effect() {
+        let mut l = AssetLedger::new();
+        let alice = Owner::Party(PartyId(0));
+        let bob = Owner::Party(PartyId(1));
+        let max = interned(&l, Asset::fungible("coin", u64::MAX));
+        let one = interned(&l, Asset::fungible("coin", 1));
+        l.mint(alice, &max).unwrap();
+        l.mint(bob, &one).unwrap();
+        let overflow = ChainError::BalanceOverflow {
+            owner: alice,
+            kind: "coin".into(),
+        };
+        assert_eq!(l.mint(alice, &one), Err(overflow.clone()));
+        assert_eq!(l.transfer(bob, alice, &one), Err(overflow));
+        assert_eq!(l.balance(alice, &"coin".into()), u64::MAX);
+        assert_eq!(l.balance(bob, &"coin".into()), 1);
+        // Moving a full balance to oneself is a no-op, not an overflow.
+        l.transfer(alice, alice, &max).unwrap();
+        assert_eq!(l.balance(alice, &"coin".into()), u64::MAX);
     }
 
     #[test]

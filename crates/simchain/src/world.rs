@@ -17,7 +17,7 @@ use crate::crypto::KeyPair;
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasUsage;
 use crate::ids::{ChainId, ContractId, Owner, PartyId};
-use crate::intern::KindTable;
+use crate::intern::{InternedAsset, KindTable};
 use crate::ledger::Blockchain;
 use crate::network::{NetworkModel, OfflineSchedule};
 use crate::time::{Duration, Time};
@@ -225,19 +225,9 @@ impl World {
     // Convenience wrappers
     // ------------------------------------------------------------------
 
-    /// Mints assets to a party on a chain (workload setup).
-    pub fn mint(&mut self, chain: ChainId, owner: Owner, asset: &Asset) -> ChainResult<()> {
+    /// Mints assets to an owner on a chain (workload setup).
+    pub fn mint(&mut self, chain: ChainId, owner: Owner, asset: &InternedAsset) -> ChainResult<()> {
         self.chain_mut(chain)?.mint(owner, asset)
-    }
-
-    /// [`World::mint`] for a pre-interned asset (plan-based world setup).
-    pub fn mint_interned(
-        &mut self,
-        chain: ChainId,
-        owner: Owner,
-        asset: &crate::intern::InternedAsset,
-    ) -> ChainResult<()> {
-        self.chain_mut(chain)?.mint_interned(owner, asset)
     }
 
     /// Submits a contract call from `caller` at the current clock, rejecting
@@ -355,10 +345,10 @@ mod tests {
         let c1 = w.add_chain("coins", Duration(1));
         let c2 = w.add_chain("tickets", Duration(1));
         let p = w.add_party();
-        w.mint(c1, Owner::Party(p), &Asset::fungible("coin", 10))
-            .unwrap();
-        w.mint(c2, Owner::Party(p), &Asset::non_fungible("ticket", [1]))
-            .unwrap();
+        let coins = w.kinds().intern_asset(&Asset::fungible("coin", 10));
+        let ticket = w.kinds().intern_asset(&Asset::non_fungible("ticket", [1]));
+        w.mint(c1, Owner::Party(p), &coins).unwrap();
+        w.mint(c2, Owner::Party(p), &ticket).unwrap();
         let bag = w.holdings(Owner::Party(p));
         assert_eq!(bag.balance(&"coin".into()), 10);
         assert!(bag.contains(&Asset::non_fungible("ticket", [1])));

@@ -280,9 +280,8 @@ impl DealEngine for SwapEngine {
 mod tests {
     use super::*;
     use xchain_deals::builders::{broker_spec, ring_spec};
-    use xchain_deals::party::Deviation;
     use xchain_deals::properties::{check_conservation, check_safety};
-    use xchain_deals::strategy::{DealView, ObservationHub};
+    use xchain_deals::strategy::{strategies, DealView, ObservationHub};
     use xchain_deals::{Deal, DealRun};
     use xchain_sim::ids::DealId;
     use xchain_sim::network::NetworkModel;
@@ -347,7 +346,10 @@ mod tests {
     #[test]
     fn defecting_follower_costs_nobody_anything() {
         let deal = Deal::new(two_party())
-            .party(PartyConfig::deviating(PartyId(1), Deviation::RefuseEscrow))
+            .party(PartyConfig::with_strategy(
+                PartyId(1),
+                strategies::refuse_escrow(),
+            ))
             .seed(6);
         let run = deal.run(SwapEngine::default()).unwrap();
         assert!(run.outcome.aborted_everywhere());
@@ -362,7 +364,10 @@ mod tests {
     #[test]
     fn withheld_claim_refunds_both_sides() {
         let deal = Deal::new(two_party())
-            .party(PartyConfig::deviating(PartyId(0), Deviation::WithholdVote))
+            .party(PartyConfig::with_strategy(
+                PartyId(0),
+                strategies::withhold_vote(),
+            ))
             .seed(7);
         let run = deal.run(SwapEngine::default()).unwrap();
         assert!(run.outcome.aborted_everywhere());

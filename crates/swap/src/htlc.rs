@@ -85,7 +85,7 @@ impl HtlcContract {
             "only the depositor can fund",
         )?;
         ctx.require(!asset.is_empty(), "cannot fund with an empty asset")?;
-        ctx.deposit_interned_from_caller(&asset)?;
+        ctx.deposit_from_caller(&asset)?;
         ctx.charge_storage_write()?;
         self.asset = Some(asset);
         self.state = HtlcState::Funded;
@@ -105,7 +105,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.state = HtlcState::Claimed;
         let asset = self.asset.as_ref().expect("funded");
-        ctx.pay_out_interned(self.beneficiary.into(), asset)?;
+        ctx.pay_out(self.beneficiary.into(), asset)?;
         ctx.emit(EventTag::HtlcClaimed, vec![secret])?;
         Ok(())
     }
@@ -117,7 +117,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.state = HtlcState::Refunded;
         let asset = self.asset.as_ref().expect("funded");
-        ctx.pay_out_interned(self.depositor.into(), asset)?;
+        ctx.pay_out(self.depositor.into(), asset)?;
         ctx.emit(EventTag::HtlcRefunded, vec![self.hashlock.0])?;
         Ok(())
     }
@@ -146,9 +146,8 @@ mod tests {
 
     fn chain_with_coins(owner: PartyId) -> Blockchain {
         let mut chain = Blockchain::new(ChainId(0), "coins", Duration(1));
-        chain
-            .mint(Owner::Party(owner), &Asset::fungible("coin", 50))
-            .unwrap();
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
+        chain.mint(Owner::Party(owner), &coins).unwrap();
         chain
     }
 
@@ -164,7 +163,7 @@ mod tests {
             HtlcContract::hash_secret(secret),
             Time(100),
         ));
-        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 50));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
         chain
             .call(
                 Time(0),
@@ -219,7 +218,7 @@ mod tests {
             HtlcContract::hash_secret(9),
             Time(100),
         ));
-        let coins = chain.assets().intern_asset(&Asset::fungible("coin", 50));
+        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
         chain
             .call(
                 Time(0),

@@ -109,14 +109,14 @@ fn foreign_world(spec: &DealSpec, network: NetworkModel, seed: u64) -> World {
     }
     let max_party = spec.parties.iter().map(|p| p.0).max().unwrap();
     world.add_parties(max_party as usize + 1);
-    let gold = Asset::fungible("gold", 5);
+    // Interning `gold` first is what shifts the escrow kinds' ids.
+    let gold = world.kinds().intern_asset(&Asset::fungible("gold", 5));
     world
         .mint(ChainId(0), Owner::Party(PartyId(0)), &gold)
         .unwrap();
     for e in &spec.escrows {
-        world
-            .mint(e.chain, Owner::Party(e.owner), &e.asset)
-            .unwrap();
+        let asset = world.kinds().intern_asset(&e.asset);
+        world.mint(e.chain, Owner::Party(e.owner), &asset).unwrap();
     }
     world
 }

@@ -7,14 +7,17 @@
 //! same coverage style (random shapes and behaviours), fully reproducible
 //! failures (the case seed is in every assertion message).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xchain_deals::cbc::CbcOptions;
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
 use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
 };
+use xchain_deals::strategy::{strategies, Strategy};
 use xchain_deals::{Deal, Protocol};
 use xchain_harness::workload::{random_well_formed_deal, ring_spec, RandomDealParams};
 use xchain_sim::ids::{DealId, PartyId};
@@ -24,18 +27,18 @@ use xchain_swap::SwapEngine;
 
 const CASES: u64 = 24;
 
-fn deviation_pool() -> Vec<Deviation> {
+fn deviation_pool() -> Vec<Arc<dyn Strategy>> {
     vec![
-        Deviation::None,
-        Deviation::RefuseEscrow,
-        Deviation::SkipTransfers,
-        Deviation::WithholdVote,
-        Deviation::NeverForward,
-        Deviation::VoteAbort,
-        Deviation::RejectValidation,
-        Deviation::CrashAfter(Phase::Escrow),
-        Deviation::CrashAfter(Phase::Transfer),
-        Deviation::CrashAfter(Phase::Validation),
+        strategies::compliant(),
+        strategies::refuse_escrow(),
+        strategies::skip_transfers(),
+        strategies::withhold_vote(),
+        strategies::never_forward(),
+        strategies::vote_abort(),
+        strategies::reject_validation(),
+        strategies::crash_after(Phase::Escrow),
+        strategies::crash_after(Phase::Transfer),
+        strategies::crash_after(Phase::Validation),
     ]
 }
 
@@ -65,8 +68,8 @@ fn draw_case(case: u64, max_parties: u32, with_deviations: bool) -> Case {
     if with_deviations {
         let n_configs = rng.gen_range(0..6usize);
         for i in 0..n_configs.min(parties as usize) {
-            let d = pool[rng.gen_range(0..pool.len())];
-            configs.push(PartyConfig::deviating(PartyId(i as u32), d));
+            let d = pool[rng.gen_range(0..pool.len())].clone();
+            configs.push(PartyConfig::with_strategy(PartyId(i as u32), d));
         }
     }
     Case {

@@ -3,15 +3,16 @@
 //! `Deal` builder API.
 
 use xchain_deals::builders::{broker_spec, brokered_chain_spec, ring_spec};
-use xchain_deals::party::{Deviation, PartyConfig};
+use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
 use xchain_deals::properties::{check_safety, check_strong_liveness, check_weak_liveness};
+use xchain_deals::strategy::strategies;
 use xchain_deals::timelock::TimelockOptions;
 use xchain_deals::{Deal, Protocol};
 use xchain_sim::asset::Asset;
 use xchain_sim::ids::{DealId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
-use xchain_sim::time::Duration;
+use xchain_sim::time::{Duration, Time};
 
 const DELTA: u64 = 100;
 
@@ -57,18 +58,18 @@ fn rings_of_many_parties_commit() {
 fn every_single_deviator_scenario_is_safe() {
     let spec = broker_spec();
     let deviations = [
-        Deviation::RefuseEscrow,
-        Deviation::SkipTransfers,
-        Deviation::WithholdVote,
-        Deviation::NeverForward,
-        Deviation::RejectValidation,
-        Deviation::CrashAfter(Phase::Escrow),
-        Deviation::CrashAfter(Phase::Transfer),
-        Deviation::CrashAfter(Phase::Validation),
+        strategies::refuse_escrow(),
+        strategies::skip_transfers(),
+        strategies::withhold_vote(),
+        strategies::never_forward(),
+        strategies::reject_validation(),
+        strategies::crash_after(Phase::Escrow),
+        strategies::crash_after(Phase::Transfer),
+        strategies::crash_after(Phase::Validation),
     ];
     for &p in &spec.parties {
         for (i, d) in deviations.iter().enumerate() {
-            let configs = vec![PartyConfig::deviating(p, *d)];
+            let configs = vec![PartyConfig::with_strategy(p, d.clone())];
             let run = Deal::new(spec.clone())
                 .network(net())
                 .parties(&configs)
@@ -97,7 +98,10 @@ fn never_forward_deviator_harms_only_itself() {
     // compliant party is still safe and nothing stays locked up; only the
     // deviator can end up worse off.
     let spec = ring_spec(DealId(5), 5);
-    let configs = vec![PartyConfig::deviating(PartyId(2), Deviation::NeverForward)];
+    let configs = vec![PartyConfig::with_strategy(
+        PartyId(2),
+        strategies::never_forward(),
+    )];
     let deal = Deal::new(spec.clone())
         .network(net())
         .parties(&configs)
@@ -123,12 +127,9 @@ fn offline_compliant_party_is_protected_by_timeouts() {
     // Carol goes offline for the entire run: the deal cannot gather her vote,
     // times out, and refunds everyone.
     let spec = broker_spec();
-    let configs = vec![PartyConfig::deviating(
+    let configs = vec![PartyConfig::with_strategy(
         PartyId(2),
-        Deviation::OfflineDuring {
-            from: xchain_sim::time::Time(0),
-            until: xchain_sim::time::Time(1_000_000),
-        },
+        strategies::offline_during(Time(0), Time(1_000_000)),
     )];
     let run = Deal::new(spec.clone())
         .network(net())

@@ -3,7 +3,7 @@
 
 use xchain_harness::experiments::{
     crossover_experiment, fig3_escrow_costs, fig4_gas, fig7_delays, liveness_experiment,
-    protocol_matrix_experiment, swap_baseline_experiment,
+    protocol_matrix_experiment, safety_sweep, swap_baseline_experiment,
 };
 
 #[test]
@@ -128,6 +128,19 @@ fn protocol_matrix_is_safe_in_every_cell() {
             assert!(committed, "{deal}/{engine} under synchrony");
         }
     }
+}
+
+#[test]
+fn safety_sweep_runs_every_scenario_without_violations() {
+    // 2 deals (broker, 4-ring) x 2 commit protocols x (baseline, every
+    // single deviator, every all-but-one coalition, the trait-only
+    // adversaries): (1 + 33 + 33 + 6) + (1 + 44 + 44 + 7) = 169 per protocol.
+    let (result, table) = safety_sweep();
+    assert_eq!(result.scenarios, 338);
+    assert_eq!(result.safety_violations, 0);
+    assert_eq!(result.weak_liveness_violations, 0);
+    assert_eq!(result.conservation_violations, 0);
+    assert_eq!(table.rows, vec![vec!["338", "0", "0", "0"]]);
 }
 
 #[test]

@@ -325,14 +325,14 @@ impl CbcLog {
             .find(|b| matches!(&b.record, CbcRecord::StartDeal { deal: d, .. } if *d == deal))
     }
 
-    fn plist_of(&self, deal: DealId, start_hash: Hash) -> Result<Vec<PartyId>, CbcError> {
+    fn plist_of(&self, deal: DealId, start_hash: Hash) -> Result<&[PartyId], CbcError> {
         self.blocks
             .iter()
             .find_map(|b| match &b.record {
                 CbcRecord::StartDeal { deal: d, plist }
                     if *d == deal && b.record.hash() == start_hash =>
                 {
-                    Some(plist.clone())
+                    Some(plist.as_slice())
                 }
                 _ => None,
             })
@@ -347,8 +347,7 @@ impl CbcLog {
         start_hash: Hash,
         voter: PartyId,
     ) -> Result<u64, CbcError> {
-        let plist = self.plist_of(deal, start_hash)?;
-        if !plist.contains(&voter) {
+        if !self.plist_of(deal, start_hash)?.contains(&voter) {
             return Err(CbcError::VoterNotInPlist(voter));
         }
         self.append(
@@ -370,8 +369,7 @@ impl CbcLog {
         start_hash: Hash,
         voter: PartyId,
     ) -> Result<u64, CbcError> {
-        let plist = self.plist_of(deal, start_hash)?;
-        if !plist.contains(&voter) {
+        if !self.plist_of(deal, start_hash)?.contains(&voter) {
             return Err(CbcError::VoterNotInPlist(voter));
         }
         self.append(

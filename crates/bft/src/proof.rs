@@ -77,18 +77,18 @@ pub struct StatusCertificate {
 
 impl StatusCertificate {
     /// The canonical payload the validators sign.
-    pub fn payload_words(deal: DealId, start_hash: Hash, status: &DealStatus) -> Vec<u64> {
+    pub fn payload_words(deal: DealId, start_hash: Hash, status: &DealStatus) -> [u64; 5] {
         let decisive = match status {
             DealStatus::Active => 0,
             DealStatus::Committed { decisive_index } | DealStatus::Aborted { decisive_index } => {
                 *decisive_index
             }
         };
-        vec![0xCE27u64, deal.0, start_hash.0, status.tag(), decisive]
+        [0xCE27u64, deal.0, start_hash.0, status.tag(), decisive]
     }
 
     /// The payload of *this* certificate.
-    pub fn payload(&self) -> Vec<u64> {
+    pub fn payload(&self) -> [u64; 5] {
         Self::payload_words(self.deal, self.start_hash, &self.status)
     }
 

@@ -172,17 +172,15 @@ impl ValidatorSet {
         &self,
         digest: xchain_sim::crypto::Hash,
     ) -> Option<Vec<(ValidatorId, Signature)>> {
-        let willing: Vec<_> = self
+        let willing = self
             .members
             .iter()
-            .filter(|(id, _)| !self.byzantine.contains(id))
-            .collect();
-        if willing.len() < self.quorum() {
+            .filter(|(id, _)| !self.byzantine.contains(id));
+        if willing.clone().count() < self.quorum() {
             return None;
         }
         Some(
             willing
-                .iter()
                 .take(self.quorum())
                 .map(|(id, kp)| (*id, kp.sign_digest(digest)))
                 .collect(),

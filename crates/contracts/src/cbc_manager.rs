@@ -76,10 +76,10 @@ impl CbcManager {
             "certificate epoch does not match the configured validator set",
         )?;
         // Figure 6 line 6: no duplicate signers.
-        let mut seen = Vec::new();
-        for (vid, _) in &cert.certificate.signatures {
-            ctx.require(!seen.contains(vid), "duplicate validator signature")?;
-            seen.push(*vid);
+        let signatures = &cert.certificate.signatures;
+        for (i, (vid, _)) in signatures.iter().enumerate() {
+            let duplicate = signatures[..i].iter().any(|(seen, _)| seen == vid);
+            ctx.require(!duplicate, "duplicate validator signature")?;
         }
         // line 7: only validators vote.
         ctx.require(

@@ -46,8 +46,8 @@ pub struct EscrowDeposit {
 /// Internally, both the A map (deposits) and the C map (tentative commit
 /// ownership) are kept in interned form ([`InternedAsset`] / [`InternedBag`]):
 /// kind names are resolved to `Copy` [`xchain_sim::intern::KindId`]s once at
-/// deposit time, so the per-call escrow/transfer/release paths never clone a
-/// `String`. The name-keyed views ([`EscrowCore::deposits`],
+/// deposit time, so the per-call escrow/transfer/release paths never touch a
+/// kind name. The name-keyed views ([`EscrowCore::deposits`],
 /// [`EscrowCore::on_commit_of`], …) resolve ids back through the chain's
 /// [`KindTable`], which the contract receives at install time.
 #[derive(Debug, Clone)]
@@ -161,7 +161,7 @@ impl EscrowCore {
     ///
     /// The asset arrives interned against the hosting chain's kind table
     /// (the engines intern once per deal, at planning time), so escrow entry
-    /// touches no `String`.
+    /// touches no kind name.
     ///
     /// Gas: 2 storage writes for the deposit transfer plus 1 each for the A
     /// and C map updates — the 4 writes of Figure 3's `escrow`.
@@ -180,10 +180,7 @@ impl EscrowCore {
         ctx.charge_storage_write()?;
         self.on_commit.entry(caller).or_default().add(&asset);
         self.deposits.push((caller, asset));
-        ctx.emit(
-            EventTag::Escrow,
-            vec![self.deal.0, caller.0 as u64, magnitude],
-        )?;
+        ctx.emit(EventTag::Escrow, [self.deal.0, caller.0 as u64, magnitude])?;
         Ok(())
     }
 
@@ -218,7 +215,7 @@ impl EscrowCore {
         self.on_commit.entry(to).or_default().add(asset);
         ctx.emit(
             EventTag::TentativeTransfer,
-            vec![self.deal.0, caller.0 as u64, to.0 as u64, asset.magnitude()],
+            [self.deal.0, caller.0 as u64, to.0 as u64, asset.magnitude()],
         )?;
         Ok(())
     }
@@ -226,7 +223,7 @@ impl EscrowCore {
     /// Pays the C map out to its owners and marks the escrow committed.
     /// Called by the protocol-specific managers once their commit condition
     /// holds. One storage write records the outcome, plus the payout writes.
-    /// The whole release path works on interned kinds — no `String` is
+    /// The whole release path works on interned kinds — no kind name is
     /// cloned, looked up, or constructed here.
     pub fn distribute_commit(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
         ctx.require(self.is_active(), "deal already resolved")?;
@@ -246,7 +243,7 @@ impl EscrowCore {
                 ctx.pay_out_tokens((*party).into(), kind, tokens)?;
             }
         }
-        ctx.emit(EventTag::EscrowCommitted, vec![self.deal.0])?;
+        ctx.emit(EventTag::EscrowCommitted, [self.deal.0])?;
         Ok(())
     }
 
@@ -260,7 +257,7 @@ impl EscrowCore {
         for (owner, asset) in self.deposits_iter() {
             ctx.pay_out(owner.into(), asset)?;
         }
-        ctx.emit(EventTag::EscrowAborted, vec![self.deal.0])?;
+        ctx.emit(EventTag::EscrowAborted, [self.deal.0])?;
         Ok(())
     }
 }

@@ -98,7 +98,7 @@ impl TicketRegistry {
         };
         ctx.mint_to_self(&asset)?;
         ctx.pay_out(to.into(), &asset)?;
-        ctx.emit(EventTag::Other, vec![to.0 as u64, token.0])?;
+        ctx.emit(EventTag::Other, [to.0 as u64, token.0])?;
         Ok(token)
     }
 

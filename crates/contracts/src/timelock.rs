@@ -107,7 +107,7 @@ impl TimelockManager {
         ctx.require(vote.signers_unique(), "duplicate signers on path")?;
         ctx.require(!vote.is_empty(), "empty signature path")?;
         ctx.require(
-            vote.signers().iter().all(|s| self.info.plist.contains(s)),
+            vote.signers().all(|s| self.info.plist.contains(&s)),
             "path signer not in plist",
         )?;
         // The path must start with the voter's own signature: otherwise the
@@ -130,7 +130,7 @@ impl TimelockManager {
         self.voted.insert(vote.voter);
         ctx.emit(
             EventTag::CommitVote,
-            vec![self.info.deal.0, vote.voter.0 as u64, vote.len() as u64],
+            [self.info.deal.0, vote.voter.0 as u64, vote.len() as u64],
         )?;
         // Release once every party's vote has been accepted.
         if self.all_voted() {

@@ -94,16 +94,19 @@ impl DealOutcome {
             .all(|r| *r != ChainResolution::Unresolved)
     }
 
-    /// The initial holdings of a party (empty if unknown).
-    pub fn initial_of(&self, p: PartyId) -> AssetBag {
-        self.initial_holdings.get(&p).cloned().unwrap_or_default()
+    /// The initial holdings of a party (empty if unknown), borrowed.
+    pub fn initial_of(&self, p: PartyId) -> &AssetBag {
+        self.initial_holdings.get(&p).unwrap_or(&NOTHING)
     }
 
-    /// The final holdings of a party (empty if unknown).
-    pub fn final_of(&self, p: PartyId) -> AssetBag {
-        self.final_holdings.get(&p).cloned().unwrap_or_default()
+    /// The final holdings of a party (empty if unknown), borrowed.
+    pub fn final_of(&self, p: PartyId) -> &AssetBag {
+        self.final_holdings.get(&p).unwrap_or(&NOTHING)
     }
 }
+
+/// The holdings lent out for a party the outcome does not list.
+static NOTHING: AssetBag = AssetBag::new();
 
 #[cfg(test)]
 mod tests {

@@ -17,8 +17,11 @@
 //!   a single time (previously `validate()` + the engine each computed it);
 //! * every escrow and transfer asset is interned into the plan's canonical
 //!   [`KindTable`], producing [`InternedAsset`]s the engines hand straight to
-//!   the contracts' `*_interned` entry points — after planning, **no kind
-//!   name is looked up or cloned anywhere on the deal hot path**;
+//!   the contracts' escrow and transfer entry points — after planning, **no
+//!   kind is looked up by name anywhere on the deal hot path**; the only
+//!   names a deal touches are the holdings snapshots taken before and
+//!   after it, which resolve ids back to kinds by index and share each
+//!   name (`Arc<str>`) instead of copying it;
 //! * per-party tables ([`PartyPlan`]) precompute the incoming/outgoing chain
 //!   sets (the timelock vote and forwarding targets) and the per-chain
 //!   *expected net incoming* [`InternedBag`]s that validation compares

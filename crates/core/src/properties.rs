@@ -12,8 +12,8 @@
 //! * **Property 3 (strong liveness)**: if all parties are compliant, all
 //!   transfers happen.
 
-use xchain_sim::asset::{Asset, AssetBag};
-use xchain_sim::ids::PartyId;
+use xchain_sim::asset::AssetBag;
+use xchain_sim::ids::{PartyId, TokenId};
 
 use crate::outcome::{ChainResolution, DealOutcome};
 use crate::party::{config_of, PartyConfig};
@@ -49,23 +49,28 @@ pub fn bag_minus(a: &AssetBag, b: &AssetBag) -> AssetBag {
     for (kind, amount) in a.fungible_holdings() {
         let other = b.balance(kind);
         if amount > other {
-            out.add(&Asset::Fungible {
-                kind: kind.clone(),
-                amount: amount - other,
-            });
+            out.add_fungible(kind, amount - other);
         }
     }
     for (kind, tokens) in a.non_fungible_holdings() {
         let other = b.tokens(kind);
-        let missing: std::collections::BTreeSet<_> = tokens.difference(&other).copied().collect();
-        if !missing.is_empty() {
-            out.add(&Asset::NonFungible {
-                kind: kind.clone(),
-                tokens: missing,
-            });
+        if !tokens.is_subset(other) {
+            out.add_tokens(kind, tokens.difference(other).copied());
         }
     }
     out
+}
+
+/// What `p` holds after the whole deal, starting from `initial`:
+/// `(initial + incoming) - outgoing`. Incoming assets may fund outgoing ones
+/// (Alice pays Bob out of Carol's coins), so they are added before the
+/// outgoing assets are subtracted.
+fn full_deal(spec: &DealSpec, p: PartyId, initial: &AssetBag, outgoing: &AssetBag) -> AssetBag {
+    let mut with_incoming = initial.clone();
+    for t in spec.transfers.iter().filter(|t| t.to == p) {
+        with_incoming.add(&t.asset);
+    }
+    bag_minus(&with_incoming, outgoing)
 }
 
 /// Checks Property 1 (safety) for every compliant party.
@@ -81,31 +86,14 @@ pub fn check_safety(
         }
         let initial = outcome.initial_of(p);
         let fin = outcome.final_of(p);
-        let lost = bag_minus(&initial, &fin);
-        let expected_in = spec.incoming_of(p);
+        let lost = bag_minus(initial, fin);
         let expected_out = spec.outgoing_of(p);
 
         // If any outgoing asset was transferred, all incoming assets must have
         // been transferred too. In holdings terms: a party that lost anything
-        // must end up at least at the "full deal" floor
-        // `(initial + incoming) - outgoing` (incoming may fund outgoing, so the
-        // two are netted — Alice pays Bob out of Carol's coins).
-        let paid_something = !lost.is_empty();
-        if paid_something {
-            let mut with_incoming = initial.clone();
-            for (kind, amount) in expected_in.fungible_holdings() {
-                with_incoming.add(&Asset::Fungible {
-                    kind: kind.clone(),
-                    amount,
-                });
-            }
-            for (kind, tokens) in expected_in.non_fungible_holdings() {
-                with_incoming.add(&Asset::NonFungible {
-                    kind: kind.clone(),
-                    tokens: tokens.clone(),
-                });
-            }
-            let floor = bag_minus(&with_incoming, &expected_out);
+        // must end up at least at the full-deal floor.
+        if !lost.is_empty() {
+            let floor = full_deal(spec, p, initial, &expected_out);
             if !fin.covers(&floor) {
                 report.violations.push(SafetyViolation {
                     party: p,
@@ -162,79 +150,49 @@ pub fn check_strong_liveness(
     if !all_compliant {
         return true; // vacuously true; the property only constrains all-compliant runs
     }
-    for &p in &spec.parties {
-        let initial = outcome.initial_of(p);
+    spec.parties.iter().all(|&p| {
         let fin = outcome.final_of(p);
-        let expected_in = spec.incoming_of(p);
-        let expected_out = spec.outgoing_of(p);
-        // expected final = (initial + incoming) - outgoing: incoming assets
-        // may fund outgoing ones (Alice pays Bob out of Carol's coins), so
-        // they are added before the outgoing assets are subtracted.
-        let mut with_incoming = initial.clone();
-        for (kind, amount) in expected_in.fungible_holdings() {
-            with_incoming.add(&Asset::Fungible {
-                kind: kind.clone(),
-                amount,
-            });
-        }
-        for (kind, tokens) in expected_in.non_fungible_holdings() {
-            with_incoming.add(&Asset::NonFungible {
-                kind: kind.clone(),
-                tokens: tokens.clone(),
-            });
-        }
-        let expected = bag_minus(&with_incoming, &expected_out);
-        if !(fin.covers(&expected) && expected.covers(&fin)) {
-            return false;
-        }
-    }
-    true
+        let expected = full_deal(spec, p, outcome.initial_of(p), &spec.outgoing_of(p));
+        fin.covers(&expected) && expected.covers(fin)
+    })
 }
 
-/// Conservation check used by the property-based tests: the union of all
-/// parties' holdings (plus anything still stuck in escrow) never changes in
-/// total fungible supply per kind. Returns true if supply is conserved
-/// between the initial and final snapshots for every kind mentioned in the
-/// deal. Note that assets still held by an unresolved escrow contract are not
-/// in any party's hands, so conservation is only required when the outcome is
+/// Conservation check used by the property-based tests: for every asset kind
+/// the deal escrows, the deal's parties together hold the same fungible
+/// supply (summed in `u128`, so no balance overflows the sum) and the same
+/// tokens (compared as a sorted multiset) in the initial and the final
+/// snapshots. Assets still held by an unresolved escrow contract are not in
+/// any party's hands, so conservation is only required when the outcome is
 /// fully resolved.
 pub fn check_conservation(spec: &DealSpec, outcome: &DealOutcome) -> bool {
     if !outcome.fully_resolved() {
         return true;
     }
-    let mut kinds: Vec<_> = Vec::new();
-    for e in &spec.escrows {
-        let k = e.asset.kind().clone();
-        if !kinds.contains(&k) {
-            kinds.push(k);
+    spec.escrows.iter().enumerate().all(|(i, e)| {
+        let kind = e.asset.kind();
+        if spec.escrows[..i].iter().any(|f| f.asset.kind() == kind) {
+            return true; // this kind was checked already
         }
-    }
-    for kind in kinds {
-        let initial: u64 = spec
-            .parties
-            .iter()
-            .map(|p| outcome.initial_of(*p).balance(&kind))
-            .sum();
-        let fin: u64 = spec
-            .parties
-            .iter()
-            .map(|p| outcome.final_of(*p).balance(&kind))
-            .sum();
-        if initial != fin {
-            return false;
-        }
-    }
-    true
+        let supply = |holdings: fn(&DealOutcome, PartyId) -> &AssetBag| {
+            let bags = spec.parties.iter().map(move |&p| holdings(outcome, p));
+            let fungible: u128 = bags.clone().map(|b| u128::from(b.balance(kind))).sum();
+            let mut tokens: Vec<TokenId> = bags.flat_map(|b| b.tokens(kind)).copied().collect();
+            tokens.sort_unstable();
+            (fungible, tokens)
+        };
+        supply(DealOutcome::initial_of) == supply(DealOutcome::final_of)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::broker_spec;
+    use crate::builders::{broker_spec, ring_spec};
     use crate::outcome::ProtocolKind;
     use crate::phases::PhaseMetrics;
     use crate::strategy::strategies;
-    use xchain_sim::ids::ChainId;
+    use xchain_sim::asset::Asset;
+    use xchain_sim::ids::{ChainId, DealId};
     use xchain_sim::time::Duration;
 
     fn outcome_with(
@@ -420,5 +378,60 @@ mod tests {
             ],
         );
         assert!(!check_conservation(&spec, &bad));
+    }
+
+    #[test]
+    fn conservation_detects_vanished_tokens() {
+        let spec = broker_spec();
+        let (alice, bob, carol) = (PartyId(0), PartyId(1), PartyId(2));
+        // Fully resolved, every coin accounted for, but ticket 2 is gone.
+        let bad = outcome_with(
+            vec![
+                (alice, bag(0, &[])),
+                (bob, bag(0, &[1, 2])),
+                (carol, bag(101, &[])),
+            ],
+            vec![
+                (alice, bag(0, &[])),
+                (bob, bag(0, &[1])),
+                (carol, bag(101, &[])),
+            ],
+            vec![
+                (ChainId(0), ChainResolution::Aborted),
+                (ChainId(1), ChainResolution::Aborted),
+            ],
+        );
+        assert!(!check_conservation(&spec, &bad));
+        // A token that moves between parties is conserved.
+        let moved = outcome_with(
+            vec![(bob, bag(0, &[1, 2])), (carol, bag(101, &[]))],
+            vec![(bob, bag(0, &[1])), (carol, bag(101, &[2]))],
+            vec![(ChainId(0), ChainResolution::Committed)],
+        );
+        assert!(check_conservation(&spec, &moved));
+    }
+
+    #[test]
+    fn conservation_sums_balances_past_u64() {
+        let spec = ring_spec(DealId(91), 2);
+        let (a, b) = (PartyId(0), PartyId(1));
+        let holding = |amount| {
+            let mut bag = AssetBag::new();
+            bag.add(&Asset::fungible("asset-0", amount));
+            bag
+        };
+        let holdings = vec![(a, holding(u64::MAX - 5)), (b, holding(10))];
+        let resolved = vec![
+            (ChainId(0), ChainResolution::Committed),
+            (ChainId(1), ChainResolution::Committed),
+        ];
+        let same = outcome_with(holdings.clone(), holdings.clone(), resolved.clone());
+        assert!(check_conservation(&spec, &same));
+        let minted = outcome_with(
+            holdings,
+            vec![(a, holding(u64::MAX - 4)), (b, holding(10))],
+            resolved,
+        );
+        assert!(!check_conservation(&spec, &minted));
     }
 }

@@ -55,9 +55,8 @@ pub fn advance_one_observation(world: &mut World) {
 /// Checks that every party of the spec exists in the world (a sanity check
 /// the deal driver runs before executing).
 pub fn check_parties_exist(world: &World, spec: &DealSpec) -> Result<(), DealError> {
-    let existing = world.party_ids();
     for p in &spec.parties {
-        if !existing.contains(p) {
+        if !world.has_party(*p) {
             return Err(DealError::Config(format!(
                 "{p} does not exist in the world"
             )));

@@ -194,9 +194,14 @@ pub struct ObservationHub {
     events: Vec<Vec<ObservedEvent>>,
     parties: Vec<PartyId>,
     views: Vec<DealView>,
-    /// `positions[party][chain]`: how many of `events[chain]` the party's
-    /// view has folded in.
-    positions: Vec<Vec<usize>>,
+    /// `positions[party * chains + chain]`: how many of `events[chain]` the
+    /// party's view has folded in.
+    positions: Vec<usize>,
+    /// Events ingested so far, over all chains.
+    ingested: usize,
+    /// `folded[party]`: how many of the ingested events the party's view has
+    /// folded in; equal to `ingested` when the view is up to date.
+    folded: Vec<usize>,
 }
 
 /// The deal vocabulary: every tag the views ingest (everything but
@@ -223,15 +228,27 @@ impl ObservationHub {
             cursors: vec![LogCursor::new(); n_chains],
             events: vec![Vec::new(); n_chains],
             parties,
-            views: vec![DealView::default(); n_parties],
-            positions: vec![vec![0; n_chains]; n_parties],
+            // Sized for everything the deal can show a party, so folding
+            // never grows a view.
+            views: (0..n_parties)
+                .map(|_| DealView {
+                    escrows: Vec::with_capacity(plan.escrows().len()),
+                    transfers: Vec::with_capacity(plan.transfers().len()),
+                    commit_votes: Vec::with_capacity(n_parties),
+                    resolutions: Vec::with_capacity(n_chains),
+                })
+                .collect(),
+            positions: vec![0; n_parties * n_chains],
+            ingested: 0,
+            folded: vec![0; n_parties],
         }
     }
 
     /// Reads every subscribed chain's new log entries once, then folds
     /// everything `party`'s view has not seen yet, and assembles the
     /// observation context for the party's decision. A decision with nothing
-    /// new costs one cursor check per chain.
+    /// new costs one cursor check per chain, and the fold is skipped when the
+    /// party's view already holds every ingested event.
     ///
     /// # Panics
     ///
@@ -249,20 +266,27 @@ impl ObservationHub {
             .iter()
             .position(|&p| p == party)
             .expect("party subscribed to the hub");
-        let view = &mut self.views[pix];
         for (cix, &chain) in self.chains.iter().enumerate() {
             let events = &mut self.events[cix];
             if let Ok(c) = world.chain(chain) {
+                let before = events.len();
                 events.extend(
                     c.log_from_filtered(&mut self.cursors[cix], DEAL_FILTER)
                         .filter_map(ObservedEvent::parse),
                 );
+                self.ingested += events.len() - before;
             }
-            let pos = &mut self.positions[pix][cix];
-            for ev in &events[*pos..] {
-                ev.fold_into(view, chain);
+        }
+        if self.folded[pix] < self.ingested {
+            let view = &mut self.views[pix];
+            for (cix, &chain) in self.chains.iter().enumerate() {
+                let pos = &mut self.positions[pix * self.chains.len() + cix];
+                for ev in &self.events[cix][*pos..] {
+                    ev.fold_into(view, chain);
+                }
+                *pos = self.events[cix].len();
             }
-            *pos = events.len();
+            self.folded[pix] = self.ingested;
         }
         ObservationCtx {
             party,
@@ -392,16 +416,21 @@ impl fmt::Debug for dyn Strategy {
 pub mod strategies {
     use std::borrow::Cow;
     use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::Mutex;
+    use std::sync::{LazyLock, Mutex};
 
     use super::*;
 
     /// The compliant strategy: every hook answers as the protocol says.
+    /// Stateless, so every call returns a clone of one process-wide `Arc`
+    /// (parties that default to compliant cost no allocation).
     pub fn compliant() -> Arc<dyn Strategy> {
-        Arc::new(Fixed {
-            compliant: true,
-            ..Fixed::deviating("compliant")
-        })
+        static COMPLIANT: LazyLock<Arc<dyn Strategy>> = LazyLock::new(|| {
+            Arc::new(Fixed {
+                compliant: true,
+                ..Fixed::deviating("compliant")
+            })
+        });
+        COMPLIANT.clone()
     }
 
     /// Stops participating after completing `phase` (crash / walk-away): it

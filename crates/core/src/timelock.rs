@@ -57,12 +57,14 @@ impl Default for TimelockOptions {
 }
 
 /// A commit vote visible on some chain, tracked engine-side so other parties
-/// can observe and forward it.
-#[derive(Debug, Clone)]
+/// can observe and forward it. Its path signature lives in the deal's
+/// signature pool, so a vote accepted on several chains is stored once.
+#[derive(Debug, Clone, Copy)]
 struct PublishedVote {
     chain: ChainId,
     voter: PartyId,
-    path: PathSignature,
+    /// Index into the pool of built path signatures.
+    path: usize,
     published_at: Time,
 }
 
@@ -116,7 +118,11 @@ fn commit(
     opts: &TimelockOptions,
 ) -> Result<(), DealError> {
     let plan = d.plan;
-    let mut published: Vec<PublishedVote> = Vec::new();
+    // Every path signature built this deal, each stored once.
+    let mut paths: Vec<PathSignature> = Vec::new();
+    // A chain accepts each voter once.
+    let mut published: Vec<PublishedVote> =
+        Vec::with_capacity(plan.parties().len() * plan.chains().len());
 
     // Direct votes: each willing party votes on its incoming-asset chains
     // (or on every chain when broadcasting altruistically).
@@ -134,21 +140,21 @@ fn commit(
         } else {
             &pp.incoming_chains
         };
-        let message = info.vote_message(p);
-        let key = d.world.key_pair(p).map_err(DealError::Chain)?.clone();
-        let vote = PathSignature::direct(p, &key, &message);
+        let key = *d.world.key_pair(p).map_err(DealError::Chain)?;
+        let path = paths.len();
+        paths.push(PathSignature::direct(p, &key, &info.vote_message(p)));
         for &chain in target_chains {
             let result = d.world.call(
                 chain,
                 Owner::Party(p),
                 d.contracts[&chain],
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                |m: &mut TimelockManager, ctx| m.commit(ctx, &paths[path]),
             );
             if result.is_ok() {
                 published.push(PublishedVote {
                     chain,
                     voter: p,
-                    path: vote.clone(),
+                    path,
                     published_at: d.world.now(),
                 });
             }
@@ -170,8 +176,8 @@ fn commit(
         advance_one_observation(d.world);
         // Votes observable this round are exactly those published in earlier
         // rounds: everything pushed below carries `published_at == now` and
-        // fails the `< round_now` filter, so a prefix index replaces the
-        // cloned snapshot of every path signature.
+        // fails the `< round_now` filter, so each party walks the prefix
+        // published before the round began.
         let visible = published.len();
         for pp in plan.parties() {
             let p = pp.id;
@@ -182,45 +188,42 @@ fn commit(
             if !forwards {
                 continue;
             }
-            let key = d.world.key_pair(p).map_err(DealError::Chain)?.clone();
+            let key = *d.world.key_pair(p).map_err(DealError::Chain)?;
             let round_now = d.world.now();
-            let observable: Vec<usize> = (0..visible)
-                .filter(|&i| {
-                    let v = &published[i];
-                    pp.outgoing_chains.contains(&v.chain) && v.published_at < round_now
-                })
-                .collect();
-            for i in observable {
-                let voter = published[i].voter;
-                let from_chain = published[i].chain;
+            for i in 0..visible {
+                let seen = published[i];
+                if !pp.outgoing_chains.contains(&seen.chain) || seen.published_at >= round_now {
+                    continue;
+                }
                 // The forwarded signature does not depend on the target
                 // chain, so it is built at most once per observed vote — and
                 // not at all when every target already accepted the voter
                 // (the common case once a vote has circulated).
-                let mut forwarded: Option<PathSignature> = None;
+                let mut forwarded: Option<usize> = None;
                 for &target in &pp.incoming_chains {
                     // Skip the source chain and targets that already accepted
                     // this voter.
-                    if target == from_chain || accepted.contains(&(target, voter)) {
+                    if target == seen.chain || accepted.contains(&(target, seen.voter)) {
                         continue;
                     }
-                    let fwd = forwarded.get_or_insert_with(|| {
-                        published[i]
-                            .path
-                            .forwarded_by(p, &key, &info.vote_message(voter))
+                    let path = *forwarded.get_or_insert_with(|| {
+                        let fwd =
+                            paths[seen.path].forwarded_by(p, &key, &info.vote_message(seen.voter));
+                        paths.push(fwd);
+                        paths.len() - 1
                     });
                     let result = d.world.call(
                         target,
                         Owner::Party(p),
                         d.contracts[&target],
-                        |m: &mut TimelockManager, ctx| m.commit(ctx, fwd),
+                        |m: &mut TimelockManager, ctx| m.commit(ctx, &paths[path]),
                     );
                     if result.is_ok() {
-                        accepted.insert((target, voter));
+                        accepted.insert((target, seen.voter));
                         published.push(PublishedVote {
                             chain: target,
-                            voter,
-                            path: fwd.clone(),
+                            voter: seen.voter,
+                            path,
                             published_at: d.world.now(),
                         });
                     }

@@ -5,21 +5,28 @@
 //! or more *asset kinds*; ownership of concrete asset units is tracked by the
 //! ledger ([`crate::ledger::Blockchain`]).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::TokenId;
 
 /// Names an asset class, e.g. `"coin"` or `"ticket"`. One blockchain may host
 /// several kinds (e.g. several token contracts on the same chain).
+///
+/// The name is a shared `Arc<str>`: cloning a kind (into an [`AssetBag`], a
+/// cloned deal spec, or out of a world's [`crate::intern::KindTable`]) bumps
+/// a reference count instead of copying the string. Equality, ordering and
+/// hashing go by the name's content, exactly as for a `String`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct AssetKind(pub String);
+pub struct AssetKind(pub Arc<str>);
 
 impl AssetKind {
     /// Creates a new asset kind from a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        AssetKind(name.into())
+    pub fn new(name: impl AsRef<str>) -> Self {
+        AssetKind(Arc::from(name.as_ref()))
     }
 
     /// The kind's name.
@@ -36,7 +43,14 @@ impl fmt::Display for AssetKind {
 
 impl From<&str> for AssetKind {
     fn from(s: &str) -> Self {
-        AssetKind(s.to_string())
+        AssetKind::new(s)
+    }
+}
+
+/// Lets name-keyed maps of kinds be searched with a plain `&str`.
+impl Borrow<str> for AssetKind {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -131,25 +145,38 @@ pub struct AssetBag {
     non_fungible: BTreeMap<AssetKind, BTreeSet<TokenId>>,
 }
 
+/// What [`AssetBag::tokens`] lends for a kind the bag does not hold.
+static NO_TOKENS: BTreeSet<TokenId> = BTreeSet::new();
+
 impl AssetBag {
-    /// Creates an empty bag.
-    pub fn new() -> Self {
-        Self::default()
+    /// Creates an empty bag. A `const fn`, so an empty bag can be a `static`
+    /// that lookups of unknown parties lend out.
+    pub const fn new() -> Self {
+        AssetBag {
+            fungible: BTreeMap::new(),
+            non_fungible: BTreeMap::new(),
+        }
     }
 
     /// Adds an asset to the bag.
     pub fn add(&mut self, asset: &Asset) {
         match asset {
-            Asset::Fungible { kind, amount } => {
-                *self.fungible.entry(kind.clone()).or_insert(0) += amount;
-            }
-            Asset::NonFungible { kind, tokens } => {
-                self.non_fungible
-                    .entry(kind.clone())
-                    .or_default()
-                    .extend(tokens.iter().copied());
-            }
+            Asset::Fungible { kind, amount } => self.add_fungible(kind, *amount),
+            Asset::NonFungible { kind, tokens } => self.add_tokens(kind, tokens.iter().copied()),
         }
+    }
+
+    /// Adds `amount` units of a fungible kind.
+    pub fn add_fungible(&mut self, kind: &AssetKind, amount: u64) {
+        *self.fungible.entry(kind.clone()).or_insert(0) += amount;
+    }
+
+    /// Adds tokens of a non-fungible kind.
+    pub fn add_tokens(&mut self, kind: &AssetKind, tokens: impl IntoIterator<Item = TokenId>) {
+        self.non_fungible
+            .entry(kind.clone())
+            .or_default()
+            .extend(tokens);
     }
 
     /// Removes an asset from the bag; returns false (and leaves the bag
@@ -200,9 +227,9 @@ impl AssetBag {
         self.fungible.get(kind).copied().unwrap_or(0)
     }
 
-    /// The non-fungible tokens held of a kind.
-    pub fn tokens(&self, kind: &AssetKind) -> BTreeSet<TokenId> {
-        self.non_fungible.get(kind).cloned().unwrap_or_default()
+    /// The non-fungible tokens held of a kind (borrowed; empty if none).
+    pub fn tokens(&self, kind: &AssetKind) -> &BTreeSet<TokenId> {
+        self.non_fungible.get(kind).unwrap_or(&NO_TOKENS)
     }
 
     /// True if the bag holds nothing.
@@ -220,8 +247,7 @@ impl AssetBag {
             }
         }
         for (kind, tokens) in &other.non_fungible {
-            let held = self.tokens(kind);
-            if !tokens.iter().all(|t| held.contains(t)) {
+            if !tokens.is_subset(self.tokens(kind)) {
                 return false;
             }
         }

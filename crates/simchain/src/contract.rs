@@ -22,7 +22,7 @@ use crate::error::{ChainError, ChainResult};
 use crate::gas::GasMeter;
 use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
 use crate::intern::{InternedAsset, KindId, KindTable};
-use crate::ledger::{AssetLedger, EventTag, LogEntry};
+use crate::ledger::{AssetLedger, EventTag, LogData, LogEntry};
 use crate::time::Time;
 
 /// A blockchain-resident program.
@@ -221,8 +221,10 @@ impl<'a> CallCtx<'a> {
 
     /// Appends an entry to the chain log (an "event"), charging the flat
     /// per-entry log gas. Parties monitor chains by reading this log, subject
-    /// to the network model's observation delay.
-    pub fn emit(&mut self, tag: EventTag, data: Vec<u64>) -> ChainResult<()> {
+    /// to the network model's observation delay. The payload is an array of
+    /// at most four words, stored inline ([`LogData`]); a longer array fails
+    /// to compile.
+    pub fn emit<const N: usize>(&mut self, tag: EventTag, data: [u64; N]) -> ChainResult<()> {
         self.gas
             .charge_log_entry()
             .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })?;
@@ -233,7 +235,7 @@ impl<'a> CallCtx<'a> {
             contract: Some(self.contract),
             caller: self.caller,
             tag,
-            data,
+            data: LogData::new(data),
         });
         Ok(())
     }
@@ -388,11 +390,11 @@ mod tests {
                 log: &mut log,
                 log_seq: &mut seq,
             };
-            ctx.emit(EventTag::Escrow, vec![42]).unwrap();
+            ctx.emit(EventTag::Escrow, [42]).unwrap();
         }
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].tag, EventTag::Escrow);
-        assert_eq!(log[0].data, vec![42]);
+        assert_eq!(*log[0].data, [42]);
         assert_eq!(log[0].time, Time(9));
         assert_eq!(gas.usage().log_entries, 1);
     }

@@ -131,8 +131,9 @@ impl fmt::Display for PublicKey {
 
 /// A signing key pair. The secret component is private to this module; the
 /// only way to obtain a signature is through [`KeyPair::sign`], which is the
-/// structural unforgeability guarantee the protocols rely on.
-#[derive(Debug, Clone)]
+/// structural unforgeability guarantee the protocols rely on. Two words,
+/// so it is `Copy`.
+#[derive(Debug, Clone, Copy)]
 pub struct KeyPair {
     public: PublicKey,
     secret: u64,
@@ -323,21 +324,19 @@ impl PathSignature {
     }
 
     /// The parties that signed, in signing order.
-    pub fn signers(&self) -> Vec<PartyId> {
-        self.path.iter().map(|(p, _)| *p).collect()
+    pub fn signers(&self) -> impl Iterator<Item = PartyId> + '_ {
+        self.path.iter().map(|(p, _)| *p)
     }
 
     /// True if all signing parties are distinct (a contract requirement,
-    /// Figure 5 line 9).
+    /// Figure 5 line 9). Compares each signer with the ones before it: paths
+    /// are at most one signature per deal party long, so this quadratic scan
+    /// beats building a set.
     pub fn signers_unique(&self) -> bool {
-        let mut seen = Vec::with_capacity(self.path.len());
-        for (p, _) in &self.path {
-            if seen.contains(p) {
-                return false;
-            }
-            seen.push(*p);
-        }
-        true
+        self.path
+            .iter()
+            .enumerate()
+            .all(|(i, (p, _))| self.path[..i].iter().all(|(q, _)| q != p))
     }
 }
 
@@ -421,7 +420,7 @@ mod tests {
         let fwd2 = fwd.forwarded_by(PartyId(2), &kps[2], &msg);
         assert_eq!(fwd2.len(), 3);
         assert_eq!(fwd2.voter, PartyId(0));
-        assert_eq!(fwd2.signers(), vec![PartyId(0), PartyId(1), PartyId(2)]);
+        assert!(fwd2.signers().eq([PartyId(0), PartyId(1), PartyId(2)]));
         assert!(fwd2.signers_unique());
         for (p, sig) in &fwd2.path {
             let pk = dir.public_key_of(*p).unwrap();

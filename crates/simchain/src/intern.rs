@@ -1,22 +1,24 @@
 //! Asset-kind interning: the hot-path representation of asset classes.
 //!
 //! Asset kinds are *named* at the specification level ([`crate::asset::AssetKind`]
-//! wraps a `String` so deal specs stay human-readable), but ledger and escrow
-//! operations run once per simulated transaction, and keying maps on `String`
-//! forced a clone-per-lookup on every one of them. This module fixes the
+//! wraps a shared `Arc<str>` so deal specs stay human-readable), but ledger
+//! and escrow operations run once per simulated transaction, and even a
+//! name comparison per operation is wasted work. This module fixes the
 //! representation: each world owns an [`Interner`] that maps every kind name
 //! to a dense, `Copy` [`KindId`], and the [`crate::ledger::AssetLedger`],
 //! escrow contracts, and HTLCs all key their state on ids instead of names.
 //!
 //! * [`KindId`] — a `u32` handle, `Copy`/`Ord`/`Hash`; the ledger's map keys.
-//! * [`Interner`] — the bidirectional name ↔ id table.
+//! * [`Interner`] — the bidirectional name ↔ id table. It stores each name
+//!   once, as an [`AssetKind`], so resolving an id back to a kind (holdings
+//!   snapshots, reporting) bumps a reference count and copies no string.
 //! * [`KindTable`] — a cheaply-cloneable shared handle (`Arc<RwLock<Interner>>`)
 //!   owned by the [`crate::world::World`] and handed to every chain it
 //!   creates, so a kind name resolves to the same id on all of a world's
 //!   chains. Standalone [`crate::ledger::Blockchain`]s create their own.
 //! * [`InternedAsset`] / [`InternedBag`] — the id-keyed counterparts of
 //!   [`crate::asset::Asset`] and [`crate::asset::AssetBag`], used by contract
-//!   state so the escrow/release path never touches a `String`.
+//!   state so the escrow/release path never touches a kind name.
 //!
 //! Interning happens at the cold boundaries (mint, first escrow of a kind);
 //! everything after is `Copy` ids. Ids are assigned in first-intern order,
@@ -41,11 +43,13 @@ impl fmt::Display for KindId {
     }
 }
 
-/// The bidirectional asset-kind name ↔ [`KindId`] table.
+/// The bidirectional asset-kind name ↔ [`KindId`] table. Both directions
+/// hold the same shared [`AssetKind`]s, and the index is searched by `&str`
+/// through `AssetKind: Borrow<str>`, so cloning the table copies no names.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    names: Vec<String>,
-    index: BTreeMap<String, u32>,
+    names: Vec<AssetKind>,
+    index: BTreeMap<AssetKind, u32>,
 }
 
 impl Interner {
@@ -60,8 +64,9 @@ impl Interner {
             return KindId(id);
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), id);
+        let kind = AssetKind::new(name);
+        self.names.push(kind.clone());
+        self.index.insert(kind, id);
         KindId(id)
     }
 
@@ -70,9 +75,9 @@ impl Interner {
         self.index.get(name).copied().map(KindId)
     }
 
-    /// The name behind an id, if the id was produced by this interner.
-    pub fn resolve(&self, id: KindId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+    /// The kind behind an id, if the id was produced by this interner.
+    pub fn resolve(&self, id: KindId) -> Option<&AssetKind> {
+        self.names.get(id.0 as usize)
     }
 
     /// Number of interned kinds.
@@ -106,7 +111,8 @@ impl KindTable {
 
     /// A deep copy of the table: a *new* interner seeded with every
     /// assignment made so far, after which the two tables evolve
-    /// independently. This is how a pre-resolved `DealPlan` (in
+    /// independently. The copy shares the kinds' names (`Arc<str>`), so it
+    /// copies no strings. This is how a pre-resolved `DealPlan` (in
     /// `xchain-deals`) hands every world built from it the same
     /// name → id assignments without sharing a lock: the plan interns its
     /// kinds once into a canonical table, and each world starts from a fork,
@@ -132,14 +138,20 @@ impl KindTable {
         self.inner.read().expect("interner lock").get(name)
     }
 
-    /// The [`AssetKind`] behind an id (allocates the returned name; intended
-    /// for reporting and error paths, not per-transfer code).
+    /// The [`AssetKind`] behind an id: a shared name, so this takes the read
+    /// lock and bumps a reference count, but never allocates.
     pub fn resolve(&self, id: KindId) -> Option<AssetKind> {
         self.inner
             .read()
             .expect("interner lock")
             .resolve(id)
-            .map(AssetKind::new)
+            .cloned()
+    }
+
+    /// Runs `f` with the read lock held once, for callers that resolve many
+    /// ids in a row (holdings snapshots).
+    pub(crate) fn with_interner<R>(&self, f: impl FnOnce(&Interner) -> R) -> R {
+        f(&self.inner.read().expect("interner lock"))
     }
 
     /// The name behind an id, or `"?"` for unknown ids (error messages).
@@ -148,7 +160,7 @@ impl KindTable {
             .read()
             .expect("interner lock")
             .resolve(id)
-            .unwrap_or("?")
+            .map_or("?", AssetKind::name)
             .to_string()
     }
 
@@ -186,7 +198,7 @@ impl fmt::Debug for KindTable {
 }
 
 /// The id-keyed counterpart of [`Asset`]: what contracts store and what the
-/// ledger's interned fast paths consume. No `String` anywhere.
+/// ledger's interned fast paths consume. No kind name anywhere.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InternedAsset {
     /// A fungible amount of the given kind.
@@ -246,7 +258,7 @@ impl InternedAsset {
 
 /// The id-keyed counterpart of [`AssetBag`]: a multi-kind bag with `Copy` map
 /// keys, used for contract state (the escrow C map) so per-transfer bag
-/// updates never clone a `String`.
+/// updates never touch a kind name.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InternedBag {
     fungible: BTreeMap<KindId, u64>,
@@ -262,9 +274,7 @@ impl InternedBag {
     /// Adds an asset to the bag.
     pub fn add(&mut self, asset: &InternedAsset) {
         match asset {
-            InternedAsset::Fungible { kind, amount } => {
-                *self.fungible.entry(*kind).or_insert(0) += amount;
-            }
+            InternedAsset::Fungible { kind, amount } => self.add_fungible(*kind, *amount),
             InternedAsset::NonFungible { kind, tokens } => {
                 self.non_fungible
                     .entry(*kind)
@@ -354,28 +364,41 @@ impl InternedBag {
         self.non_fungible.iter().map(|(k, ts)| (*k, ts))
     }
 
-    /// The name-keyed [`AssetBag`] view of this bag (reporting/validation).
+    /// Adds `amount` units of a fungible kind.
+    pub(crate) fn add_fungible(&mut self, kind: KindId, amount: u64) {
+        *self.fungible.entry(kind).or_insert(0) += amount;
+    }
+
+    /// Adds one token of a non-fungible kind.
+    pub(crate) fn add_token(&mut self, kind: KindId, token: TokenId) {
+        self.non_fungible.entry(kind).or_default().insert(token);
+    }
+
+    /// The name-keyed [`AssetBag`] view of this bag (reporting, holdings
+    /// snapshots): takes the table's read lock once, and each kind costs a
+    /// reference-count bump, not a name copy. Ids the table does not know
+    /// resolve to the kind `"?"`.
     pub fn resolve(&self, kinds: &KindTable) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for (kind, amount) in &self.fungible {
-            if *amount == 0 {
-                continue;
+        kinds.with_interner(|interner| {
+            let name = |id: &KindId| {
+                interner
+                    .resolve(*id)
+                    .cloned()
+                    .unwrap_or_else(|| AssetKind::new("?"))
+            };
+            let mut bag = AssetBag::new();
+            for (kind, amount) in &self.fungible {
+                if *amount > 0 {
+                    bag.add_fungible(&name(kind), *amount);
+                }
             }
-            bag.add(&Asset::Fungible {
-                kind: kinds.resolve(*kind).unwrap_or_else(|| AssetKind::new("?")),
-                amount: *amount,
-            });
-        }
-        for (kind, tokens) in &self.non_fungible {
-            if tokens.is_empty() {
-                continue;
+            for (kind, tokens) in &self.non_fungible {
+                if !tokens.is_empty() {
+                    bag.add_tokens(&name(kind), tokens.iter().copied());
+                }
             }
-            bag.add(&Asset::NonFungible {
-                kind: kinds.resolve(*kind).unwrap_or_else(|| AssetKind::new("?")),
-                tokens: tokens.clone(),
-            });
-        }
-        bag
+            bag
+        })
     }
 }
 

@@ -11,13 +11,13 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use crate::asset::{Asset, AssetBag, AssetKind};
+use crate::asset::{AssetBag, AssetKind};
 use crate::contract::{CallCtx, Contract};
 use crate::crypto::{KeyDirectory, KeyPair};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::{GasMeter, GasUsage};
 use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
-use crate::intern::{InternedAsset, KindId, KindTable};
+use crate::intern::{InternedAsset, InternedBag, KindId, KindTable};
 use crate::time::{Duration, Time};
 
 /// Authoritative record of who owns what on one chain.
@@ -46,7 +46,8 @@ impl AssetLedger {
     pub fn with_kinds(kinds: KindTable) -> Self {
         AssetLedger {
             kinds,
-            ..Self::default()
+            fungible: BTreeMap::new(),
+            non_fungible: BTreeMap::new(),
         }
     }
 
@@ -190,28 +191,29 @@ impl AssetLedger {
     /// Everything `owner` holds on this chain (reporting path: resolves ids
     /// back to names).
     pub fn holdings(&self, owner: Owner) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for ((o, kind), amount) in &self.fungible {
-            if *o == owner && *amount > 0 {
-                if let Some(name) = self.kinds.resolve(*kind) {
-                    bag.add(&Asset::Fungible {
-                        kind: name,
-                        amount: *amount,
-                    });
-                }
+        let mut bag = InternedBag::new();
+        self.add_holdings_to(owner, &mut bag);
+        bag.resolve(&self.kinds)
+    }
+
+    /// Adds everything `owner` holds on this chain to `bag`, by id: one
+    /// range scan of the owner's balances and one pass over the tokens. The
+    /// single scan behind every holdings snapshot ([`AssetLedger::holdings`],
+    /// [`crate::world::World::holdings`]).
+    pub(crate) fn add_holdings_to(&self, owner: Owner, bag: &mut InternedBag) {
+        for (&(_, kind), &amount) in self
+            .fungible
+            .range((owner, KindId(0))..=(owner, KindId(u32::MAX)))
+        {
+            if amount > 0 {
+                bag.add_fungible(kind, amount);
             }
         }
-        for ((kind, token), o) in &self.non_fungible {
-            if *o == owner {
-                if let Some(name) = self.kinds.resolve(*kind) {
-                    bag.add(&Asset::NonFungible {
-                        kind: name,
-                        tokens: [*token].into_iter().collect(),
-                    });
-                }
+        for (&(kind, token), &o) in &self.non_fungible {
+            if o == owner {
+                bag.add_token(kind, token);
             }
         }
-        bag
     }
 }
 
@@ -294,7 +296,45 @@ pub struct LogEntry {
     /// What the entry records.
     pub tag: EventTag,
     /// Numeric payload (ids, amounts, hashes).
-    pub data: Vec<u64>,
+    pub data: LogData,
+}
+
+/// A log entry's numeric payload: up to [`LogData::CAPACITY`] words stored
+/// inline, so appending an entry never allocates. Reads as a `&[u64]`. The
+/// unused words are always zero, so the derived equality is the payloads'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogData {
+    len: u8,
+    words: [u64; LogData::CAPACITY],
+}
+
+impl LogData {
+    /// The most words one entry carries.
+    pub const CAPACITY: usize = 4;
+
+    /// A payload of `N ≤ CAPACITY` words; a larger `N` fails to compile.
+    pub fn new<const N: usize>(data: [u64; N]) -> Self {
+        const {
+            assert!(
+                N <= LogData::CAPACITY,
+                "a log entry carries at most 4 words"
+            )
+        };
+        let mut words = [0; LogData::CAPACITY];
+        words[..N].copy_from_slice(&data);
+        LogData {
+            len: N as u8,
+            words,
+        }
+    }
+}
+
+impl std::ops::Deref for LogData {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.words[..self.len as usize]
+    }
 }
 
 /// A per-observer position in a chain's log: the index of the first entry the
@@ -556,6 +596,7 @@ impl std::fmt::Debug for Blockchain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asset::Asset;
     use std::any::Any;
 
     #[derive(Default)]
@@ -579,7 +620,7 @@ mod tests {
         fn bump(&mut self, ctx: &mut CallCtx<'_>, by: u64) -> ChainResult<u64> {
             ctx.charge_storage_write()?;
             self.value += by;
-            ctx.emit(EventTag::Other, vec![self.value])?;
+            ctx.emit(EventTag::Other, [self.value])?;
             Ok(self.value)
         }
     }

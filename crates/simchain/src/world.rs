@@ -11,13 +11,13 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::asset::{Asset, AssetBag};
+use crate::asset::AssetBag;
 use crate::contract::{CallCtx, Contract};
 use crate::crypto::KeyPair;
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasUsage;
 use crate::ids::{ChainId, ContractId, Owner, PartyId};
-use crate::intern::{InternedAsset, KindTable};
+use crate::intern::{InternedAsset, InternedBag, KindTable};
 use crate::ledger::Blockchain;
 use crate::network::{NetworkModel, OfflineSchedule};
 use crate::time::{Duration, Time};
@@ -25,8 +25,8 @@ use crate::time::{Duration, Time};
 /// The multi-chain simulation world.
 pub struct World {
     clock: Time,
-    chains: BTreeMap<ChainId, Blockchain>,
-    next_chain: u32,
+    /// Indexed by [`ChainId`]: [`World::add_chain`] hands out dense ids.
+    chains: Vec<Blockchain>,
     parties: BTreeMap<PartyId, KeyPair>,
     next_party: u32,
     network: NetworkModel,
@@ -42,8 +42,7 @@ impl World {
     pub fn new(seed: u64) -> Self {
         World {
             clock: Time::ZERO,
-            chains: BTreeMap::new(),
-            next_chain: 0,
+            chains: Vec::new(),
             parties: BTreeMap::new(),
             next_party: 0,
             network: NetworkModel::default(),
@@ -120,29 +119,32 @@ impl World {
     /// returns its id. Existing parties' keys are registered on it, and it
     /// shares the world's kind table.
     pub fn add_chain(&mut self, name: &str, block_interval: Duration) -> ChainId {
-        let id = ChainId(self.next_chain);
-        self.next_chain += 1;
+        let id = ChainId(self.chains.len() as u32);
         let mut chain = Blockchain::with_kinds(id, name, block_interval, self.kinds.clone());
         for (party, kp) in &self.parties {
             chain.register_key(*party, kp);
         }
-        self.chains.insert(id, chain);
+        self.chains.push(chain);
         id
     }
 
     /// Immutable access to a chain.
     pub fn chain(&self, id: ChainId) -> ChainResult<&Blockchain> {
-        self.chains.get(&id).ok_or(ChainError::UnknownChain(id))
+        self.chains
+            .get(id.0 as usize)
+            .ok_or(ChainError::UnknownChain(id))
     }
 
     /// Mutable access to a chain.
     pub fn chain_mut(&mut self, id: ChainId) -> ChainResult<&mut Blockchain> {
-        self.chains.get_mut(&id).ok_or(ChainError::UnknownChain(id))
+        self.chains
+            .get_mut(id.0 as usize)
+            .ok_or(ChainError::UnknownChain(id))
     }
 
     /// Ids of all chains in creation order.
     pub fn chain_ids(&self) -> Vec<ChainId> {
-        self.chains.keys().copied().collect()
+        self.chains.iter().map(Blockchain::id).collect()
     }
 
     // ------------------------------------------------------------------
@@ -155,7 +157,7 @@ impl World {
         let id = PartyId(self.next_party);
         self.next_party += 1;
         let kp = KeyPair::derive(id, self.seed);
-        for chain in self.chains.values_mut() {
+        for chain in &mut self.chains {
             chain.register_key(id, &kp);
         }
         self.parties.insert(id, kp);
@@ -179,6 +181,11 @@ impl World {
     /// All party ids in creation order.
     pub fn party_ids(&self) -> Vec<PartyId> {
         self.parties.keys().copied().collect()
+    }
+
+    /// True if the party exists in this world.
+    pub fn has_party(&self, party: PartyId) -> bool {
+        self.parties.contains_key(&party)
     }
 
     // ------------------------------------------------------------------
@@ -268,31 +275,21 @@ impl World {
         self.call(chain, caller, contract, f)
     }
 
-    /// Everything `owner` holds across all chains.
+    /// Everything `owner` holds across all chains: every chain's entries
+    /// for the owner fold into one id-keyed bag (the chains share the
+    /// world's kind table), whose names are resolved once at the end.
     pub fn holdings(&self, owner: Owner) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for chain in self.chains.values() {
-            let chain_bag = chain.holdings(owner);
-            for (kind, amount) in chain_bag.fungible_holdings() {
-                bag.add(&Asset::Fungible {
-                    kind: kind.clone(),
-                    amount,
-                });
-            }
-            for (kind, tokens) in chain_bag.non_fungible_holdings() {
-                bag.add(&Asset::NonFungible {
-                    kind: kind.clone(),
-                    tokens: tokens.clone(),
-                });
-            }
+        let mut bag = InternedBag::new();
+        for chain in &self.chains {
+            chain.assets().add_holdings_to(owner, &mut bag);
         }
-        bag
+        bag.resolve(&self.kinds)
     }
 
     /// Total gas used across all chains.
     pub fn total_gas(&self) -> GasUsage {
         self.chains
-            .values()
+            .iter()
             .fold(GasUsage::ZERO, |acc, c| acc + c.gas_usage())
     }
 
@@ -301,7 +298,7 @@ impl World {
     pub fn gas_by_chain(&self) -> BTreeMap<ChainId, GasUsage> {
         self.chains
             .iter()
-            .map(|(id, c)| (*id, c.gas_usage()))
+            .map(|c| (c.id(), c.gas_usage()))
             .collect()
     }
 }
@@ -320,6 +317,7 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::asset::Asset;
 
     #[test]
     fn world_setup_and_clock() {

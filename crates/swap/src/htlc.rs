@@ -89,7 +89,7 @@ impl HtlcContract {
         ctx.charge_storage_write()?;
         self.asset = Some(asset);
         self.state = HtlcState::Funded;
-        ctx.emit(EventTag::HtlcFunded, vec![self.hashlock.0])?;
+        ctx.emit(EventTag::HtlcFunded, [self.hashlock.0])?;
         Ok(())
     }
 
@@ -106,7 +106,7 @@ impl HtlcContract {
         self.state = HtlcState::Claimed;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out(self.beneficiary.into(), asset)?;
-        ctx.emit(EventTag::HtlcClaimed, vec![secret])?;
+        ctx.emit(EventTag::HtlcClaimed, [secret])?;
         Ok(())
     }
 
@@ -118,7 +118,7 @@ impl HtlcContract {
         self.state = HtlcState::Refunded;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out(self.depositor.into(), asset)?;
-        ctx.emit(EventTag::HtlcRefunded, vec![self.hashlock.0])?;
+        ctx.emit(EventTag::HtlcRefunded, [self.hashlock.0])?;
         Ok(())
     }
 }

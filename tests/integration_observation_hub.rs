@@ -209,7 +209,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
         ),
     ];
     for (&p, expected) in spec.parties.iter().zip(after_each_vote) {
-        let key = world.key_pair(p).unwrap().clone();
+        let key = *world.key_pair(p).unwrap();
         let vote = PathSignature::direct(p, &key, &info.vote_message(p));
         world
             .call(

@@ -71,11 +71,6 @@ impl Certificate {
         }
     }
 
-    /// Number of signatures attached.
-    pub fn signature_count(&self) -> usize {
-        self.signatures.len()
-    }
-
     /// Verifies the certificate against an expected validator set and the
     /// payload it is supposed to certify. Mirrors the checks of Figure 6:
     /// unique signers, signers are validators, at least `2f + 1` of them, and

@@ -185,9 +185,6 @@ impl Contract for CbcManager {
     fn type_name(&self) -> &'static str {
         "cbc-manager"
     }
-    fn on_install(&mut self, kinds: &xchain_sim::intern::KindTable) {
-        self.core.install(kinds);
-    }
     fn as_any(&self) -> &dyn Any {
         self
     }

@@ -16,11 +16,10 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
-use xchain_sim::intern::{InternedAsset, InternedBag, KindTable};
+use xchain_sim::intern::{InternedAsset, InternedBag};
 use xchain_sim::ledger::EventTag;
 
 /// How an escrow ultimately resolved.
@@ -32,30 +31,19 @@ pub enum EscrowResolution {
     Aborted,
 }
 
-/// One escrow deposit: the A-map entry for an asset.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EscrowDeposit {
-    /// The party that escrowed the asset (refund target on abort).
-    pub original_owner: PartyId,
-    /// The escrowed asset.
-    pub asset: Asset,
-}
-
 /// The escrow state shared by both commit protocols.
 ///
-/// Internally, both the A map (deposits) and the C map (tentative commit
-/// ownership) are kept in interned form ([`InternedAsset`] / [`InternedBag`]):
-/// kind names are resolved to `Copy` [`xchain_sim::intern::KindId`]s once at
-/// deposit time, so the per-call escrow/transfer/release paths never touch a
-/// kind name. The name-keyed views ([`EscrowCore::deposits`],
-/// [`EscrowCore::on_commit_of`], …) resolve ids back through the chain's
-/// [`KindTable`], which the contract receives at install time.
+/// Both the A map (deposits) and the C map (tentative commit ownership) hold
+/// interned assets ([`InternedAsset`] / [`InternedBag`]): assets arrive keyed
+/// on `Copy` [`xchain_sim::intern::KindId`]s, so the escrow keeps no kind
+/// table and its escrow/transfer/release paths never touch a kind name.
+/// Readers get the A map from [`EscrowCore::deposits_iter`] and compare the C
+/// map with [`EscrowCore::on_commit_covers`]; names are resolved, if at all,
+/// by the caller through the chain's [`xchain_sim::intern::KindTable`].
 #[derive(Debug, Clone)]
 pub struct EscrowCore {
     deal: DealId,
     plist: Vec<PartyId>,
-    /// The hosting chain's kind table (set on install; empty until then).
-    kinds: KindTable,
     /// A map: deposits, refunded to their original owners on abort.
     deposits: Vec<(PartyId, InternedAsset)>,
     /// C map: what each party receives if the deal commits at this chain.
@@ -69,17 +57,10 @@ impl EscrowCore {
         EscrowCore {
             deal,
             plist,
-            kinds: KindTable::new(),
             deposits: Vec::new(),
             on_commit: BTreeMap::new(),
             resolution: None,
         }
-    }
-
-    /// Adopts the hosting chain's kind table. The escrow managers forward
-    /// [`Contract::on_install`] here.
-    pub fn install(&mut self, kinds: &KindTable) {
-        self.kinds = kinds.clone();
     }
 
     /// The deal this escrow belongs to.
@@ -107,33 +88,11 @@ impl EscrowCore {
         self.resolution.is_none()
     }
 
-    /// All deposits made so far (the A map), resolved to named assets.
-    /// Materializes one `EscrowDeposit` (and its resolved kind name) per
-    /// entry — a reporting convenience; hot paths use
-    /// [`EscrowCore::deposits_iter`] instead.
-    pub fn deposits(&self) -> Vec<EscrowDeposit> {
-        self.deposits_iter()
-            .map(|(owner, asset)| EscrowDeposit {
-                original_owner: owner,
-                asset: asset.resolve(&self.kinds),
-            })
-            .collect()
-    }
-
     /// Borrowing iterator over the A map: `(original owner, interned
     /// deposit)` pairs in deposit order, with no resolution and no
-    /// allocation. This is the engine-facing view of the deposits.
+    /// allocation.
     pub fn deposits_iter(&self) -> impl Iterator<Item = (PartyId, &InternedAsset)> {
         self.deposits.iter().map(|(owner, asset)| (*owner, asset))
-    }
-
-    /// What `party` would receive if the deal committed now (the C map),
-    /// resolved to named assets.
-    pub fn on_commit_of(&self, party: PartyId) -> AssetBag {
-        self.on_commit
-            .get(&party)
-            .map(|b| b.resolve(&self.kinds))
-            .unwrap_or_default()
     }
 
     /// True if `party`'s C-map entry covers at least `expected` — the
@@ -144,15 +103,6 @@ impl EscrowCore {
             Some(bag) => bag.covers(expected),
             None => expected.is_empty(),
         }
-    }
-
-    /// Everything currently held in escrow, summed across deposits.
-    pub fn total_escrowed(&self) -> AssetBag {
-        let mut bag = AssetBag::new();
-        for (_, asset) in self.deposits_iter() {
-            bag.add(&asset.resolve(&self.kinds));
-        }
-        bag
     }
 
     /// Escrow precondition + postcondition of Section 4:
@@ -234,13 +184,13 @@ impl EscrowCore {
                 if amount == 0 {
                     continue;
                 }
-                ctx.pay_out_fungible((*party).into(), kind, amount)?;
+                ctx.pay_out_fungible((*party).into(), *kind, amount)?;
             }
             for (kind, tokens) in bag.non_fungible_holdings() {
                 if tokens.is_empty() {
                     continue;
                 }
-                ctx.pay_out_tokens((*party).into(), kind, tokens)?;
+                ctx.pay_out_tokens((*party).into(), *kind, tokens)?;
             }
         }
         ctx.emit(EventTag::EscrowCommitted, [self.deal.0])?;
@@ -348,9 +298,6 @@ impl Contract for EscrowManager {
     fn type_name(&self) -> &'static str {
         "escrow-manager"
     }
-    fn on_install(&mut self, kinds: &KindTable) {
-        self.core.install(kinds);
-    }
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -362,6 +309,7 @@ impl Contract for EscrowManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -494,13 +442,18 @@ mod tests {
                 |m: &mut EscrowManager, ctx| m.transfer(ctx, &tickets, carol),
             )
             .unwrap();
+        let mut all_tickets = InternedBag::new();
+        all_tickets.add(&tickets);
         let (bob_c, carol_c) = chain
             .view(id, |m: &EscrowManager| {
-                (m.core().on_commit_of(bob), m.core().on_commit_of(carol))
+                (
+                    m.core().on_commit.get(&bob).cloned(),
+                    m.core().on_commit.get(&carol).cloned(),
+                )
             })
             .unwrap();
-        assert!(bob_c.is_empty());
-        assert!(carol_c.contains(&Asset::non_fungible("ticket", [1, 2])));
+        assert!(bob_c.is_none_or(|b| b.is_empty()));
+        assert_eq!(carol_c, Some(all_tickets));
         // The chain-level owner is still the contract until resolution.
         assert!(chain
             .holdings(Owner::Contract(id))
@@ -717,12 +670,7 @@ mod tests {
                 assert_eq!(deposits.len(), 1);
                 assert_eq!(deposits[0].0, carol);
                 assert_eq!(deposits[0].1.resolve(&kinds), Asset::fungible("coin", 101));
-                // … and matches the materialized reporting view.
-                let resolved = m.core().deposits();
-                assert_eq!(resolved[0].original_owner, carol);
-                assert_eq!(resolved[0].asset, Asset::fungible("coin", 101));
-
-                // Interned coverage check mirrors the resolved C map.
+                // The C map is compared as interned bags.
                 let mut expected = InternedBag::new();
                 expected.add(&kinds.intern_asset(&Asset::fungible("coin", 60)));
                 assert!(m.core().on_commit_covers(alice, &expected));

@@ -188,9 +188,6 @@ impl Contract for TimelockManager {
     fn type_name(&self) -> &'static str {
         "timelock-manager"
     }
-    fn on_install(&mut self, kinds: &xchain_sim::intern::KindTable) {
-        self.core.install(kinds);
-    }
     fn as_any(&self) -> &dyn Any {
         self
     }

@@ -236,8 +236,7 @@ impl DealPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builders::{broker_spec, ring_spec};
-    use xchain_sim::asset::Asset;
+    use crate::builders::{auction_spec, broker_spec, brokered_chain_spec, ring_spec};
     use xchain_sim::ids::DealId;
 
     #[test]
@@ -273,29 +272,24 @@ mod tests {
 
     #[test]
     fn expected_bags_mirror_validation_expected_on_chain() {
-        let spec = broker_spec();
-        let plan = DealPlan::new(&spec).unwrap();
-        for pp in plan.parties() {
-            for (chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
-                let named = crate::validation::expected_on_chain(&spec, pp.id, *chain);
-                let mut roundtrip = xchain_sim::asset::AssetBag::new();
-                for (kind, amount) in named.fungible_holdings() {
-                    if amount > 0 {
-                        roundtrip.add(&Asset::Fungible {
-                            kind: kind.clone(),
-                            amount,
-                        });
-                    }
+        for spec in [
+            broker_spec(),
+            auction_spec(DealId(2), &[30, 50, 40]),
+            ring_spec(DealId(3), 5),
+            brokered_chain_spec(DealId(4), 9, 100),
+        ] {
+            let plan = DealPlan::new(&spec).unwrap();
+            for pp in plan.parties() {
+                for (chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
+                    assert_eq!(
+                        expected.resolve(plan.kinds()),
+                        crate::validation::expected_on_chain(&spec, pp.id, *chain),
+                        "deal {} party {} chain {}",
+                        spec.deal,
+                        pp.id,
+                        chain
+                    );
                 }
-                for (kind, tokens) in named.non_fungible_holdings() {
-                    if !tokens.is_empty() {
-                        roundtrip.add(&Asset::NonFungible {
-                            kind: kind.clone(),
-                            tokens: tokens.clone(),
-                        });
-                    }
-                }
-                assert_eq!(expected.resolve(plan.kinds()), roundtrip, "{}", pp.id);
             }
         }
     }

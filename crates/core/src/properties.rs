@@ -42,25 +42,6 @@ impl SafetyReport {
     }
 }
 
-/// Everything in `a` that is not covered by `b` (component-wise saturating
-/// difference over fungible balances and token sets).
-pub fn bag_minus(a: &AssetBag, b: &AssetBag) -> AssetBag {
-    let mut out = AssetBag::new();
-    for (kind, amount) in a.fungible_holdings() {
-        let other = b.balance(kind);
-        if amount > other {
-            out.add_fungible(kind, amount - other);
-        }
-    }
-    for (kind, tokens) in a.non_fungible_holdings() {
-        let other = b.tokens(kind);
-        if !tokens.is_subset(other) {
-            out.add_tokens(kind, tokens.difference(other).copied());
-        }
-    }
-    out
-}
-
 /// What `p` holds after the whole deal, starting from `initial`:
 /// `(initial + incoming) - outgoing`. Incoming assets may fund outgoing ones
 /// (Alice pays Bob out of Carol's coins), so they are added before the
@@ -70,7 +51,7 @@ fn full_deal(spec: &DealSpec, p: PartyId, initial: &AssetBag, outgoing: &AssetBa
     for t in spec.transfers.iter().filter(|t| t.to == p) {
         with_incoming.add(&t.asset);
     }
-    bag_minus(&with_incoming, outgoing)
+    with_incoming.minus(outgoing)
 }
 
 /// Checks Property 1 (safety) for every compliant party.
@@ -86,7 +67,7 @@ pub fn check_safety(
         }
         let initial = outcome.initial_of(p);
         let fin = outcome.final_of(p);
-        let lost = bag_minus(initial, fin);
+        let lost = initial.minus(fin);
         let expected_out = spec.outgoing_of(p);
 
         // If any outgoing asset was transferred, all incoming assets must have
@@ -219,17 +200,6 @@ mod tests {
             b.add(&Asset::non_fungible("ticket", tickets.iter().copied()));
         }
         b
-    }
-
-    #[test]
-    fn bag_minus_computes_losses_and_gains() {
-        let a = bag(100, &[1, 2]);
-        let b = bag(40, &[2]);
-        let diff = bag_minus(&a, &b);
-        assert_eq!(diff.balance(&"coin".into()), 60);
-        assert!(diff.contains(&Asset::non_fungible("ticket", [1])));
-        assert!(!diff.contains(&Asset::non_fungible("ticket", [2])));
-        assert!(bag_minus(&b, &b).is_empty());
     }
 
     #[test]

@@ -37,11 +37,11 @@ pub fn expected_on_chain(spec: &DealSpec, party: PartyId, chain: ChainId) -> Ass
 /// Validation under either commit protocol, driven by a pre-resolved
 /// [`PartyPlan`]: on every chain where the party has incoming assets, the
 /// escrow contract must carry the agreed deal information and the party's
-/// C-map entry must cover its expected net incoming assets. The per-chain
-/// expected bags were interned once at planning time, so the check compares
-/// interned bags directly
-/// ([`xchain_contracts::escrow::EscrowCore::on_commit_covers`]) — no kind
-/// name is resolved and no [`AssetBag`] is allocated.
+/// C-map entry must cover its expected net incoming assets. Both sides are
+/// [`xchain_sim::intern::InternedBag`]s (the plan interned its expectations
+/// once, and the escrow keeps only ids), so each chain costs one bag
+/// comparison ([`xchain_contracts::escrow::EscrowCore::on_commit_covers`])
+/// that resolves no kind name and allocates nothing.
 pub fn validate_plan<M: DealEscrow>(
     world: &World,
     party: &PartyPlan,

@@ -1,9 +1,16 @@
-//! Assets: fungible amounts and non-fungible token sets.
+//! Assets: fungible amounts, non-fungible token sets, and bags of them.
 //!
 //! The paper's model (Section 3): "An asset may be fungible, like a sum of
 //! money, or non-fungible, like a theater ticket." Each blockchain manages one
 //! or more *asset kinds*; ownership of concrete asset units is tracked by the
 //! ledger ([`crate::ledger::Blockchain`]).
+//!
+//! [`Asset`] and [`AssetBag`] are generic over the key that names a kind. The
+//! default key is the name, [`AssetKind`], which deal specifications and
+//! reports use. The ledger, the contracts and deal plans key the same types
+//! on a world's interned [`crate::intern::KindId`] instead, through the
+//! aliases [`crate::intern::InternedAsset`] and [`crate::intern::InternedBag`].
+//! [`crate::intern::KindTable`] converts between the two.
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -58,20 +65,22 @@ impl Borrow<str> for AssetKind {
 /// of specific non-fungible tokens.
 ///
 /// This is the unit in which deal specifications express transfers ("101
-/// coins", "tickets 12 and 13").
+/// coins", "tickets 12 and 13"). `K` names the kind: an [`AssetKind`] by
+/// default, a [`crate::intern::KindId`] in an
+/// [`crate::intern::InternedAsset`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Asset {
+pub enum Asset<K = AssetKind> {
     /// A fungible amount of the given kind.
     Fungible {
         /// The asset class.
-        kind: AssetKind,
+        kind: K,
         /// The amount, in indivisible units.
         amount: u64,
     },
     /// Specific non-fungible tokens of the given kind.
     NonFungible {
         /// The asset class.
-        kind: AssetKind,
+        kind: K,
         /// The specific token instances.
         tokens: BTreeSet<TokenId>,
     },
@@ -93,9 +102,11 @@ impl Asset {
             tokens: tokens.into_iter().map(TokenId).collect(),
         }
     }
+}
 
+impl<K> Asset<K> {
     /// The asset's kind.
-    pub fn kind(&self) -> &AssetKind {
+    pub fn kind(&self) -> &K {
         match self {
             Asset::Fungible { kind, .. } | Asset::NonFungible { kind, .. } => kind,
         }
@@ -117,9 +128,24 @@ impl Asset {
             Asset::NonFungible { tokens, .. } => tokens.len() as u64,
         }
     }
+
+    /// The same amount or tokens under the kind `f` maps this one to: how
+    /// names and interned ids convert into each other.
+    pub fn map_kind<L>(&self, f: impl FnOnce(&K) -> L) -> Asset<L> {
+        match self {
+            Asset::Fungible { kind, amount } => Asset::Fungible {
+                kind: f(kind),
+                amount: *amount,
+            },
+            Asset::NonFungible { kind, tokens } => Asset::NonFungible {
+                kind: f(kind),
+                tokens: tokens.clone(),
+            },
+        }
+    }
 }
 
-impl fmt::Display for Asset {
+impl<K: fmt::Display> fmt::Display for Asset<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Asset::Fungible { kind, amount } => write!(f, "{amount} {kind}"),
@@ -137,18 +163,26 @@ impl fmt::Display for Asset {
     }
 }
 
-/// A multi-kind bag of assets, used to describe a party's holdings and to
-/// compute "better off / worse off" comparisons for the safety property.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AssetBag {
-    fungible: BTreeMap<AssetKind, u64>,
-    non_fungible: BTreeMap<AssetKind, BTreeSet<TokenId>>,
+/// A multi-kind bag of assets: a party's holdings, an escrow's C-map entry,
+/// or the "better off / worse off" difference the safety property compares.
+/// `K` names the kind, as for [`Asset`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AssetBag<K = AssetKind> {
+    fungible: BTreeMap<K, u64>,
+    non_fungible: BTreeMap<K, BTreeSet<TokenId>>,
 }
 
 /// What [`AssetBag::tokens`] lends for a kind the bag does not hold.
 static NO_TOKENS: BTreeSet<TokenId> = BTreeSet::new();
 
-impl AssetBag {
+/// Written by hand: a derive would require `K: Default`.
+impl<K> Default for AssetBag<K> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<K> AssetBag<K> {
     /// Creates an empty bag. A `const fn`, so an empty bag can be a `static`
     /// that lookups of unknown parties lend out.
     pub const fn new() -> Self {
@@ -157,9 +191,11 @@ impl AssetBag {
             non_fungible: BTreeMap::new(),
         }
     }
+}
 
+impl<K: Ord + Clone> AssetBag<K> {
     /// Adds an asset to the bag.
-    pub fn add(&mut self, asset: &Asset) {
+    pub fn add(&mut self, asset: &Asset<K>) {
         match asset {
             Asset::Fungible { kind, amount } => self.add_fungible(kind, *amount),
             Asset::NonFungible { kind, tokens } => self.add_tokens(kind, tokens.iter().copied()),
@@ -167,12 +203,12 @@ impl AssetBag {
     }
 
     /// Adds `amount` units of a fungible kind.
-    pub fn add_fungible(&mut self, kind: &AssetKind, amount: u64) {
+    pub(crate) fn add_fungible(&mut self, kind: &K, amount: u64) {
         *self.fungible.entry(kind.clone()).or_insert(0) += amount;
     }
 
     /// Adds tokens of a non-fungible kind.
-    pub fn add_tokens(&mut self, kind: &AssetKind, tokens: impl IntoIterator<Item = TokenId>) {
+    pub(crate) fn add_tokens(&mut self, kind: &K, tokens: impl IntoIterator<Item = TokenId>) {
         self.non_fungible
             .entry(kind.clone())
             .or_default()
@@ -180,17 +216,19 @@ impl AssetBag {
     }
 
     /// Removes an asset from the bag; returns false (and leaves the bag
-    /// unchanged) if the bag does not contain it.
-    pub fn remove(&mut self, asset: &Asset) -> bool {
+    /// unchanged) if the bag does not contain it. A kind whose balance or
+    /// token set becomes empty leaves the bag.
+    pub fn remove(&mut self, asset: &Asset<K>) -> bool {
         if !self.contains(asset) {
             return false;
         }
         match asset {
             Asset::Fungible { kind, amount } => {
-                let entry = self.fungible.entry(kind.clone()).or_insert(0);
-                *entry -= amount;
-                if *entry == 0 {
-                    self.fungible.remove(kind);
+                if let Some(held) = self.fungible.get_mut(kind) {
+                    *held -= amount;
+                    if *held == 0 {
+                        self.fungible.remove(kind);
+                    }
                 }
             }
             Asset::NonFungible { kind, tokens } => {
@@ -208,27 +246,20 @@ impl AssetBag {
     }
 
     /// True if the bag contains at least this asset.
-    pub fn contains(&self, asset: &Asset) -> bool {
+    pub fn contains(&self, asset: &Asset<K>) -> bool {
         match asset {
-            Asset::Fungible { kind, amount } => {
-                self.fungible.get(kind).copied().unwrap_or(0) >= *amount
-            }
-            Asset::NonFungible { kind, tokens } => {
-                let held = self.non_fungible.get(kind);
-                tokens
-                    .iter()
-                    .all(|t| held.map(|h| h.contains(t)).unwrap_or(false))
-            }
+            Asset::Fungible { kind, amount } => self.balance(kind) >= *amount,
+            Asset::NonFungible { kind, tokens } => tokens.is_subset(self.tokens(kind)),
         }
     }
 
     /// The fungible balance of a kind.
-    pub fn balance(&self, kind: &AssetKind) -> u64 {
+    pub fn balance(&self, kind: &K) -> u64 {
         self.fungible.get(kind).copied().unwrap_or(0)
     }
 
     /// The non-fungible tokens held of a kind (borrowed; empty if none).
-    pub fn tokens(&self, kind: &AssetKind) -> &BTreeSet<TokenId> {
+    pub fn tokens(&self, kind: &K) -> &BTreeSet<TokenId> {
         self.non_fungible.get(kind).unwrap_or(&NO_TOKENS)
     }
 
@@ -240,32 +271,48 @@ impl AssetBag {
     /// Component-wise comparison: true if `self` holds at least everything in
     /// `other` (every fungible balance >= and every token set superset).
     /// This is the partial order used to check "no worse off".
-    pub fn covers(&self, other: &AssetBag) -> bool {
-        for (kind, amount) in &other.fungible {
-            if self.balance(kind) < *amount {
-                return false;
+    pub fn covers(&self, other: &AssetBag<K>) -> bool {
+        other
+            .fungible
+            .iter()
+            .all(|(kind, amount)| self.balance(kind) >= *amount)
+            && other
+                .non_fungible
+                .iter()
+                .all(|(kind, tokens)| tokens.is_subset(self.tokens(kind)))
+    }
+
+    /// Everything in `self` that `other` does not cover: the component-wise
+    /// saturating difference over fungible balances and token sets.
+    pub fn minus(&self, other: &AssetBag<K>) -> AssetBag<K> {
+        let mut out = AssetBag::new();
+        for (kind, amount) in self.fungible_holdings() {
+            let held = other.balance(kind);
+            if amount > held {
+                out.add_fungible(kind, amount - held);
             }
         }
-        for (kind, tokens) in &other.non_fungible {
-            if !tokens.is_subset(self.tokens(kind)) {
-                return false;
+        for (kind, tokens) in self.non_fungible_holdings() {
+            let held = other.tokens(kind);
+            if !tokens.is_subset(held) {
+                out.add_tokens(kind, tokens.difference(held).copied());
             }
         }
-        true
+        out
     }
 
     /// Iterates over all (kind, amount) fungible holdings.
-    pub fn fungible_holdings(&self) -> impl Iterator<Item = (&AssetKind, u64)> {
+    pub fn fungible_holdings(&self) -> impl Iterator<Item = (&K, u64)> {
         self.fungible.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterates over all (kind, token set) non-fungible holdings.
-    pub fn non_fungible_holdings(&self) -> impl Iterator<Item = (&AssetKind, &BTreeSet<TokenId>)> {
+    pub fn non_fungible_holdings(&self) -> impl Iterator<Item = (&K, &BTreeSet<TokenId>)> {
         self.non_fungible.iter()
     }
 }
 
-impl fmt::Display for AssetBag {
+impl<K: fmt::Display> fmt::Display for AssetBag<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for (k, v) in &self.fungible {
@@ -298,6 +345,7 @@ impl fmt::Display for AssetBag {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intern::{InternedAsset, InternedBag, KindId};
 
     #[test]
     fn asset_constructors_and_display() {
@@ -345,6 +393,31 @@ mod tests {
         assert!(!b.covers(&a));
         assert!(a.covers(&a));
         assert!(a.covers(&AssetBag::new()));
+    }
+
+    #[test]
+    fn minus_computes_losses_and_gains() {
+        let (coin, ticket) = (KindId(0), KindId(1));
+        let bag = |coins: u64, tickets: &[u64]| {
+            let mut b = InternedBag::new();
+            b.add(&InternedAsset::Fungible {
+                kind: coin,
+                amount: coins,
+            });
+            b.add(&InternedAsset::NonFungible {
+                kind: ticket,
+                tokens: tickets.iter().copied().map(TokenId).collect(),
+            });
+            b
+        };
+        let a = bag(100, &[1, 2]);
+        let b = bag(40, &[2]);
+        let diff = a.minus(&b);
+        assert_eq!(diff.balance(&coin), 60);
+        assert_eq!(diff.tokens(&ticket), &BTreeSet::from([TokenId(1)]));
+        assert!(b.minus(&b).is_empty());
+        // The difference keeps no zero balance or empty token set.
+        assert_eq!(b.minus(&a), InternedBag::new());
     }
 
     #[test]

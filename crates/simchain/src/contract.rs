@@ -20,7 +20,7 @@ use std::any::Any;
 use crate::crypto::{KeyDirectory, PublicKey, Signature};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasMeter;
-use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
+use crate::ids::{ContractId, Owner, PartyId, TokenId};
 use crate::intern::{InternedAsset, KindId, KindTable};
 use crate::ledger::{AssetLedger, EventTag, LogData, LogEntry};
 use crate::time::Time;
@@ -35,9 +35,9 @@ pub trait Contract: Any + Send {
     fn type_name(&self) -> &'static str;
 
     /// Called once when the contract is installed on a chain, handing it the
-    /// chain's shared [`KindTable`]. Contracts that keep asset state override
-    /// this to intern their kinds up front so their per-call paths work on
-    /// `Copy` [`KindId`]s instead of names. The default does nothing.
+    /// chain's shared [`KindTable`]. Issuance contracts override this to
+    /// intern the kind they mint up front, so their per-call paths work on a
+    /// `Copy` [`KindId`] instead of a name. The default does nothing.
     fn on_install(&mut self, _kinds: &KindTable) {}
 
     /// Upcast for downcasting to the concrete contract type.
@@ -53,7 +53,6 @@ pub trait Contract: Any + Send {
 /// from the caller, writing storage, emitting log entries) go through this
 /// context so that gas is charged uniformly and the ledger stays consistent.
 pub struct CallCtx<'a> {
-    pub(crate) chain: ChainId,
     pub(crate) contract: ContractId,
     pub(crate) caller: Owner,
     pub(crate) now: Time,
@@ -65,16 +64,6 @@ pub struct CallCtx<'a> {
 }
 
 impl<'a> CallCtx<'a> {
-    /// The chain this contract lives on.
-    pub fn chain_id(&self) -> ChainId {
-        self.chain
-    }
-
-    /// The id of the executing contract.
-    pub fn self_id(&self) -> ContractId {
-        self.contract
-    }
-
     /// The owner form of the executing contract (for asset ownership checks).
     pub fn self_owner(&self) -> Owner {
         Owner::Contract(self.contract)
@@ -275,7 +264,6 @@ mod tests {
     fn require_charges_and_checks() {
         let (mut gas, mut assets, keys, mut log, mut seq) = make_ctx_parts();
         let mut ctx = CallCtx {
-            chain: ChainId(0),
             contract: ContractId(1),
             caller: Owner::Party(PartyId(0)),
             now: Time(5),
@@ -304,7 +292,6 @@ mod tests {
             .intern_asset(&Asset::fungible(coin.clone(), 60));
         assets.mint(alice, &hundred).unwrap();
         let mut ctx = CallCtx {
-            chain: ChainId(0),
             contract: ContractId(1),
             caller: alice,
             now: Time(0),
@@ -328,7 +315,6 @@ mod tests {
     fn deposit_fails_without_balance() {
         let (mut gas, mut assets, keys, mut log, mut seq) = make_ctx_parts();
         let mut ctx = CallCtx {
-            chain: ChainId(0),
             contract: ContractId(1),
             caller: Owner::Party(PartyId(0)),
             now: Time(0),
@@ -352,7 +338,6 @@ mod tests {
         keys.register(PartyId(1), &other);
         let sig = kp.sign_words(&[1, 2, 3]);
         let mut ctx = CallCtx {
-            chain: ChainId(0),
             contract: ContractId(1),
             caller: Owner::Party(PartyId(0)),
             now: Time(0),
@@ -380,7 +365,6 @@ mod tests {
         let (mut gas, mut assets, keys, mut log, mut seq) = make_ctx_parts();
         {
             let mut ctx = CallCtx {
-                chain: ChainId(0),
                 contract: ContractId(1),
                 caller: Owner::Party(PartyId(2)),
                 now: Time(9),

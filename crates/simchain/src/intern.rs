@@ -1,12 +1,10 @@
-//! Asset-kind interning: the hot-path representation of asset classes.
+//! Asset-kind interning: the ids the ledger, contracts and plans key on.
 //!
-//! Asset kinds are *named* at the specification level ([`crate::asset::AssetKind`]
-//! wraps a shared `Arc<str>` so deal specs stay human-readable), but ledger
-//! and escrow operations run once per simulated transaction, and even a
-//! name comparison per operation is wasted work. This module fixes the
-//! representation: each world owns an [`Interner`] that maps every kind name
-//! to a dense, `Copy` [`KindId`], and the [`crate::ledger::AssetLedger`],
-//! escrow contracts, and HTLCs all key their state on ids instead of names.
+//! Asset kinds are *named* at the specification level ([`AssetKind`] wraps a
+//! shared `Arc<str>` so deal specs stay human-readable), but ledger and
+//! escrow operations run once per simulated transaction, and even a name
+//! comparison per operation is wasted work. Each world therefore owns an
+//! [`Interner`] that maps every kind name to a dense, `Copy` [`KindId`].
 //!
 //! * [`KindId`] — a `u32` handle, `Copy`/`Ord`/`Hash`; the ledger's map keys.
 //! * [`Interner`] — the bidirectional name ↔ id table. It stores each name
@@ -16,21 +14,21 @@
 //!   owned by the [`crate::world::World`] and handed to every chain it
 //!   creates, so a kind name resolves to the same id on all of a world's
 //!   chains. Standalone [`crate::ledger::Blockchain`]s create their own.
-//! * [`InternedAsset`] / [`InternedBag`] — the id-keyed counterparts of
-//!   [`crate::asset::Asset`] and [`crate::asset::AssetBag`], used by contract
-//!   state so the escrow/release path never touches a kind name.
+//! * [`InternedAsset`] / [`InternedBag`] — [`Asset`] and [`AssetBag`] keyed
+//!   on [`KindId`]: the one asset and bag type, with the id as its key.
 //!
-//! Interning happens at the cold boundaries (mint, first escrow of a kind);
-//! everything after is `Copy` ids. Ids are assigned in first-intern order,
-//! which is deterministic for a deterministic setup, so identically-seeded
-//! worlds produce identical ids.
+//! Whole assets and bags cross between names and ids in three places only:
+//! [`KindTable::intern_asset`] (name → id) and the `resolve` methods of
+//! [`InternedAsset`] and [`InternedBag`] (id → name). Interning happens at
+//! the cold boundaries (planning, minting); everything after is `Copy` ids.
+//! Ids are assigned in first-intern order, which is deterministic for a
+//! deterministic setup, so identically-seeded worlds produce identical ids.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use crate::asset::{Asset, AssetBag, AssetKind};
-use crate::ids::TokenId;
 
 /// A dense, `Copy` handle for an asset kind, valid within one [`Interner`]
 /// (i.e. within one world, or one standalone chain).
@@ -164,18 +162,9 @@ impl KindTable {
             .to_string()
     }
 
-    /// Interns the kind of an asset and returns its id-keyed counterpart.
+    /// Interns the kind of an asset and returns the same asset keyed on the id.
     pub fn intern_asset(&self, asset: &Asset) -> InternedAsset {
-        match asset {
-            Asset::Fungible { kind, amount } => InternedAsset::Fungible {
-                kind: self.intern(kind.name()),
-                amount: *amount,
-            },
-            Asset::NonFungible { kind, tokens } => InternedAsset::NonFungible {
-                kind: self.intern(kind.name()),
-                tokens: tokens.clone(),
-            },
-        }
+        asset.map_kind(|kind| self.intern(kind.name()))
     }
 
     /// Number of interned kinds.
@@ -197,187 +186,29 @@ impl fmt::Debug for KindTable {
     }
 }
 
-/// The id-keyed counterpart of [`Asset`]: what contracts store and what the
-/// ledger's interned fast paths consume. No kind name anywhere.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InternedAsset {
-    /// A fungible amount of the given kind.
-    Fungible {
-        /// The interned asset class.
-        kind: KindId,
-        /// The amount, in indivisible units.
-        amount: u64,
-    },
-    /// Specific non-fungible tokens of the given kind.
-    NonFungible {
-        /// The interned asset class.
-        kind: KindId,
-        /// The specific token instances.
-        tokens: BTreeSet<TokenId>,
-    },
-}
+/// An [`Asset`] whose kind is interned: what contracts store and what the
+/// ledger consumes. No kind name anywhere.
+pub type InternedAsset = Asset<KindId>;
+
+/// An [`AssetBag`] keyed on interned kinds: contract state (the escrow C
+/// map), plan expectations and holdings scans, so per-transfer bag updates
+/// never touch a kind name.
+pub type InternedBag = AssetBag<KindId>;
 
 impl InternedAsset {
-    /// The asset's interned kind.
-    pub fn kind(&self) -> KindId {
-        match self {
-            InternedAsset::Fungible { kind, .. } | InternedAsset::NonFungible { kind, .. } => *kind,
-        }
-    }
-
-    /// True if the asset is empty (zero amount or no tokens).
-    pub fn is_empty(&self) -> bool {
-        match self {
-            InternedAsset::Fungible { amount, .. } => *amount == 0,
-            InternedAsset::NonFungible { tokens, .. } => tokens.is_empty(),
-        }
-    }
-
-    /// Fungible amount, or number of tokens (mirrors [`Asset::magnitude`]).
-    pub fn magnitude(&self) -> u64 {
-        match self {
-            InternedAsset::Fungible { amount, .. } => *amount,
-            InternedAsset::NonFungible { tokens, .. } => tokens.len() as u64,
-        }
-    }
-
     /// The name-keyed [`Asset`] this was interned from (reporting only).
+    /// An id the table does not know resolves to the kind `"?"`.
     pub fn resolve(&self, kinds: &KindTable) -> Asset {
-        match self {
-            InternedAsset::Fungible { kind, amount } => Asset::Fungible {
-                kind: kinds.resolve(*kind).unwrap_or_else(|| AssetKind::new("?")),
-                amount: *amount,
-            },
-            InternedAsset::NonFungible { kind, tokens } => Asset::NonFungible {
-                kind: kinds.resolve(*kind).unwrap_or_else(|| AssetKind::new("?")),
-                tokens: tokens.clone(),
-            },
-        }
+        self.map_kind(|id| kinds.resolve(*id).unwrap_or_else(|| AssetKind::new("?")))
     }
-}
-
-/// The id-keyed counterpart of [`AssetBag`]: a multi-kind bag with `Copy` map
-/// keys, used for contract state (the escrow C map) so per-transfer bag
-/// updates never touch a kind name.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct InternedBag {
-    fungible: BTreeMap<KindId, u64>,
-    non_fungible: BTreeMap<KindId, BTreeSet<TokenId>>,
 }
 
 impl InternedBag {
-    /// Creates an empty bag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an asset to the bag.
-    pub fn add(&mut self, asset: &InternedAsset) {
-        match asset {
-            InternedAsset::Fungible { kind, amount } => self.add_fungible(*kind, *amount),
-            InternedAsset::NonFungible { kind, tokens } => {
-                self.non_fungible
-                    .entry(*kind)
-                    .or_default()
-                    .extend(tokens.iter().copied());
-            }
-        }
-    }
-
-    /// Removes an asset from the bag; returns false (and leaves the bag
-    /// unchanged) if the bag does not contain it.
-    pub fn remove(&mut self, asset: &InternedAsset) -> bool {
-        if !self.contains(asset) {
-            return false;
-        }
-        match asset {
-            InternedAsset::Fungible { kind, amount } => {
-                let entry = self.fungible.entry(*kind).or_insert(0);
-                *entry -= amount;
-                if *entry == 0 {
-                    self.fungible.remove(kind);
-                }
-            }
-            InternedAsset::NonFungible { kind, tokens } => {
-                if let Some(held) = self.non_fungible.get_mut(kind) {
-                    for t in tokens {
-                        held.remove(t);
-                    }
-                    if held.is_empty() {
-                        self.non_fungible.remove(kind);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// True if the bag contains at least this asset.
-    pub fn contains(&self, asset: &InternedAsset) -> bool {
-        match asset {
-            InternedAsset::Fungible { kind, amount } => {
-                self.fungible.get(kind).copied().unwrap_or(0) >= *amount
-            }
-            InternedAsset::NonFungible { kind, tokens } => {
-                let held = self.non_fungible.get(kind);
-                tokens
-                    .iter()
-                    .all(|t| held.map(|h| h.contains(t)).unwrap_or(false))
-            }
-        }
-    }
-
-    /// True if the bag holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.fungible.values().all(|v| *v == 0) && self.non_fungible.values().all(|s| s.is_empty())
-    }
-
-    /// Component-wise comparison: true if `self` holds at least everything in
-    /// `other` (every fungible balance ≥ and every token set a superset) —
-    /// the id-keyed counterpart of [`AssetBag::covers`], used by the escrow
-    /// validation fast path so the per-party check never resolves a name.
-    pub fn covers(&self, other: &InternedBag) -> bool {
-        for (kind, amount) in &other.fungible {
-            if *amount > 0 && self.fungible.get(kind).copied().unwrap_or(0) < *amount {
-                return false;
-            }
-        }
-        for (kind, tokens) in &other.non_fungible {
-            let held = self.non_fungible.get(kind);
-            if !tokens
-                .iter()
-                .all(|t| held.map(|h| h.contains(t)).unwrap_or(false))
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Iterates over all (kind, amount) fungible holdings.
-    pub fn fungible_holdings(&self) -> impl Iterator<Item = (KindId, u64)> + '_ {
-        self.fungible.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Iterates over all (kind, token set) non-fungible holdings.
-    pub fn non_fungible_holdings(&self) -> impl Iterator<Item = (KindId, &BTreeSet<TokenId>)> {
-        self.non_fungible.iter().map(|(k, ts)| (*k, ts))
-    }
-
-    /// Adds `amount` units of a fungible kind.
-    pub(crate) fn add_fungible(&mut self, kind: KindId, amount: u64) {
-        *self.fungible.entry(kind).or_insert(0) += amount;
-    }
-
-    /// Adds one token of a non-fungible kind.
-    pub(crate) fn add_token(&mut self, kind: KindId, token: TokenId) {
-        self.non_fungible.entry(kind).or_default().insert(token);
-    }
-
     /// The name-keyed [`AssetBag`] view of this bag (reporting, holdings
     /// snapshots): takes the table's read lock once, and each kind costs a
-    /// reference-count bump, not a name copy. Ids the table does not know
-    /// resolve to the kind `"?"`.
+    /// reference-count bump, not a name copy. Zero balances and empty token
+    /// sets are dropped. Ids the table does not know resolve to the kind
+    /// `"?"`.
     pub fn resolve(&self, kinds: &KindTable) -> AssetBag {
         kinds.with_interner(|interner| {
             let name = |id: &KindId| {
@@ -387,12 +218,12 @@ impl InternedBag {
                     .unwrap_or_else(|| AssetKind::new("?"))
             };
             let mut bag = AssetBag::new();
-            for (kind, amount) in &self.fungible {
-                if *amount > 0 {
-                    bag.add_fungible(&name(kind), *amount);
+            for (kind, amount) in self.fungible_holdings() {
+                if amount > 0 {
+                    bag.add_fungible(&name(kind), amount);
                 }
             }
-            for (kind, tokens) in &self.non_fungible {
+            for (kind, tokens) in self.non_fungible_holdings() {
                 if !tokens.is_empty() {
                     bag.add_tokens(&name(kind), tokens.iter().copied());
                 }

@@ -206,12 +206,12 @@ impl AssetLedger {
             .range((owner, KindId(0))..=(owner, KindId(u32::MAX)))
         {
             if amount > 0 {
-                bag.add_fungible(kind, amount);
+                bag.add_fungible(&kind, amount);
             }
         }
         for (&(kind, token), &o) in &self.non_fungible {
             if o == owner {
-                bag.add_token(kind, token);
+                bag.add_tokens(&kind, [token]);
             }
         }
     }
@@ -447,7 +447,7 @@ impl Blockchain {
 
     /// Installs a contract and returns its id. The contract receives the
     /// chain's kind table through [`Contract::on_install`] so it can intern
-    /// and resolve asset kinds for its own state.
+    /// the asset kind it issues.
     pub fn install<C: Contract>(&mut self, mut contract: C) -> ContractId {
         let id = ContractId(((self.id.0 as u64) << 32) | self.next_contract);
         self.next_contract += 1;
@@ -541,7 +541,6 @@ impl Blockchain {
                 }
             };
             let mut ctx = CallCtx {
-                chain: self.id,
                 contract: id,
                 caller,
                 now: chain_now,

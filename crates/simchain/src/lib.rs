@@ -14,9 +14,12 @@
 //!   (5000 gas per storage write, 3000 per signature verification, Section 7.1).
 //! * [`crypto`] — simulated signatures, key directories, the streaming
 //!   [`crypto::FnvHasher`], and the timelock protocol's path signatures.
+//! * [`asset`] — the one asset type ([`Asset`]) and the one bag type
+//!   ([`AssetBag`]), generic over the key that names a kind.
 //! * [`intern`] — world-owned asset-kind interning ([`intern::KindId`],
-//!   [`intern::KindTable`]) so ledger and escrow hot paths work on `Copy`
-//!   ids instead of cloning kind-name `String`s.
+//!   [`intern::KindTable`]); [`InternedAsset`] and [`InternedBag`] are the
+//!   asset and bag types keyed on ids, which the ledger, contracts and deal
+//!   plans use so their hot paths never touch a kind name.
 //! * [`network`] — the synchronous, eventually-synchronous (GST), and
 //!   asynchronous timing models, plus offline/denial-of-service windows.
 //! * [`world::World`] — the multi-chain world with a global logical clock used

@@ -81,12 +81,6 @@ impl World {
         self.network
     }
 
-    /// Replaces the network model (e.g. to flip from asynchronous to
-    /// synchronous at GST in a scripted scenario).
-    pub fn set_network(&mut self, network: NetworkModel) {
-        self.network = network;
-    }
-
     /// The current global clock.
     pub fn now(&self) -> Time {
         self.clock
@@ -140,11 +134,6 @@ impl World {
         self.chains
             .get_mut(id.0 as usize)
             .ok_or(ChainError::UnknownChain(id))
-    }
-
-    /// Ids of all chains in creation order.
-    pub fn chain_ids(&self) -> Vec<ChainId> {
-        self.chains.iter().map(Blockchain::id).collect()
     }
 
     // ------------------------------------------------------------------
@@ -216,12 +205,6 @@ impl World {
         self.offline.next_online(party, visible)
     }
 
-    /// The worst-case observation latency at time `t` (used to compute
-    /// protocol timeouts in the engines).
-    pub fn worst_case_delay(&self, t: Time) -> Duration {
-        self.network.max_delay_at(t)
-    }
-
     /// Mutable access to the world RNG (adversary strategies and workload
     /// generators use this so runs stay reproducible from the world seed).
     pub fn rng(&mut self) -> &mut StdRng {
@@ -258,23 +241,6 @@ impl World {
         self.chain_mut(chain)?.call(now, caller, contract, f)
     }
 
-    /// Submits a contract call at an explicit time (advancing the clock to it
-    /// first). Convenience for scripted schedules.
-    pub fn call_at<C, R>(
-        &mut self,
-        at: Time,
-        chain: ChainId,
-        caller: Owner,
-        contract: ContractId,
-        f: impl FnOnce(&mut C, &mut CallCtx<'_>) -> ChainResult<R>,
-    ) -> ChainResult<R>
-    where
-        C: Contract,
-    {
-        self.advance_to(at);
-        self.call(chain, caller, contract, f)
-    }
-
     /// Everything `owner` holds across all chains: every chain's entries
     /// for the owner fold into one id-keyed bag (the chains share the
     /// world's kind table), whose names are resolved once at the end.
@@ -291,15 +257,6 @@ impl World {
         self.chains
             .iter()
             .fold(GasUsage::ZERO, |acc, c| acc + c.gas_usage())
-    }
-
-    /// Per-chain gas usage snapshots (used by the experiments to attribute gas
-    /// to phases).
-    pub fn gas_by_chain(&self) -> BTreeMap<ChainId, GasUsage> {
-        self.chains
-            .iter()
-            .map(|c| (c.id(), c.gas_usage()))
-            .collect()
     }
 }
 
@@ -325,7 +282,6 @@ mod tests {
         let c1 = w.add_chain("coins", Duration(10));
         let p1 = w.add_party();
         let c2 = w.add_chain("tickets", Duration(10));
-        assert_eq!(w.chain_ids(), vec![c1, c2]);
         assert_eq!(w.party_ids(), vec![p1]);
         // party key is registered on both chains, including the one created later
         assert!(w.chain(c1).unwrap().keys().public_key_of(p1).is_some());

@@ -152,9 +152,11 @@ impl ValidatorSet {
     /// escrow contracts there can verify CBC certificates through the normal
     /// gas-metered path.
     pub fn register_on_chain(&self, chain: &mut Blockchain) {
-        for (vid, kp) in &self.members {
-            chain.register_key(validator_party_id(*vid), kp);
-        }
+        chain.register_keys(
+            self.members
+                .iter()
+                .map(|(vid, kp)| (validator_party_id(*vid), kp)),
+        );
     }
 
     /// Produces quorum signatures (from the first `2f + 1` non-Byzantine

@@ -9,6 +9,7 @@
 //! accordingly.
 
 use std::any::Any;
+use std::sync::Arc;
 
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
@@ -41,14 +42,18 @@ pub struct CbcDealInfo {
 #[derive(Debug, Clone)]
 pub struct CbcManager {
     core: EscrowCore,
-    info: CbcDealInfo,
+    /// Shared with the deal's other chains: one copy per deal, not per chain.
+    info: Arc<CbcDealInfo>,
 }
 
 impl CbcManager {
-    /// Creates the manager for one deal on one asset chain.
-    pub fn new(info: CbcDealInfo) -> Self {
+    /// Creates the manager for one deal on one asset chain. The engines
+    /// pass one `Arc` to every chain of the deal; a plain
+    /// [`CbcDealInfo`] is wrapped.
+    pub fn new(info: impl Into<Arc<CbcDealInfo>>) -> Self {
+        let info = info.into();
         CbcManager {
-            core: EscrowCore::new(info.deal, info.plist.clone()),
+            core: EscrowCore::new(info.deal),
             info,
         }
     }
@@ -168,7 +173,7 @@ impl DealEscrow for CbcManager {
     }
 
     fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
+        self.core.escrow(ctx, &self.info.plist, asset)
     }
 
     fn transfer(
@@ -177,7 +182,7 @@ impl DealEscrow for CbcManager {
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
+        self.core.transfer(ctx, &self.info.plist, asset, to)
     }
 }
 

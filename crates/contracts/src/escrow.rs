@@ -40,10 +40,14 @@ pub enum EscrowResolution {
 /// Readers get the A map from [`EscrowCore::deposits_iter`] and compare the C
 /// map with [`EscrowCore::on_commit_covers`]; names are resolved, if at all,
 /// by the caller through the chain's [`xchain_sim::intern::KindTable`].
+///
+/// The participant list is not stored here: the manager that embeds the
+/// core already holds it in its deal information, and passes it to
+/// [`EscrowCore::escrow`] and [`EscrowCore::transfer`], so a deal's plist is
+/// not copied once more per chain.
 #[derive(Debug, Clone)]
 pub struct EscrowCore {
     deal: DealId,
-    plist: Vec<PartyId>,
     /// A map: deposits, refunded to their original owners on abort.
     deposits: Vec<(PartyId, InternedAsset)>,
     /// C map: what each party receives if the deal commits at this chain.
@@ -52,11 +56,10 @@ pub struct EscrowCore {
 }
 
 impl EscrowCore {
-    /// Creates the escrow state for a deal with the given participant list.
-    pub fn new(deal: DealId, plist: Vec<PartyId>) -> Self {
+    /// Creates the escrow state for a deal.
+    pub fn new(deal: DealId) -> Self {
         EscrowCore {
             deal,
-            plist,
             deposits: Vec::new(),
             on_commit: BTreeMap::new(),
             resolution: None,
@@ -66,16 +69,6 @@ impl EscrowCore {
     /// The deal this escrow belongs to.
     pub fn deal(&self) -> DealId {
         self.deal
-    }
-
-    /// The participant list.
-    pub fn plist(&self) -> &[PartyId] {
-        &self.plist
-    }
-
-    /// True if `p` participates in the deal.
-    pub fn is_participant(&self, p: PartyId) -> bool {
-        self.plist.contains(&p)
     }
 
     /// How the escrow resolved, if it has.
@@ -107,7 +100,8 @@ impl EscrowCore {
 
     /// Escrow precondition + postcondition of Section 4:
     /// `Pre: Owns(P, a)` — enforced by the deposit transfer;
-    /// `Post: Owns(D, a) ∧ OwnsC(P, a) ∧ OwnsA(P, a)`.
+    /// `Post: Owns(D, a) ∧ OwnsC(P, a) ∧ OwnsA(P, a)`. The caller must be
+    /// in `plist`, the deal's participant list.
     ///
     /// The asset arrives interned against the hosting chain's kind table
     /// (the engines intern once per deal, at planning time), so escrow entry
@@ -115,10 +109,15 @@ impl EscrowCore {
     ///
     /// Gas: 2 storage writes for the deposit transfer plus 1 each for the A
     /// and C map updates — the 4 writes of Figure 3's `escrow`.
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+    pub fn escrow(
+        &mut self,
+        ctx: &mut CallCtx<'_>,
+        plist: &[PartyId],
+        asset: InternedAsset,
+    ) -> ChainResult<()> {
         let caller = ctx.caller_party()?;
         ctx.require(self.is_active(), "deal already resolved")?;
-        ctx.require(self.is_participant(caller), "caller not in plist")?;
+        ctx.require(plist.contains(&caller), "caller not in plist")?;
         ctx.require(!asset.is_empty(), "cannot escrow an empty asset")?;
         // Pre: Owns(P, a): the deposit fails if the caller does not own it.
         ctx.deposit_from_caller(&asset)?;
@@ -135,20 +134,22 @@ impl EscrowCore {
     }
 
     /// Tentative transfer of Section 4:
-    /// `Pre: Owns(D, a) ∧ OwnsC(P, a)`; `Post: OwnsC(Q, a)`.
+    /// `Pre: Owns(D, a) ∧ OwnsC(P, a)`; `Post: OwnsC(Q, a)`. Sender and
+    /// recipient must both be in `plist`.
     ///
     /// Gas: 2 storage writes (decrement sender's C entry, increment the
     /// recipient's — Figure 3 lines 15–16).
     pub fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
+        plist: &[PartyId],
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
         let caller = ctx.caller_party()?;
         ctx.require(self.is_active(), "deal already resolved")?;
-        ctx.require(self.is_participant(caller), "caller not in plist")?;
-        ctx.require(self.is_participant(to), "recipient not in plist")?;
+        ctx.require(plist.contains(&caller), "caller not in plist")?;
+        ctx.require(plist.contains(&to), "recipient not in plist")?;
         let sender_bag = self.on_commit.entry(caller).or_default();
         ctx.require(
             sender_bag.contains(asset),
@@ -252,13 +253,15 @@ pub trait DealEscrow: Contract {
 #[derive(Debug, Clone)]
 pub struct EscrowManager {
     core: EscrowCore,
+    plist: Vec<PartyId>,
 }
 
 impl EscrowManager {
-    /// Creates an escrow manager for a deal.
+    /// Creates an escrow manager for a deal with the given participant list.
     pub fn new(deal: DealId, plist: Vec<PartyId>) -> Self {
         EscrowManager {
-            core: EscrowCore::new(deal, plist),
+            core: EscrowCore::new(deal),
+            plist,
         }
     }
 
@@ -269,7 +272,7 @@ impl EscrowManager {
 
     /// Escrows an interned asset (see [`EscrowCore::escrow`]).
     pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
+        self.core.escrow(ctx, &self.plist, asset)
     }
 
     /// Tentatively transfers an escrowed, interned asset (see
@@ -280,7 +283,7 @@ impl EscrowManager {
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
+        self.core.transfer(ctx, &self.plist, asset, to)
     }
 
     /// Commits unconditionally (test/measurement hook).

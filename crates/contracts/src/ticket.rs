@@ -91,7 +91,7 @@ impl TicketRegistry {
         self.seats.insert(token, seat);
         let kind = self
             .kind_id
-            .unwrap_or_else(|| ctx.kinds().intern(self.kind.name()));
+            .unwrap_or_else(|| ctx.kinds().intern_kind(&self.kind));
         let asset = InternedAsset::NonFungible {
             kind,
             tokens: [token].into_iter().collect(),
@@ -119,7 +119,7 @@ impl Contract for TicketRegistry {
         "ticket-registry"
     }
     fn on_install(&mut self, kinds: &KindTable) {
-        self.kind_id = Some(kinds.intern(self.kind.name()));
+        self.kind_id = Some(kinds.intern_kind(&self.kind));
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -10,6 +10,7 @@
 
 use std::any::Any;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::PathSignature;
@@ -54,15 +55,19 @@ impl TimelockDealInfo {
 #[derive(Debug, Clone)]
 pub struct TimelockManager {
     core: EscrowCore,
-    info: TimelockDealInfo,
+    /// Shared with the deal's other chains: one copy per deal, not per chain.
+    info: Arc<TimelockDealInfo>,
     voted: BTreeSet<PartyId>,
 }
 
 impl TimelockManager {
-    /// Creates the manager for one deal on one asset chain.
-    pub fn new(info: TimelockDealInfo) -> Self {
+    /// Creates the manager for one deal on one asset chain. The engines
+    /// pass one `Arc` to every chain of the deal; a plain
+    /// [`TimelockDealInfo`] is wrapped.
+    pub fn new(info: impl Into<Arc<TimelockDealInfo>>) -> Self {
+        let info = info.into();
         TimelockManager {
-            core: EscrowCore::new(info.deal, info.plist.clone()),
+            core: EscrowCore::new(info.deal),
             info,
             voted: BTreeSet::new(),
         }
@@ -171,7 +176,7 @@ impl DealEscrow for TimelockManager {
     }
 
     fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
-        self.core.escrow(ctx, asset)
+        self.core.escrow(ctx, &self.info.plist, asset)
     }
 
     fn transfer(
@@ -180,7 +185,7 @@ impl DealEscrow for TimelockManager {
         asset: &InternedAsset,
         to: PartyId,
     ) -> ChainResult<()> {
-        self.core.transfer(ctx, asset, to)
+        self.core.transfer(ctx, &self.info.plist, asset, to)
     }
 }
 

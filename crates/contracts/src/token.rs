@@ -74,7 +74,7 @@ impl TokenContract {
     /// install) through the hosting chain's table.
     fn kind_id(&self, ctx: &CallCtx<'_>) -> KindId {
         self.kind_id
-            .unwrap_or_else(|| ctx.kinds().intern(self.kind.name()))
+            .unwrap_or_else(|| ctx.kinds().intern_kind(&self.kind))
     }
 }
 
@@ -93,7 +93,7 @@ impl Contract for TokenContract {
         "token"
     }
     fn on_install(&mut self, kinds: &KindTable) {
-        self.kind_id = Some(kinds.intern(self.kind.name()));
+        self.kind_id = Some(kinds.intern_kind(&self.kind));
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -14,6 +14,7 @@
 //! [`DealDriver`].
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use xchain_bft::log::CbcLog;
 use xchain_bft::proof::DealStatus;
@@ -101,13 +102,13 @@ pub(crate) fn drive(
         let (_, start_hash) = cbc
             .start_deal(d.world.now(), starter, spec.deal, spec.parties.clone())
             .map_err(DealError::Cbc)?;
-        let info = CbcDealInfo {
+        let info = Arc::new(CbcDealInfo {
             deal: spec.deal,
             plist: spec.parties.clone(),
             start_hash,
             validators: cbc.initial_validators(),
-        };
-        d.install_everywhere(|| CbcManager::new(info.clone()))?;
+        });
+        d.install_everywhere(|| CbcManager::new(Arc::clone(&info)))?;
         Ok((cbc, info))
     })?;
 

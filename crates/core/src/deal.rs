@@ -24,8 +24,10 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use xchain_sim::ids::{ChainId, ContractId};
+use xchain_sim::intern::KindTable;
 use xchain_sim::network::NetworkModel;
 use xchain_sim::world::World;
 
@@ -43,16 +45,18 @@ use crate::spec::DealSpec;
 /// executed under several engines (as the sweeps in `xchain-harness` do).
 /// The specification is fixed at [`Deal::new`], so the session resolves its
 /// [`DealPlan`] exactly once and every subsequent [`Deal::run`] reuses it.
+/// The session and its plans share one copy of the specification, so
+/// cloning a session or resolving its plan copies no spec.
 #[derive(Debug, Clone)]
 pub struct Deal {
-    spec: DealSpec,
+    spec: Arc<DealSpec>,
     network: NetworkModel,
     configs: Vec<PartyConfig>,
     seed: u64,
     /// The session's resolved plan, filled on first use. Only the spec feeds
     /// the plan and the spec never changes after `new`, so the cache can
     /// never go stale. Cloning a session shares the resolved plan.
-    plan: std::sync::OnceLock<std::sync::Arc<DealPlan>>,
+    plan: std::sync::OnceLock<Arc<DealPlan>>,
 }
 
 impl Deal {
@@ -60,7 +64,7 @@ impl Deal {
     /// ∆ = 100 network, all parties compliant, and seed 0.
     pub fn new(spec: DealSpec) -> Self {
         Deal {
-            spec,
+            spec: Arc::new(spec),
             network: NetworkModel::default(),
             configs: Vec::new(),
             seed: 0,
@@ -116,11 +120,12 @@ impl Deal {
     /// cached; planning errors are not cached). Callers that share one spec
     /// across *sessions* (the sweeps in `xchain-harness`, workload loops)
     /// can also pass the returned plan to [`Deal::run_planned`] explicitly.
-    pub fn plan(&self) -> Result<std::sync::Arc<DealPlan>, DealError> {
+    pub fn plan(&self) -> Result<Arc<DealPlan>, DealError> {
         if let Some(p) = self.plan.get() {
             return Ok(p.clone());
         }
-        let fresh = std::sync::Arc::new(DealPlan::new(&self.spec)?);
+        let plan = DealPlan::resolve(Arc::clone(&self.spec), KindTable::new())?;
+        let fresh = Arc::new(plan);
         Ok(self.plan.get_or_init(|| fresh).clone())
     }
 
@@ -143,7 +148,9 @@ impl Deal {
         plan: &DealPlan,
         engine: E,
     ) -> Result<DealRun, DealError> {
-        if plan.spec() != &self.spec {
+        // A plan of this session shares its spec, so the deep comparison
+        // runs only for plans resolved elsewhere.
+        if !std::ptr::eq(plan.spec(), &*self.spec) && plan.spec() != &*self.spec {
             return Err(DealError::Config(
                 "run_planned called with a plan resolved from a different specification".into(),
             ));

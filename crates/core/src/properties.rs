@@ -12,7 +12,7 @@
 //! * **Property 3 (strong liveness)**: if all parties are compliant, all
 //!   transfers happen.
 
-use xchain_sim::asset::AssetBag;
+use xchain_sim::asset::{AssetBag, AssetKind};
 use xchain_sim::ids::{PartyId, TokenId};
 
 use crate::outcome::{ChainResolution, DealOutcome};
@@ -149,20 +149,31 @@ pub fn check_conservation(spec: &DealSpec, outcome: &DealOutcome) -> bool {
     if !outcome.fully_resolved() {
         return true;
     }
-    spec.escrows.iter().enumerate().all(|(i, e)| {
-        let kind = e.asset.kind();
-        if spec.escrows[..i].iter().any(|f| f.asset.kind() == kind) {
-            return true; // this kind was checked already
+    // An escrowed kind is numbered by its first escrow. Kinds are shared
+    // names, so the scan mostly compares pointers.
+    let escrowed = |kind: &AssetKind| spec.escrows.iter().position(|e| e.asset.kind() == kind);
+    // One walk over each party's bag: the supply per escrowed kind and the
+    // (kind, token) pairs held.
+    let supply = |holdings: fn(&DealOutcome, PartyId) -> &AssetBag| {
+        let mut fungible = vec![0u128; spec.escrows.len()];
+        let mut tokens: Vec<(usize, TokenId)> = Vec::new();
+        for &p in &spec.parties {
+            let bag = holdings(outcome, p);
+            for (kind, amount) in bag.fungible_holdings() {
+                if let Some(i) = escrowed(kind) {
+                    fungible[i] += u128::from(amount);
+                }
+            }
+            for (kind, held) in bag.non_fungible_holdings() {
+                if let Some(i) = escrowed(kind) {
+                    tokens.extend(held.iter().map(|&t| (i, t)));
+                }
+            }
         }
-        let supply = |holdings: fn(&DealOutcome, PartyId) -> &AssetBag| {
-            let bags = spec.parties.iter().map(move |&p| holdings(outcome, p));
-            let fungible: u128 = bags.clone().map(|b| u128::from(b.balance(kind))).sum();
-            let mut tokens: Vec<TokenId> = bags.flat_map(|b| b.tokens(kind)).copied().collect();
-            tokens.sort_unstable();
-            (fungible, tokens)
-        };
-        supply(DealOutcome::initial_of) == supply(DealOutcome::final_of)
-    })
+        tokens.sort_unstable();
+        (fungible, tokens)
+    };
+    supply(DealOutcome::initial_of) == supply(DealOutcome::final_of)
 }
 
 #[cfg(test)]
@@ -379,6 +390,43 @@ mod tests {
             vec![(ChainId(0), ChainResolution::Committed)],
         );
         assert!(check_conservation(&spec, &moved));
+    }
+
+    #[test]
+    fn conservation_detects_a_duplicated_token() {
+        let spec = broker_spec();
+        let (alice, bob, carol) = (PartyId(0), PartyId(1), PartyId(2));
+        let initial = vec![
+            (alice, bag(0, &[])),
+            (bob, bag(0, &[1, 2])),
+            (carol, bag(101, &[])),
+        ];
+        let resolved = vec![
+            (ChainId(0), ChainResolution::Committed),
+            (ChainId(1), ChainResolution::Committed),
+        ];
+        // Carol receives both tickets, and ticket 2 also lands in Alice's
+        // final bag: every kind is still present, but one token twice.
+        let duplicated = outcome_with(
+            initial.clone(),
+            vec![
+                (alice, bag(1, &[2])),
+                (bob, bag(100, &[])),
+                (carol, bag(0, &[1, 2])),
+            ],
+            resolved.clone(),
+        );
+        assert!(!check_conservation(&spec, &duplicated));
+        let honest = outcome_with(
+            initial,
+            vec![
+                (alice, bag(1, &[])),
+                (bob, bag(100, &[])),
+                (carol, bag(0, &[1, 2])),
+            ],
+            resolved,
+        );
+        assert!(check_conservation(&spec, &honest));
     }
 
     #[test]

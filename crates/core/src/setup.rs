@@ -14,9 +14,11 @@ use crate::spec::DealSpec;
 
 /// Creates a world containing every chain and party the plan references,
 /// with each escrow owner already holding the asset it is supposed to escrow.
-/// Chains are named `chain-{i}` and created with a 1-tick block interval so
-/// chain time tracks world time closely; the network model is supplied by the
-/// caller. The world's kind table starts as a [fork] of the plan's canonical
+/// Chains go by their ids (`chain-{i}`) and are created with a 1-tick block
+/// interval so chain time tracks world time closely; the network model is
+/// supplied by the caller. Parties are created before chains, so each
+/// chain's key directory is filled at its final size in one allocation.
+/// The world's kind table starts as a [fork] of the plan's canonical
 /// table, so every id the plan assigned is valid on all of this world's
 /// chains, and the escrow assets are minted through the interned fast path
 /// (no name resolution during setup). [`crate::Deal::run`],
@@ -29,12 +31,10 @@ pub fn world_for_plan(
     seed: u64,
 ) -> Result<World, DealError> {
     let mut world = World::with_network_and_kinds(seed, network, plan.kinds().fork());
-    let max_chain = plan.chains().iter().map(|c| c.0).max().unwrap_or(0);
-    for i in 0..=max_chain {
-        world.add_chain(&format!("chain-{i}"), Duration(1));
-    }
     let max_party = plan.spec().parties.iter().map(|p| p.0).max().unwrap_or(0);
     world.add_parties(max_party as usize + 1);
+    let max_chain = plan.chains().iter().map(|c| c.0).max().unwrap_or(0);
+    world.add_chains(max_chain as usize + 1, Duration(1));
     for e in plan.escrows() {
         world
             .mint(e.chain, Owner::Party(e.owner), &e.asset)

@@ -12,10 +12,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use xchain_sim::asset::{Asset, AssetBag, AssetKind};
+use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::ids::{ChainId, DealId, PartyId};
 
 use crate::error::DealError;
+use crate::plan::DealPlan;
 
 /// One matrix entry: `from` transfers `asset` (living on `chain`) to `to`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,7 +125,9 @@ impl DealSpec {
     }
 
     /// Chains on which `party` has incoming assets (where it sends its commit
-    /// votes in the timelock protocol).
+    /// votes in the timelock protocol). The engines read the plan's
+    /// [`crate::plan::PartyPlan::incoming_chains`] instead; tests compare it
+    /// against this.
     pub fn incoming_chains_of(&self, party: PartyId) -> Vec<ChainId> {
         let mut chains: Vec<ChainId> = self
             .transfers
@@ -138,7 +141,8 @@ impl DealSpec {
     }
 
     /// Chains on which `party` has outgoing assets (which it monitors for
-    /// other parties' votes).
+    /// other parties' votes). The name-keyed reference for
+    /// [`crate::plan::PartyPlan::outgoing_chains`].
     pub fn outgoing_chains_of(&self, party: PartyId) -> Vec<ChainId> {
         let mut chains: Vec<ChainId> = self
             .transfers
@@ -155,63 +159,11 @@ impl DealSpec {
     /// transfer and escrow references listed parties, the escrowed and
     /// transferred amounts of each fungible kind sum to at most `u64::MAX`,
     /// and the tentative transfers can actually be ordered so that every
-    /// sender tentatively owns what it sends (see
-    /// [`DealSpec::transfer_order`]).
+    /// sender tentatively owns what it sends. This is resolving the spec into
+    /// a [`DealPlan`], so validation and planning are one code path and fail
+    /// with the same [`DealError`].
     pub fn validate(&self) -> Result<(), DealError> {
-        if self.parties.is_empty() {
-            return Err(DealError::InvalidSpec("deal has no parties".into()));
-        }
-        let mut seen = Vec::new();
-        for p in &self.parties {
-            if seen.contains(p) {
-                return Err(DealError::InvalidSpec(format!("duplicate party {p}")));
-            }
-            seen.push(*p);
-        }
-        for e in &self.escrows {
-            if !self.parties.contains(&e.owner) {
-                return Err(DealError::InvalidSpec(format!(
-                    "escrow owner {} not in plist",
-                    e.owner
-                )));
-            }
-            if e.asset.is_empty() {
-                return Err(DealError::InvalidSpec("empty escrow asset".into()));
-            }
-        }
-        for t in &self.transfers {
-            if !self.parties.contains(&t.from) || !self.parties.contains(&t.to) {
-                return Err(DealError::InvalidSpec(format!(
-                    "transfer {} -> {} involves a non-party",
-                    t.from, t.to
-                )));
-            }
-            if t.from == t.to {
-                return Err(DealError::InvalidSpec(format!(
-                    "self-transfer by {}",
-                    t.from
-                )));
-            }
-            if t.asset.is_empty() {
-                return Err(DealError::InvalidSpec("empty transfer asset".into()));
-            }
-        }
-        // Every amount the deal adds up (holdings, a party's incoming or
-        // outgoing assets, across chains) sums some of a kind's escrows and
-        // transfers, so all of them fit once the kind's total volume does.
-        let mut volume: BTreeMap<&AssetKind, u64> = BTreeMap::new();
-        let assets = self.escrows.iter().map(|e| &e.asset);
-        for asset in assets.chain(self.transfers.iter().map(|t| &t.asset)) {
-            if let Asset::Fungible { kind, amount } = asset {
-                let total = volume.entry(kind).or_insert(0);
-                *total = total.checked_add(*amount).ok_or_else(|| {
-                    DealError::InvalidSpec(format!("the amounts of '{kind}' overflow u64"))
-                })?;
-            }
-        }
-        // A valid ordering must exist.
-        self.transfer_order()?;
-        Ok(())
+        DealPlan::new(self).map(drop)
     }
 
     /// Computes an order in which the tentative transfers can be performed
@@ -219,6 +171,10 @@ impl DealSpec {
     /// starting from the escrowed state. Returns indices into
     /// [`Self::transfers`]. Fails if no such order exists (e.g. a party is
     /// supposed to forward assets it never receives).
+    ///
+    /// This name-keyed version is the reference that tests compare
+    /// [`DealPlan::transfer_order`] against; planning computes the same
+    /// order once, on interned bags.
     pub fn transfer_order(&self) -> Result<Vec<usize>, DealError> {
         // Tentative ownership per (chain, party), starting from the escrows.
         let mut owned: BTreeMap<(ChainId, PartyId), AssetBag> = BTreeMap::new();

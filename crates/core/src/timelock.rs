@@ -12,6 +12,7 @@
 //! produced by the same engine.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use xchain_contracts::escrow::DealEscrow;
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
@@ -86,13 +87,13 @@ pub(crate) fn drive(
     // of t0 should be far enough in the future to take into account the time
     // needed to perform the deal's tentative transfers").
     let info = d.phase(Phase::Clearing, |d| {
-        let info = TimelockDealInfo {
+        let info = Arc::new(TimelockDealInfo {
             deal: spec.deal,
             plist: spec.parties.clone(),
             t0: d.world.now() + opts.delta.times(spec.n_transfers() as u64 + 6),
             delta: opts.delta,
-        };
-        d.install_everywhere(|| TimelockManager::new(info.clone()))
+        });
+        d.install_everywhere(|| TimelockManager::new(Arc::clone(&info)))
             .map(|()| info)
     })?;
 

@@ -15,6 +15,9 @@ use crate::spec::DealSpec;
 /// The assets `party` expects to receive on `chain` according to the deal
 /// matrix, minus what it sends onward on the same chain (its net incoming
 /// position there is what must be tentatively owned by it at validation time).
+/// Validation reads the plan's interned
+/// [`crate::plan::PartyPlan::expected`] bags instead; this name-keyed
+/// version is the reference tests compare them against.
 pub fn expected_on_chain(spec: &DealSpec, party: PartyId, chain: ChainId) -> AssetBag {
     let mut bag = AssetBag::new();
     for t in spec

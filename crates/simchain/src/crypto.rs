@@ -216,8 +216,9 @@ impl Signature {
 /// signatures but is never used by simulation code to *create* them.
 #[derive(Debug, Clone, Default)]
 pub struct KeyDirectory {
-    entries: Vec<(PublicKey, u64)>,
-    parties: Vec<(PartyId, PublicKey)>,
+    /// One entry per registered party: its public key and the verification
+    /// material behind it.
+    keys: Vec<(PartyId, PublicKey, u64)>,
 }
 
 impl KeyDirectory {
@@ -226,27 +227,38 @@ impl KeyDirectory {
         Self::default()
     }
 
+    /// Makes room for `additional` more registrations, so registering a
+    /// known number of keys grows the directory once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.keys.reserve(additional);
+    }
+
     /// Registers a key pair's verification material and its owning party.
+    /// A party or a public key that is already registered keeps its entry.
     pub fn register(&mut self, party: PartyId, kp: &KeyPair) {
-        if !self.entries.iter().any(|(pk, _)| *pk == kp.public) {
-            self.entries.push((kp.public, kp.secret));
-        }
-        if !self.parties.iter().any(|(p, _)| *p == party) {
-            self.parties.push((party, kp.public));
+        if !self
+            .keys
+            .iter()
+            .any(|(p, pk, _)| *p == party || *pk == kp.public)
+        {
+            self.keys.push((party, kp.public, kp.secret));
         }
     }
 
     /// Looks up the public key registered for a party.
     pub fn public_key_of(&self, party: PartyId) -> Option<PublicKey> {
-        self.parties
+        self.keys
             .iter()
-            .find(|(p, _)| *p == party)
-            .map(|(_, pk)| *pk)
+            .find(|(p, ..)| *p == party)
+            .map(|(_, pk, _)| *pk)
     }
 
     /// Looks up which party registered a public key.
     pub fn party_of(&self, pk: PublicKey) -> Option<PartyId> {
-        self.parties.iter().find(|(_, k)| *k == pk).map(|(p, _)| *p)
+        self.keys
+            .iter()
+            .find(|(_, k, _)| *k == pk)
+            .map(|(p, ..)| *p)
     }
 
     /// Verifies a signature over a message. Returns false for unknown signers.
@@ -262,7 +274,7 @@ impl KeyDirectory {
 
     /// The single tag check behind both message encodings.
     fn verify_digest(&self, sig: &Signature, digest: Hash) -> bool {
-        let Some((_, secret)) = self.entries.iter().find(|(pk, _)| *pk == sig.signer) else {
+        let Some((.., secret)) = self.keys.iter().find(|(_, pk, _)| *pk == sig.signer) else {
             return false;
         };
         sig.tag == splitmix64(secret ^ digest.0)
@@ -270,12 +282,12 @@ impl KeyDirectory {
 
     /// Number of registered parties.
     pub fn len(&self) -> usize {
-        self.parties.len()
+        self.keys.len()
     }
 
     /// True if no parties are registered.
     pub fn is_empty(&self) -> bool {
-        self.parties.is_empty()
+        self.keys.is_empty()
     }
 }
 
@@ -304,7 +316,10 @@ impl PathSignature {
     /// Extends the path by one forwarding hop: `forwarder` signs the same
     /// message and appends its signature.
     pub fn forwarded_by(&self, forwarder: PartyId, kp: &KeyPair, message: &[u64]) -> Self {
-        let mut path = self.path.clone();
+        // Sized for the new hop up front: a clone has exact capacity, so
+        // pushing onto it would reallocate.
+        let mut path = Vec::with_capacity(self.path.len() + 1);
+        path.extend_from_slice(&self.path);
         path.push((forwarder, kp.sign_words(message)));
         PathSignature {
             voter: self.voter,

@@ -56,15 +56,15 @@ impl Interner {
         Self::default()
     }
 
-    /// Returns the id for `name`, assigning the next free id on first use.
-    pub fn intern(&mut self, name: &str) -> KindId {
-        if let Some(&id) = self.index.get(name) {
+    /// Returns the id for `kind`, assigning the next free id on first use.
+    /// A new kind is stored by sharing its name (`Arc<str>`), not copying it.
+    pub fn intern(&mut self, kind: &AssetKind) -> KindId {
+        if let Some(&id) = self.index.get(kind.name()) {
             return KindId(id);
         }
         let id = self.names.len() as u32;
-        let kind = AssetKind::new(name);
         self.names.push(kind.clone());
-        self.index.insert(kind, id);
+        self.index.insert(kind.clone(), id);
         KindId(id)
     }
 
@@ -98,7 +98,10 @@ impl Interner {
 /// interned — never on the per-transfer hot path.
 #[derive(Clone, Default)]
 pub struct KindTable {
-    inner: Arc<RwLock<Interner>>,
+    /// The interner sits behind its own `Arc`, so a [`KindTable::fork`]
+    /// shares it until either table interns a new kind and only then
+    /// copies it.
+    inner: Arc<RwLock<Arc<Interner>>>,
 }
 
 impl KindTable {
@@ -109,26 +112,43 @@ impl KindTable {
 
     /// A deep copy of the table: a *new* interner seeded with every
     /// assignment made so far, after which the two tables evolve
-    /// independently. The copy shares the kinds' names (`Arc<str>`), so it
-    /// copies no strings. This is how a pre-resolved `DealPlan` (in
+    /// independently. The copy is lazy: the fork shares the interner until
+    /// one of the two tables interns a new kind, and the copy then shares
+    /// the kinds' names (`Arc<str>`), so it copies no strings. This is how a pre-resolved `DealPlan` (in
     /// `xchain-deals`) hands every world built from it the same
     /// name → id assignments without sharing a lock: the plan interns its
     /// kinds once into a canonical table, and each world starts from a fork,
     /// so the plan's ids are valid on all of them by construction.
     pub fn fork(&self) -> KindTable {
-        let copy = self.inner.read().expect("interner lock").clone();
+        let shared = Arc::clone(&self.inner.read().expect("interner lock"));
         KindTable {
-            inner: Arc::new(RwLock::new(copy)),
+            inner: Arc::new(RwLock::new(shared)),
         }
     }
 
-    /// Interns a kind name (see [`Interner::intern`]).
+    /// Interns a kind name, copying it into the table on first use (see
+    /// [`Interner::intern`]).
     pub fn intern(&self, name: &str) -> KindId {
         // Fast path: the name is almost always known already.
-        if let Some(id) = self.inner.read().expect("interner lock").get(name) {
-            return id;
-        }
-        self.inner.write().expect("interner lock").intern(name)
+        self.get(name)
+            .unwrap_or_else(|| self.intern_kind(&AssetKind::new(name)))
+    }
+
+    /// Interns a kind, sharing its name with the table on first use: how
+    /// plans and contracts, which already hold an [`AssetKind`], intern
+    /// without copying a string.
+    pub fn intern_kind(&self, kind: &AssetKind) -> KindId {
+        self.get(kind.name())
+            .unwrap_or_else(|| self.with_interner_mut(|interner| interner.intern(kind)))
+    }
+
+    /// Runs `f` with the write lock held once, for callers that intern
+    /// many kinds in a row (plan resolution). An interner only grows, so
+    /// every id assigned before stays valid.
+    pub fn with_interner_mut<R>(&self, f: impl FnOnce(&mut Interner) -> R) -> R {
+        f(Arc::make_mut(
+            &mut self.inner.write().expect("interner lock"),
+        ))
     }
 
     /// The id previously assigned to `name`, if any. Never allocates.
@@ -164,7 +184,7 @@ impl KindTable {
 
     /// Interns the kind of an asset and returns the same asset keyed on the id.
     pub fn intern_asset(&self, asset: &Asset) -> InternedAsset {
-        asset.map_kind(|kind| self.intern(kind.name()))
+        asset.map_kind(|kind| self.intern_kind(kind))
     }
 
     /// Number of interned kinds.

@@ -7,6 +7,7 @@
 //! contract execution with gas costs, (c) an append-only log that parties can
 //! monitor, and (d) a notion of chain time with bounded observation latency.
 
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -362,7 +363,8 @@ impl LogCursor {
 /// A single simulated blockchain.
 pub struct Blockchain {
     id: ChainId,
-    name: String,
+    /// `None` for a chain that goes by its id (see [`Blockchain::name`]).
+    name: Option<String>,
     /// Chain time is quantized to this block interval ("most blockchains
     /// measure time imprecisely, usually by multiplying the current block
     /// height by the average block rate", Section 5).
@@ -384,20 +386,21 @@ impl Blockchain {
     /// Creates a chain with the given display name and block interval, with
     /// its own private kind table.
     pub fn new(id: ChainId, name: impl Into<String>, block_interval: Duration) -> Self {
-        Self::with_kinds(id, name, block_interval, KindTable::new())
+        Self::with_kinds(id, Some(name.into()), block_interval, KindTable::new())
     }
 
     /// Creates a chain sharing the given kind table (the world-owned interner;
-    /// see [`crate::world::World::add_chain`]).
+    /// see [`crate::world::World::add_chain`]). A chain without a name goes
+    /// by its id.
     pub fn with_kinds(
         id: ChainId,
-        name: impl Into<String>,
+        name: Option<String>,
         block_interval: Duration,
         kinds: KindTable,
     ) -> Self {
         Blockchain {
             id,
-            name: name.into(),
+            name,
             block_interval: if block_interval.ticks() == 0 {
                 Duration(1)
             } else {
@@ -423,9 +426,13 @@ impl Blockchain {
         self.id
     }
 
-    /// The chain's display name.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// The chain's display name: the one it was created with, or else its
+    /// id (`chain-3`).
+    pub fn name(&self) -> Cow<'_, str> {
+        match &self.name {
+            Some(name) => Cow::Borrowed(name),
+            None => Cow::Owned(self.id.to_string()),
+        }
     }
 
     /// Chain time derived from wall (world) time by block quantization.
@@ -438,6 +445,17 @@ impl Blockchain {
     /// signatures.
     pub fn register_key(&mut self, party: PartyId, kp: &KeyPair) {
         self.keys.register(party, kp);
+    }
+
+    /// Registers a known number of keys, growing the key directory once.
+    pub fn register_keys<'a>(
+        &mut self,
+        keys: impl ExactSizeIterator<Item = (PartyId, &'a KeyPair)>,
+    ) {
+        self.keys.reserve(keys.len());
+        for (party, kp) in keys {
+            self.keys.register(party, kp);
+        }
     }
 
     /// The chain's public-key directory.
@@ -584,7 +602,7 @@ impl std::fmt::Debug for Blockchain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Blockchain")
             .field("id", &self.id)
-            .field("name", &self.name)
+            .field("name", &self.name())
             .field("contracts", &self.contracts.len())
             .field("log_entries", &self.log.len())
             .field("gas", &self.gas.usage())

@@ -40,24 +40,12 @@ impl World {
     /// Creates a world with a deterministic seed and the default synchronous
     /// network model.
     pub fn new(seed: u64) -> Self {
-        World {
-            clock: Time::ZERO,
-            chains: Vec::new(),
-            parties: BTreeMap::new(),
-            next_party: 0,
-            network: NetworkModel::default(),
-            offline: OfflineSchedule::new(),
-            rng: StdRng::seed_from_u64(seed),
-            seed,
-            kinds: KindTable::new(),
-        }
+        World::with_network(seed, NetworkModel::default())
     }
 
     /// Creates a world with an explicit network model.
     pub fn with_network(seed: u64, network: NetworkModel) -> Self {
-        let mut w = World::new(seed);
-        w.network = network;
-        w
+        World::with_network_and_kinds(seed, network, KindTable::new())
     }
 
     /// Creates a world whose asset-kind table starts from `kinds` (typically
@@ -66,9 +54,17 @@ impl World {
     /// table is adopted as-is: pass a fork, not a shared handle, unless you
     /// want later interning to flow back to the source.
     pub fn with_network_and_kinds(seed: u64, network: NetworkModel, kinds: KindTable) -> Self {
-        let mut w = World::with_network(seed, network);
-        w.kinds = kinds;
-        w
+        World {
+            clock: Time::ZERO,
+            chains: Vec::new(),
+            parties: BTreeMap::new(),
+            next_party: 0,
+            network,
+            offline: OfflineSchedule::new(),
+            rng: StdRng::seed_from_u64(seed),
+            seed,
+            kinds,
+        }
     }
 
     /// The seed this world was created with.
@@ -113,11 +109,24 @@ impl World {
     /// returns its id. Existing parties' keys are registered on it, and it
     /// shares the world's kind table.
     pub fn add_chain(&mut self, name: &str, block_interval: Duration) -> ChainId {
+        self.push_chain(Some(name.to_string()), block_interval)
+    }
+
+    /// Creates `count` chains that go by their ids (`chain-0`, `chain-1`,
+    /// …), growing the chain list once. Like [`World::add_chain`], each
+    /// chain registers the existing parties' keys, so a world that adds its
+    /// parties first fills every key directory in one allocation.
+    pub fn add_chains(&mut self, count: usize, block_interval: Duration) {
+        self.chains.reserve(count);
+        for _ in 0..count {
+            self.push_chain(None, block_interval);
+        }
+    }
+
+    fn push_chain(&mut self, name: Option<String>, block_interval: Duration) -> ChainId {
         let id = ChainId(self.chains.len() as u32);
         let mut chain = Blockchain::with_kinds(id, name, block_interval, self.kinds.clone());
-        for (party, kp) in &self.parties {
-            chain.register_key(*party, kp);
-        }
+        chain.register_keys(self.parties.iter().map(|(party, kp)| (*party, kp)));
         self.chains.push(chain);
         id
     }
@@ -153,9 +162,11 @@ impl World {
         id
     }
 
-    /// Creates `n` parties and returns their ids.
-    pub fn add_parties(&mut self, n: usize) -> Vec<PartyId> {
-        (0..n).map(|_| self.add_party()).collect()
+    /// Creates `n` parties, with the next `n` ids.
+    pub fn add_parties(&mut self, n: usize) {
+        for _ in 0..n {
+            self.add_party();
+        }
     }
 
     /// The key pair of a party. Protocol engines call this only on behalf of

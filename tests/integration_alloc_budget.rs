@@ -1,9 +1,12 @@
-//! Allocation budget of the paper's largest figure deal (Fig 4's brokered
-//! chain at n = 9): how many heap allocations one deal call and the four
-//! property checks make, under the timelock protocol and under CBC with
-//! f = 2. A change that puts per-deal heap traffic back on these paths
-//! (copied kind names, cloned holdings, cloned path signatures, boxed log
-//! payloads) fails here before it shows up in a benchmark.
+//! Allocation budgets of one deal's layers. For the paper's largest figure
+//! deal (Fig 4's brokered chain at n = 9): how many heap allocations one
+//! deal call and the four property checks make, under the timelock protocol
+//! and under CBC with f = 2. For plan resolution (`DealPlan::new`, on that
+//! chain and on a 3-party ring) and for one whole small `Deal::run`, which
+//! also resolves its plan and builds its world. A change that puts per-deal
+//! heap traffic back on these paths (copied kind names, cloned holdings,
+//! cloned path signatures, boxed log payloads, regrown tables) fails here
+//! before it shows up in a benchmark.
 //!
 //! The counting allocator below is this test binary's global allocator. It
 //! counts per thread, so tests running side by side never mix their counts.
@@ -11,7 +14,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use xchain_deals::builders::brokered_chain_spec;
+use xchain_deals::builders::{brokered_chain_spec, ring_spec};
+use xchain_deals::plan::DealPlan;
 use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
 };
@@ -93,13 +97,23 @@ fn deal_allocations(protocol: &Protocol) -> (u64, u64) {
 }
 
 /// Budgets about 15% above the counts this code makes under `cargo test`
-/// (timelock deal 339, CBC deal 323, checks 60 each). Before shared kind
+/// (timelock deal 255, CBC deal 247, checks 62 each). Before shared kind
 /// names, one-scan holdings snapshots, borrowing property checks and pooled
 /// path signatures, the same deals made 875 (timelock) and 584 (CBC)
-/// allocations in the deal call and 716 in the checks.
-const TIMELOCK_DEAL_BUDGET: u64 = 390;
-const CBC_DEAL_BUDGET: u64 = 372;
+/// allocations in the deal call and 716 in the checks; before worlds
+/// stopped regrowing their tables and the deal information was shared
+/// across chains, 339 and 323.
+const TIMELOCK_DEAL_BUDGET: u64 = 295;
+const CBC_DEAL_BUDGET: u64 = 285;
 const CHECKS_BUDGET: u64 = 70;
+
+/// Budgets about 15% above the counts of `DealPlan::new` (87 on the n = 9
+/// brokered chain, 34 on a 3-party ring) and of one timelock `Deal::run` of
+/// that ring in a fresh session (133). Before the plan was resolved in one
+/// pass, they were 128, 45 and 172.
+const PLAN_N9_BUDGET: u64 = 100;
+const PLAN_RING3_BUDGET: u64 = 39;
+const SMALL_RUN_BUDGET: u64 = 153;
 
 #[test]
 fn an_n9_deal_stays_within_its_allocation_budget() {
@@ -129,4 +143,36 @@ fn an_n9_deal_stays_within_its_allocation_budget() {
             "{protocol} property checks: {checks} allocations, budget {CHECKS_BUDGET}"
         );
     }
+}
+
+#[test]
+fn planning_and_a_small_deal_stay_within_their_allocation_budgets() {
+    let n9 = brokered_chain_spec(DealId(9_001), 9, 100);
+    let ring3 = ring_spec(DealId(3), 3);
+    let session = || {
+        Deal::new(ring3.clone())
+            .network(NetworkModel::synchronous(100))
+            .seed(7)
+    };
+    // Warm up, as above.
+    session().run(Protocol::timelock()).expect("the ring runs");
+
+    let (_, plan_n9) = counted(|| DealPlan::new(&n9).expect("the chain plans"));
+    let (_, plan_ring3) = counted(|| DealPlan::new(&ring3).expect("the ring plans"));
+    // A fresh session caches no plan, so the run resolves its own.
+    let deal = session();
+    let (run, small_run) = counted(|| deal.run(Protocol::timelock()));
+    assert!(run.expect("the ring runs").outcome.committed_everywhere());
+    assert!(
+        plan_n9 <= PLAN_N9_BUDGET,
+        "DealPlan::new, n = 9 chain: {plan_n9} allocations, budget {PLAN_N9_BUDGET}"
+    );
+    assert!(
+        plan_ring3 <= PLAN_RING3_BUDGET,
+        "DealPlan::new, 3-party ring: {plan_ring3} allocations, budget {PLAN_RING3_BUDGET}"
+    );
+    assert!(
+        small_run <= SMALL_RUN_BUDGET,
+        "Deal::run, 3-party ring: {small_run} allocations, budget {SMALL_RUN_BUDGET}"
+    );
 }

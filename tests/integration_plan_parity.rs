@@ -4,12 +4,16 @@
 //! `Deal::run` path, whose plan is rebuilt from the string-kinded spec every
 //! call). The plan layer is a representation change, not a semantic one.
 
-use xchain_deals::builders::{auction_spec, broker_spec, ring_spec};
+use xchain_deals::builders::{
+    auction_spec, broker_spec, broker_spec_with, brokered_chain_spec, ring_spec,
+};
 use xchain_deals::plan::DealPlan;
-use xchain_deals::spec::DealSpec;
-use xchain_deals::{Deal, DealRun, Protocol};
+use xchain_deals::spec::{DealSpec, EscrowSpec, TransferSpec};
+use xchain_deals::validation::expected_on_chain;
+use xchain_deals::{Deal, DealError, DealRun, Protocol};
 use xchain_harness::adversary::single_deviator_configs;
 use xchain_harness::sweep::{standard_engines, Sweep, SweepOutcome};
+use xchain_harness::workload::{random_well_formed_deal, RandomDealParams};
 use xchain_sim::asset::Asset;
 use xchain_sim::ids::{ChainId, DealId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
@@ -206,4 +210,184 @@ fn invalid_specs_fail_at_plan_time() {
     spec.parties.push(spec.parties[0]);
     assert!(DealPlan::new(&spec).is_err());
     assert!(Deal::new(spec).run(Protocol::timelock()).is_err());
+}
+
+/// Asserts that the one-pass plan of `spec` equals what the name-keyed
+/// references on [`DealSpec`] derive: the transfer order, the chain sets, the
+/// expected net incoming bags, and the interned assets.
+fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
+    spec.validate()
+        .unwrap_or_else(|e| panic!("{case}: validate: {e}"));
+    let plan = DealPlan::new(spec).unwrap_or_else(|e| panic!("{case}: plan: {e}"));
+    assert_eq!(
+        plan.transfer_order(),
+        &spec.transfer_order().unwrap()[..],
+        "{case}: transfer order"
+    );
+    assert_eq!(plan.chains(), &spec.chains()[..], "{case}: chains");
+    for (pe, e) in plan.escrows().iter().zip(&spec.escrows) {
+        assert_eq!(pe.asset.resolve(plan.kinds()), e.asset, "{case}: escrow");
+    }
+    for (pt, t) in plan.transfers().iter().zip(&spec.transfers) {
+        assert_eq!(pt.asset.resolve(plan.kinds()), t.asset, "{case}: transfer");
+    }
+    assert_eq!(plan.parties().len(), spec.parties.len(), "{case}: parties");
+    for (pp, &p) in plan.parties().iter().zip(&spec.parties) {
+        assert_eq!(pp.id, p, "{case}");
+        assert_eq!(
+            pp.incoming_chains,
+            spec.incoming_chains_of(p),
+            "{case}: {p} incoming chains"
+        );
+        assert_eq!(
+            pp.outgoing_chains,
+            spec.outgoing_chains_of(p),
+            "{case}: {p} outgoing chains"
+        );
+        assert_eq!(pp.expected.len(), pp.incoming_chains.len(), "{case}: {p}");
+        for (&chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
+            assert_eq!(
+                expected.resolve(plan.kinds()),
+                expected_on_chain(spec, p, chain),
+                "{case}: {p} expected on {chain}"
+            );
+        }
+    }
+}
+
+/// The one-pass plan agrees with the name-keyed references on 640 random
+/// well-formed deals (2–9 parties, 0–4 extra transfers) and on every builder
+/// spec.
+#[test]
+fn one_pass_plan_matches_the_name_keyed_references() {
+    let mut random = 0;
+    for parties in 2..=9u32 {
+        for extra_transfers in 0..=4u32 {
+            for seed in 0..16u64 {
+                let params = RandomDealParams {
+                    parties,
+                    extra_transfers,
+                    amount: 100,
+                };
+                let spec = random_well_formed_deal(DealId(seed + 1), &params, seed * 7919 + 13);
+                let case = format!("random n={parties} extra={extra_transfers} seed={seed}");
+                assert_plan_matches_references(&case, &spec);
+                random += 1;
+            }
+        }
+    }
+    assert!(random >= 500, "{random} random specs");
+
+    let mut builders = vec![
+        ("broker".to_string(), broker_spec()),
+        (
+            "broker 90/95".to_string(),
+            broker_spec_with(DealId(8), 90, 95),
+        ),
+        (
+            "auction".to_string(),
+            auction_spec(DealId(9), &[30, 55, 40]),
+        ),
+        (
+            "auction of one".to_string(),
+            auction_spec(DealId(10), &[70]),
+        ),
+    ];
+    for n in 2..=9u32 {
+        builders.push((format!("ring n={n}"), ring_spec(DealId(n as u64), n)));
+        if n >= 3 {
+            builders.push((
+                format!("brokered chain n={n}"),
+                brokered_chain_spec(DealId(100 + n as u64), n, 100),
+            ));
+        }
+    }
+    for (case, spec) in &builders {
+        assert_plan_matches_references(case, spec);
+    }
+}
+
+/// Each kind of malformed spec fails validation and planning with the same
+/// `DealError`, the one these specs produced before validation and planning
+/// became one pass.
+#[test]
+fn malformed_specs_fail_validation_and_planning_with_the_same_error() {
+    let transfer = |from: u32, to: u32, asset: Asset| TransferSpec {
+        from: PartyId(from),
+        to: PartyId(to),
+        chain: ChainId(0),
+        asset,
+    };
+    let mut cases: Vec<(&str, DealSpec, &str)> = Vec::new();
+
+    let mut spec = broker_spec();
+    spec.parties.clear();
+    cases.push(("empty plist", spec, "deal has no parties"));
+
+    let mut spec = broker_spec();
+    spec.parties.push(PartyId(1));
+    cases.push(("duplicate party", spec, "duplicate party party-1"));
+
+    let mut spec = broker_spec();
+    spec.escrows[0].owner = PartyId(7);
+    cases.push((
+        "non-party escrow",
+        spec,
+        "escrow owner party-7 not in plist",
+    ));
+
+    let mut spec = broker_spec();
+    spec.transfers
+        .push(transfer(9, 0, Asset::fungible("coin", 1)));
+    cases.push((
+        "non-party transfer",
+        spec,
+        "transfer party-9 -> party-0 involves a non-party",
+    ));
+
+    let mut spec = broker_spec();
+    spec.transfers[0].to = spec.transfers[0].from;
+    cases.push(("self-transfer", spec, "self-transfer by party-1"));
+
+    let mut spec = broker_spec();
+    spec.escrows[1].asset = Asset::fungible("coin", 0);
+    cases.push(("empty escrow asset", spec, "empty escrow asset"));
+
+    let mut spec = broker_spec();
+    spec.transfers[2].asset = Asset::non_fungible("ticket", []);
+    cases.push(("empty transfer asset", spec, "empty transfer asset"));
+
+    let mut spec = ring_spec(DealId(2), 2);
+    spec.escrows.push(EscrowSpec {
+        owner: PartyId(1),
+        chain: ChainId(0),
+        asset: Asset::fungible(spec.escrows[0].asset.kind().clone(), u64::MAX),
+    });
+    cases.push((
+        "u64 overflow",
+        spec,
+        "the amounts of 'asset-0' overflow u64",
+    ));
+
+    let spec = DealSpec::new(
+        DealId(3),
+        vec![PartyId(0), PartyId(1)],
+        vec![],
+        vec![transfer(0, 1, Asset::fungible("coin", 5))],
+    );
+    cases.push((
+        "transfers that cannot be ordered",
+        spec,
+        "transfers cannot be ordered: some sender never owns what it sends",
+    ));
+
+    for (case, spec, msg) in cases {
+        let expected = DealError::InvalidSpec(msg.to_string());
+        assert_eq!(spec.validate(), Err(expected.clone()), "{case}: validate");
+        assert_eq!(
+            DealPlan::new(&spec).err(),
+            Some(expected),
+            "{case}: DealPlan::new"
+        );
+    }
 }

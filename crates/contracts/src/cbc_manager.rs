@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
+use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::Hash;
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
-use xchain_sim::intern::InternedAsset;
 
 use crate::escrow::{DealEscrow, EscrowCore, EscrowResolution};
 
@@ -172,16 +172,11 @@ impl DealEscrow for CbcManager {
         self.core.resolution()
     }
 
-    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
         self.core.escrow(ctx, &self.info.plist, asset)
     }
 
-    fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()> {
+    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()> {
         self.core.transfer(ctx, &self.info.plist, asset, to)
     }
 }
@@ -202,7 +197,6 @@ impl Contract for CbcManager {
 mod tests {
     use super::*;
     use xchain_bft::log::CbcLog;
-    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -223,7 +217,7 @@ mod tests {
         let (_, start_hash) = cbc
             .start_deal(Time(0), plist[0], DealId(9), plist.clone())
             .unwrap();
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let coins = Asset::fungible("coin", 101);
         chain.mint(Owner::Party(plist[2]), &coins).unwrap();
         let info = CbcDealInfo {
             deal: DealId(9),
@@ -244,8 +238,8 @@ mod tests {
         let alice = fx.info.plist[0];
         let bob = fx.info.plist[1];
         let carol = fx.info.plist[2];
-        let coins = fx.chain.kinds().intern_asset(&Asset::fungible("coin", 101));
-        let hundred = fx.chain.kinds().intern_asset(&Asset::fungible("coin", 100));
+        let coins = Asset::fungible("coin", 101);
+        let hundred = Asset::fungible("coin", 100);
         fx.chain
             .call(
                 Time(0),

@@ -16,10 +16,10 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
+use xchain_sim::asset::{Asset, AssetBag};
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
-use xchain_sim::intern::{InternedAsset, InternedBag};
 use xchain_sim::ledger::EventTag;
 
 /// How an escrow ultimately resolved.
@@ -33,13 +33,11 @@ pub enum EscrowResolution {
 
 /// The escrow state shared by both commit protocols.
 ///
-/// Both the A map (deposits) and the C map (tentative commit ownership) hold
-/// interned assets ([`InternedAsset`] / [`InternedBag`]): assets arrive keyed
-/// on `Copy` [`xchain_sim::intern::KindId`]s, so the escrow keeps no kind
-/// table and its escrow/transfer/release paths never touch a kind name.
-/// Readers get the A map from [`EscrowCore::deposits_iter`] and compare the C
-/// map with [`EscrowCore::on_commit_covers`]; names are resolved, if at all,
-/// by the caller through the chain's [`xchain_sim::intern::KindTable`].
+/// The A map (deposits) holds [`Asset`]s and the C map (tentative commit
+/// ownership) holds one [`AssetBag`] per party, both keyed on the kind
+/// names the deal specification shares. Readers get the A map from
+/// [`EscrowCore::deposits_iter`] and compare the C map with
+/// [`EscrowCore::on_commit_covers`].
 ///
 /// The participant list is not stored here: the manager that embeds the
 /// core already holds it in its deal information, and passes it to
@@ -49,9 +47,9 @@ pub enum EscrowResolution {
 pub struct EscrowCore {
     deal: DealId,
     /// A map: deposits, refunded to their original owners on abort.
-    deposits: Vec<(PartyId, InternedAsset)>,
+    deposits: Vec<(PartyId, Asset)>,
     /// C map: what each party receives if the deal commits at this chain.
-    on_commit: BTreeMap<PartyId, InternedBag>,
+    on_commit: BTreeMap<PartyId, AssetBag>,
     resolution: Option<EscrowResolution>,
 }
 
@@ -81,17 +79,16 @@ impl EscrowCore {
         self.resolution.is_none()
     }
 
-    /// Borrowing iterator over the A map: `(original owner, interned
-    /// deposit)` pairs in deposit order, with no resolution and no
-    /// allocation.
-    pub fn deposits_iter(&self) -> impl Iterator<Item = (PartyId, &InternedAsset)> {
+    /// Borrowing iterator over the A map: `(original owner, deposit)` pairs
+    /// in deposit order, with no allocation.
+    pub fn deposits_iter(&self) -> impl Iterator<Item = (PartyId, &Asset)> {
         self.deposits.iter().map(|(owner, asset)| (*owner, asset))
     }
 
     /// True if `party`'s C-map entry covers at least `expected` — the
-    /// validation fast path: compares interned bags directly, so per-party
-    /// validation never resolves a kind name or allocates a bag.
-    pub fn on_commit_covers(&self, party: PartyId, expected: &InternedBag) -> bool {
+    /// validation check: compares the bags in place, so per-party validation
+    /// never allocates a bag.
+    pub fn on_commit_covers(&self, party: PartyId, expected: &AssetBag) -> bool {
         match self.on_commit.get(&party) {
             Some(bag) => bag.covers(expected),
             None => expected.is_empty(),
@@ -103,17 +100,13 @@ impl EscrowCore {
     /// `Post: Owns(D, a) ∧ OwnsC(P, a) ∧ OwnsA(P, a)`. The caller must be
     /// in `plist`, the deal's participant list.
     ///
-    /// The asset arrives interned against the hosting chain's kind table
-    /// (the engines intern once per deal, at planning time), so escrow entry
-    /// touches no kind name.
-    ///
     /// Gas: 2 storage writes for the deposit transfer plus 1 each for the A
     /// and C map updates — the 4 writes of Figure 3's `escrow`.
     pub fn escrow(
         &mut self,
         ctx: &mut CallCtx<'_>,
         plist: &[PartyId],
-        asset: InternedAsset,
+        asset: Asset,
     ) -> ChainResult<()> {
         let caller = ctx.caller_party()?;
         ctx.require(self.is_active(), "deal already resolved")?;
@@ -143,7 +136,7 @@ impl EscrowCore {
         &mut self,
         ctx: &mut CallCtx<'_>,
         plist: &[PartyId],
-        asset: &InternedAsset,
+        asset: &Asset,
         to: PartyId,
     ) -> ChainResult<()> {
         let caller = ctx.caller_party()?;
@@ -174,8 +167,6 @@ impl EscrowCore {
     /// Pays the C map out to its owners and marks the escrow committed.
     /// Called by the protocol-specific managers once their commit condition
     /// holds. One storage write records the outcome, plus the payout writes.
-    /// The whole release path works on interned kinds — no kind name is
-    /// cloned, looked up, or constructed here.
     pub fn distribute_commit(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
         ctx.require(self.is_active(), "deal already resolved")?;
         ctx.charge_storage_write()?;
@@ -185,13 +176,13 @@ impl EscrowCore {
                 if amount == 0 {
                     continue;
                 }
-                ctx.pay_out_fungible((*party).into(), *kind, amount)?;
+                ctx.pay_out_fungible((*party).into(), kind, amount)?;
             }
             for (kind, tokens) in bag.non_fungible_holdings() {
                 if tokens.is_empty() {
                     continue;
                 }
-                ctx.pay_out_tokens((*party).into(), *kind, tokens)?;
+                ctx.pay_out_tokens((*party).into(), kind, tokens)?;
             }
         }
         ctx.emit(EventTag::EscrowCommitted, [self.deal.0])?;
@@ -199,8 +190,7 @@ impl EscrowCore {
     }
 
     /// Refunds every deposit to its original owner and marks the escrow
-    /// aborted. Like the commit path, refunds are paid out of the interned A
-    /// map without touching kind names.
+    /// aborted.
     pub fn distribute_abort(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
         ctx.require(self.is_active(), "deal already resolved")?;
         ctx.charge_storage_write()?;
@@ -232,17 +222,12 @@ pub trait DealEscrow: Contract {
     /// How the escrow resolved, if it has.
     fn resolution(&self) -> Option<EscrowResolution>;
 
-    /// Escrow phase: escrows an interned asset (see [`EscrowCore::escrow`]).
-    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()>;
+    /// Escrow phase: escrows an asset (see [`EscrowCore::escrow`]).
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()>;
 
-    /// Transfer phase: tentatively transfers an escrowed, interned asset (see
+    /// Transfer phase: tentatively transfers an escrowed asset (see
     /// [`EscrowCore::transfer`]).
-    fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()>;
+    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()>;
 }
 
 /// A bare escrow manager exposing only the Section 4 escrow/transfer
@@ -270,17 +255,16 @@ impl EscrowManager {
         &self.core
     }
 
-    /// Escrows an interned asset (see [`EscrowCore::escrow`]).
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+    /// Escrows an asset (see [`EscrowCore::escrow`]).
+    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
         self.core.escrow(ctx, &self.plist, asset)
     }
 
-    /// Tentatively transfers an escrowed, interned asset (see
-    /// [`EscrowCore::transfer`]).
+    /// Tentatively transfers an escrowed asset (see [`EscrowCore::transfer`]).
     pub fn transfer(
         &mut self,
         ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
+        asset: &Asset,
         to: PartyId,
     ) -> ChainResult<()> {
         self.core.transfer(ctx, &self.plist, asset, to)
@@ -312,7 +296,6 @@ impl Contract for EscrowManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -329,10 +312,8 @@ mod tests {
         let bob = PartyId(1);
         let alice = PartyId(0);
         let carol = PartyId(2);
-        let tickets = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let tickets = Asset::non_fungible("ticket", [1, 2]);
+        let coins = Asset::fungible("coin", 101);
         chain.mint(Owner::Party(bob), &tickets).unwrap();
         chain.mint(Owner::Party(carol), &coins).unwrap();
         let id = chain.install(EscrowManager::new(DealId(7), vec![alice, bob, carol]));
@@ -342,13 +323,9 @@ mod tests {
     #[test]
     fn escrow_requires_ownership_and_membership() {
         let (mut chain, id, _alice, bob, _carol) = setup();
-        let tickets = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
-        let one_coin = chain.kinds().intern_asset(&Asset::fungible("coin", 1));
-        let ticket_1 = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1]));
+        let tickets = Asset::non_fungible("ticket", [1, 2]);
+        let one_coin = Asset::fungible("coin", 1);
+        let ticket_1 = Asset::non_fungible("ticket", [1]);
         // Bob escrows his tickets: ok.
         chain
             .call(
@@ -388,9 +365,7 @@ mod tests {
     fn escrow_costs_four_writes_and_transfer_two() {
         // Figure 3: escrow = 4 storage writes, tentative transfer = 2.
         let (mut chain, id, alice, bob, _carol) = setup();
-        let tickets = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        let tickets = Asset::non_fungible("ticket", [1, 2]);
         let before = chain.gas_usage();
         chain
             .call(
@@ -418,9 +393,7 @@ mod tests {
     #[test]
     fn tentative_transfers_update_c_map_only() {
         let (mut chain, id, alice, bob, carol) = setup();
-        let tickets = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        let tickets = Asset::non_fungible("ticket", [1, 2]);
         chain
             .call(
                 Time(0),
@@ -445,7 +418,7 @@ mod tests {
                 |m: &mut EscrowManager, ctx| m.transfer(ctx, &tickets, carol),
             )
             .unwrap();
-        let mut all_tickets = InternedBag::new();
+        let mut all_tickets = AssetBag::new();
         all_tickets.add(&tickets);
         let (bob_c, carol_c) = chain
             .view(id, |m: &EscrowManager| {
@@ -466,9 +439,9 @@ mod tests {
     #[test]
     fn cannot_transfer_what_you_do_not_tentatively_own() {
         let (mut chain, id, alice, bob, carol) = setup();
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
-        let fifty = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
-        let too_many = chain.kinds().intern_asset(&Asset::fungible("coin", 102));
+        let coins = Asset::fungible("coin", 101);
+        let fifty = Asset::fungible("coin", 50);
+        let too_many = Asset::fungible("coin", 102);
         chain
             .call(
                 Time(0),
@@ -503,8 +476,8 @@ mod tests {
     fn commit_pays_c_map_and_abort_refunds_a_map() {
         // Commit path.
         let (mut chain, id, alice, bob, carol) = setup();
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
-        let hundred = chain.kinds().intern_asset(&Asset::fungible("coin", 100));
+        let coins = Asset::fungible("coin", 101);
+        let hundred = Asset::fungible("coin", 100);
         chain
             .call(
                 Time(0),
@@ -552,7 +525,7 @@ mod tests {
 
         // Abort path on a fresh chain.
         let (mut chain, id, alice, _bob, carol) = setup();
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
+        let coins = Asset::fungible("coin", 101);
         chain
             .call(
                 Time(0),
@@ -591,12 +564,8 @@ mod tests {
     #[test]
     fn resolution_is_terminal() {
         let (mut chain, id, _alice, bob, _carol) = setup();
-        let ticket_1 = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1]));
-        let ticket_2 = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [2]));
+        let ticket_1 = Asset::non_fungible("ticket", [1]);
+        let ticket_2 = Asset::non_fungible("ticket", [2]);
         chain
             .call(
                 Time(0),
@@ -647,8 +616,8 @@ mod tests {
     #[test]
     fn deposits_iter_borrows_and_on_commit_covers_compares_interned() {
         let (mut chain, id, alice, _bob, carol) = setup();
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 101));
-        let sixty = chain.kinds().intern_asset(&Asset::fungible("coin", 60));
+        let coins = Asset::fungible("coin", 101);
+        let sixty = Asset::fungible("coin", 60);
         chain
             .call(
                 Time(0),
@@ -665,22 +634,21 @@ mod tests {
                 |m: &mut EscrowManager, ctx| m.transfer(ctx, &sixty, alice),
             )
             .unwrap();
-        let kinds = chain.kinds().clone();
         chain
             .view(id, |m: &EscrowManager| {
-                // The borrowing iterator yields the interned A map directly.
+                // The borrowing iterator yields the A map directly.
                 let deposits: Vec<_> = m.core().deposits_iter().collect();
                 assert_eq!(deposits.len(), 1);
                 assert_eq!(deposits[0].0, carol);
-                assert_eq!(deposits[0].1.resolve(&kinds), Asset::fungible("coin", 101));
-                // The C map is compared as interned bags.
-                let mut expected = InternedBag::new();
-                expected.add(&kinds.intern_asset(&Asset::fungible("coin", 60)));
+                assert_eq!(deposits[0].1, &Asset::fungible("coin", 101));
+                // The C map is compared bag to bag.
+                let mut expected = AssetBag::new();
+                expected.add(&Asset::fungible("coin", 60));
                 assert!(m.core().on_commit_covers(alice, &expected));
-                expected.add(&kinds.intern_asset(&Asset::fungible("coin", 1)));
+                expected.add(&Asset::fungible("coin", 1));
                 assert!(!m.core().on_commit_covers(alice, &expected));
                 // A party with no C-map entry covers only the empty bag.
-                assert!(m.core().on_commit_covers(PartyId(9), &InternedBag::new()));
+                assert!(m.core().on_commit_covers(PartyId(9), &AssetBag::new()));
                 assert!(!m.core().on_commit_covers(PartyId(9), &expected));
             })
             .unwrap();
@@ -689,7 +657,7 @@ mod tests {
     #[test]
     fn empty_escrow_rejected() {
         let (mut chain, id, _alice, bob, _carol) = setup();
-        let nothing = chain.kinds().intern_asset(&Asset::fungible("coin", 0));
+        let nothing = Asset::fungible("coin", 0);
         let err = chain
             .call(
                 Time(0),

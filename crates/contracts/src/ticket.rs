@@ -8,11 +8,10 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 
-use xchain_sim::asset::AssetKind;
+use xchain_sim::asset::{Asset, AssetKind};
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{PartyId, TokenId};
-use xchain_sim::intern::{InternedAsset, KindId, KindTable};
 use xchain_sim::ledger::EventTag;
 
 /// Seat metadata attached to one ticket.
@@ -31,8 +30,6 @@ pub struct Seat {
 #[derive(Debug, Clone)]
 pub struct TicketRegistry {
     kind: AssetKind,
-    /// Interned id of `kind` on the hosting chain (set on install).
-    kind_id: Option<KindId>,
     event_name: String,
     issuer: PartyId,
     next_token: u64,
@@ -45,7 +42,6 @@ impl TicketRegistry {
     pub fn new(kind: impl Into<AssetKind>, event_name: impl Into<String>, issuer: PartyId) -> Self {
         TicketRegistry {
             kind: kind.into(),
-            kind_id: None,
             event_name: event_name.into(),
             issuer,
             next_token: 1,
@@ -89,11 +85,8 @@ impl TicketRegistry {
         self.next_token += 1;
         ctx.charge_storage_write()?; // seat metadata
         self.seats.insert(token, seat);
-        let kind = self
-            .kind_id
-            .unwrap_or_else(|| ctx.kinds().intern_kind(&self.kind));
-        let asset = InternedAsset::NonFungible {
-            kind,
+        let asset = Asset::NonFungible {
+            kind: self.kind.clone(),
             tokens: [token].into_iter().collect(),
         };
         ctx.mint_to_self(&asset)?;
@@ -117,9 +110,6 @@ impl TicketRegistry {
 impl Contract for TicketRegistry {
     fn type_name(&self) -> &'static str {
         "ticket-registry"
-    }
-    fn on_install(&mut self, kinds: &KindTable) {
-        self.kind_id = Some(kinds.intern_kind(&self.kind));
     }
     fn as_any(&self) -> &dyn Any {
         self

@@ -12,11 +12,11 @@ use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::PathSignature;
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
-use xchain_sim::intern::InternedAsset;
 use xchain_sim::ledger::EventTag;
 use xchain_sim::time::{Duration, Time};
 
@@ -175,16 +175,11 @@ impl DealEscrow for TimelockManager {
         self.core.resolution()
     }
 
-    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
         self.core.escrow(ctx, &self.info.plist, asset)
     }
 
-    fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &InternedAsset,
-        to: PartyId,
-    ) -> ChainResult<()> {
+    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()> {
         self.core.transfer(ctx, &self.info.plist, asset, to)
     }
 }
@@ -204,7 +199,6 @@ impl Contract for TimelockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xchain_sim::asset::Asset;
     use xchain_sim::crypto::KeyPair;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
@@ -231,9 +225,7 @@ mod tests {
                 kp
             })
             .collect();
-        let tickets = chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        let tickets = Asset::non_fungible("ticket", [1, 2]);
         chain.mint(Owner::Party(parties[1]), &tickets).unwrap();
         let info = TimelockDealInfo {
             deal: DealId(7),
@@ -254,10 +246,7 @@ mod tests {
         let bob = fx.info.plist[1];
         let alice = fx.info.plist[0];
         let carol = fx.info.plist[2];
-        let tickets = fx
-            .chain
-            .kinds()
-            .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+        let tickets = Asset::non_fungible("ticket", [1, 2]);
         fx.chain
             .call(
                 Time(0),

@@ -8,19 +8,16 @@
 
 use std::any::Any;
 
-use xchain_sim::asset::AssetKind;
+use xchain_sim::asset::{Asset, AssetKind};
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::PartyId;
-use xchain_sim::intern::{InternedAsset, KindId, KindTable};
 use xchain_sim::ledger::EventTag;
 
 /// The fungible-token contract.
 #[derive(Debug, Clone)]
 pub struct TokenContract {
     kind: AssetKind,
-    /// Interned id of `kind` on the hosting chain (set on install).
-    kind_id: Option<KindId>,
     symbol: String,
     total_supply: u64,
     issuer: PartyId,
@@ -31,7 +28,6 @@ impl TokenContract {
     pub fn new(kind: impl Into<AssetKind>, symbol: impl Into<String>, issuer: PartyId) -> Self {
         TokenContract {
             kind: kind.into(),
-            kind_id: None,
             symbol: symbol.into(),
             total_supply: 0,
             issuer,
@@ -63,25 +59,17 @@ impl TokenContract {
         // Direct ledger credit: minting creates the units out of thin air, so
         // it is modelled as a ledger mint rather than a transfer.
         ctx.charge_storage_write()?;
-        let kind = self.kind_id(ctx);
-        let asset = InternedAsset::Fungible { kind, amount };
+        let asset = Asset::fungible(self.kind.clone(), amount);
         mint_via_ctx(ctx, to, &asset)?;
         ctx.emit(EventTag::Other, [to.0 as u64, amount])?;
         Ok(())
-    }
-
-    /// The interned id of this contract's kind, resolving (and caching at
-    /// install) through the hosting chain's table.
-    fn kind_id(&self, ctx: &CallCtx<'_>) -> KindId {
-        self.kind_id
-            .unwrap_or_else(|| ctx.kinds().intern_kind(&self.kind))
     }
 }
 
 /// Internal helper: the contract runtime does not expose arbitrary minting to
 /// contracts (contracts may only move assets they own), so the token contract
 /// first receives the newly created units and immediately pays them out.
-fn mint_via_ctx(ctx: &mut CallCtx<'_>, to: PartyId, asset: &InternedAsset) -> ChainResult<()> {
+fn mint_via_ctx(ctx: &mut CallCtx<'_>, to: PartyId, asset: &Asset) -> ChainResult<()> {
     // The escrow-free path: credit the recipient directly through the payout
     // API after granting the units to the contract.
     ctx.mint_to_self(asset)?;
@@ -91,9 +79,6 @@ fn mint_via_ctx(ctx: &mut CallCtx<'_>, to: PartyId, asset: &InternedAsset) -> Ch
 impl Contract for TokenContract {
     fn type_name(&self) -> &'static str {
         "token"
-    }
-    fn on_install(&mut self, kinds: &KindTable) {
-        self.kind_id = Some(kinds.intern_kind(&self.kind));
     }
     fn as_any(&self) -> &dyn Any {
         self

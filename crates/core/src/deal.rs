@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xchain_sim::ids::{ChainId, ContractId};
-use xchain_sim::intern::KindTable;
 use xchain_sim::network::NetworkModel;
 use xchain_sim::world::World;
 
@@ -116,15 +115,15 @@ impl Deal {
     }
 
     /// The session's resolved [`DealPlan`] (validation, transfer order,
-    /// asset interning, per-party tables — all computed once per session and
-    /// cached; planning errors are not cached). Callers that share one spec
+    /// per-party tables — all computed once per session and cached; planning
+    /// errors are not cached). Callers that share one spec
     /// across *sessions* (the sweeps in `xchain-harness`, workload loops)
     /// can also pass the returned plan to [`Deal::run_planned`] explicitly.
     pub fn plan(&self) -> Result<Arc<DealPlan>, DealError> {
         if let Some(p) = self.plan.get() {
             return Ok(p.clone());
         }
-        let plan = DealPlan::resolve(Arc::clone(&self.spec), KindTable::new())?;
+        let plan = DealPlan::resolve(Arc::clone(&self.spec))?;
         let fresh = Arc::new(plan);
         Ok(self.plan.get_or_init(|| fresh).clone())
     }
@@ -139,7 +138,7 @@ impl Deal {
     }
 
     /// [`Deal::run`] with a caller-resolved plan: the world is built from the
-    /// plan's kind table and the engine executes straight from the plan. The
+    /// plan and the engine executes straight from it. The
     /// plan must come from [`Deal::plan`] on a session with this same
     /// specification (one plan can serve many sessions that differ only in
     /// network, parties, or seed).
@@ -175,9 +174,8 @@ impl Deal {
     /// Executes the deal in a caller-supplied world (which must already
     /// contain the referenced chains, parties and escrowed assets). Most
     /// callers want [`Deal::run`]; this exists for scripted scenarios that
-    /// share one world across several deals. The plan is resolved against
-    /// the *world's* kind table ([`DealPlan::for_table`]), so the interned
-    /// ids are valid whatever table the caller's world uses.
+    /// share one world across several deals. The engine runs the session's
+    /// cached plan ([`Deal::plan`]).
     pub fn run_in<E: DealEngine>(
         &self,
         world: &mut World,
@@ -189,7 +187,7 @@ impl Deal {
                 engine.label()
             )));
         }
-        let plan = DealPlan::for_table(&self.spec, world.kinds())?;
+        let plan = self.plan()?;
         let configs = crate::party::fresh_configs(&self.configs);
         engine.execute(world, &plan, &configs)
     }

@@ -204,7 +204,7 @@ impl<'a> DealDriver<'a> {
     /// the phase costs at most one observation delay.
     fn escrow_all<M: DealEscrow>(&mut self) -> Result<(), DealError> {
         let plan = self.plan;
-        for e in plan.escrows() {
+        for e in &plan.spec().escrows {
             let willing = self.decide(e.owner, Phase::Escrow, None, |s, ctx| {
                 s.is_online(ctx.now) && s.on_escrow(ctx)
             });
@@ -233,7 +233,7 @@ impl<'a> DealDriver<'a> {
         let plan = self.plan;
         let order = plan.transfer_order();
         for (step, &idx) in order.iter().enumerate() {
-            let t = &plan.transfers()[idx];
+            let t = &plan.spec().transfers[idx];
             let willing = self.decide(t.from, Phase::Transfer, None, |s, ctx| {
                 s.is_online(ctx.now) && s.on_transfer(ctx)
             });

@@ -142,10 +142,8 @@ pub trait DealEngine {
 
     /// Executes one deal in the given world, driving it from a pre-resolved
     /// [`DealPlan`]. The world must already contain the chains, parties and
-    /// escrowed assets the plan references, and must have been built from the
-    /// plan's kind table (or the plan resolved against the world's — see
-    /// [`crate::setup::world_for_plan`] and [`DealPlan::for_table`]); the
-    /// [`crate::deal::Deal`] builder takes care of both.
+    /// escrowed assets the plan references ([`crate::setup::world_for_plan`]
+    /// builds such a world; the [`crate::deal::Deal`] builder uses it).
     fn execute(
         &self,
         world: &mut World,

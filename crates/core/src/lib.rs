@@ -97,7 +97,7 @@ pub use error::DealError;
 pub use outcome::{ChainResolution, DealOutcome, ProtocolKind};
 pub use party::{config_of, fresh_configs, PartyConfig};
 pub use phases::{Phase, PhaseMetrics};
-pub use plan::{DealPlan, PartyPlan, PlannedEscrow, PlannedTransfer};
+pub use plan::{DealPlan, PartyPlan};
 pub use properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness, SafetyReport,
 };

@@ -18,24 +18,19 @@ use crate::spec::DealSpec;
 /// interval so chain time tracks world time closely; the network model is
 /// supplied by the caller. Parties are created before chains, so each
 /// chain's key directory is filled at its final size in one allocation.
-/// The world's kind table starts as a [fork] of the plan's canonical
-/// table, so every id the plan assigned is valid on all of this world's
-/// chains, and the escrow assets are minted through the interned fast path
-/// (no name resolution during setup). [`crate::Deal::run`],
-/// [`crate::Deal::build_world`] and the sweep executor build worlds here.
-///
-/// [fork]: xchain_sim::intern::KindTable::fork
+/// [`crate::Deal::run`], [`crate::Deal::build_world`] and the sweep
+/// executor build worlds here.
 pub fn world_for_plan(
     plan: &DealPlan,
     network: NetworkModel,
     seed: u64,
 ) -> Result<World, DealError> {
-    let mut world = World::with_network_and_kinds(seed, network, plan.kinds().fork());
+    let mut world = World::with_network(seed, network);
     let max_party = plan.spec().parties.iter().map(|p| p.0).max().unwrap_or(0);
     world.add_parties(max_party as usize + 1);
     let max_chain = plan.chains().iter().map(|c| c.0).max().unwrap_or(0);
     world.add_chains(max_chain as usize + 1, Duration(1));
-    for e in plan.escrows() {
+    for e in &plan.spec().escrows {
         world
             .mint(e.chain, Owner::Party(e.owner), &e.asset)
             .map_err(DealError::Chain)?;

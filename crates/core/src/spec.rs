@@ -174,7 +174,7 @@ impl DealSpec {
     ///
     /// This name-keyed version is the reference that tests compare
     /// [`DealPlan::transfer_order`] against; planning computes the same
-    /// order once, on interned bags.
+    /// order once, keeping its bags in a scanned `Vec` instead of a map.
     pub fn transfer_order(&self) -> Result<Vec<usize>, DealError> {
         // Tentative ownership per (chain, party), starting from the escrows.
         let mut owned: BTreeMap<(ChainId, PartyId), AssetBag> = BTreeMap::new();

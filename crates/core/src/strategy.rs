@@ -232,8 +232,8 @@ impl ObservationHub {
             // never grows a view.
             views: (0..n_parties)
                 .map(|_| DealView {
-                    escrows: Vec::with_capacity(plan.escrows().len()),
-                    transfers: Vec::with_capacity(plan.transfers().len()),
+                    escrows: Vec::with_capacity(plan.spec().escrows.len()),
+                    transfers: Vec::with_capacity(plan.spec().transfers.len()),
                     commit_votes: Vec::with_capacity(n_parties),
                     resolutions: Vec::with_capacity(n_chains),
                 })

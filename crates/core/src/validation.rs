@@ -15,9 +15,9 @@ use crate::spec::DealSpec;
 /// The assets `party` expects to receive on `chain` according to the deal
 /// matrix, minus what it sends onward on the same chain (its net incoming
 /// position there is what must be tentatively owned by it at validation time).
-/// Validation reads the plan's interned
-/// [`crate::plan::PartyPlan::expected`] bags instead; this name-keyed
-/// version is the reference tests compare them against.
+/// Validation reads the plan's precomputed
+/// [`crate::plan::PartyPlan::expected`] bags instead; this version is the
+/// reference tests compare them against.
 pub fn expected_on_chain(spec: &DealSpec, party: PartyId, chain: ChainId) -> AssetBag {
     let mut bag = AssetBag::new();
     for t in spec
@@ -40,11 +40,10 @@ pub fn expected_on_chain(spec: &DealSpec, party: PartyId, chain: ChainId) -> Ass
 /// Validation under either commit protocol, driven by a pre-resolved
 /// [`PartyPlan`]: on every chain where the party has incoming assets, the
 /// escrow contract must carry the agreed deal information and the party's
-/// C-map entry must cover its expected net incoming assets. Both sides are
-/// [`xchain_sim::intern::InternedBag`]s (the plan interned its expectations
-/// once, and the escrow keeps only ids), so each chain costs one bag
-/// comparison ([`xchain_contracts::escrow::EscrowCore::on_commit_covers`])
-/// that resolves no kind name and allocates nothing.
+/// C-map entry must cover its expected net incoming assets. The plan built
+/// its expectations once, so each chain costs one bag comparison
+/// ([`xchain_contracts::escrow::EscrowCore::on_commit_covers`]) that
+/// allocates nothing.
 pub fn validate_plan<M: DealEscrow>(
     world: &World,
     party: &PartyPlan,

@@ -10,9 +10,8 @@
 //!
 //! Before execution, the sweep resolves one [`DealPlan`] per specification
 //! and builds each engine once: every cell that runs a given spec reuses its
-//! plan (worlds are built from forks of the plan's kind table), and workers
-//! share the hoisted engine values instead of re-invoking the factories per
-//! cell.
+//! plan, and workers share the hoisted engine values instead of re-invoking
+//! the factories per cell.
 //!
 //! ```
 //! use xchain_harness::sweep::{standard_engines, Sweep};

@@ -5,14 +5,10 @@
 //! or more *asset kinds*; ownership of concrete asset units is tracked by the
 //! ledger ([`crate::ledger::Blockchain`]).
 //!
-//! [`Asset`] and [`AssetBag`] are generic over the key that names a kind. The
-//! default key is the name, [`AssetKind`], which deal specifications and
-//! reports use. The ledger, the contracts and deal plans key the same types
-//! on a world's interned [`crate::intern::KindId`] instead, through the
-//! aliases [`crate::intern::InternedAsset`] and [`crate::intern::InternedBag`].
-//! [`crate::intern::KindTable`] converts between the two.
+//! One vocabulary runs from a deal specification through the ledger and the
+//! contracts to a deal's outcome: an [`Asset`] or an [`AssetBag`] names its
+//! kind by an [`AssetKind`], a shared name.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -24,9 +20,9 @@ use crate::ids::TokenId;
 /// several kinds (e.g. several token contracts on the same chain).
 ///
 /// The name is a shared `Arc<str>`: cloning a kind (into an [`AssetBag`], a
-/// cloned deal spec, or out of a world's [`crate::intern::KindTable`]) bumps
-/// a reference count instead of copying the string. Equality, ordering and
-/// hashing go by the name's content, exactly as for a `String`.
+/// ledger entry or a cloned deal spec) bumps a reference count instead of
+/// copying the string. Equality, ordering and hashing go by the name's
+/// content, exactly as for a `String`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AssetKind(pub Arc<str>);
 
@@ -54,33 +50,24 @@ impl From<&str> for AssetKind {
     }
 }
 
-/// Lets name-keyed maps of kinds be searched with a plain `&str`.
-impl Borrow<str> for AssetKind {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
 /// A concrete quantity of some asset kind: either a fungible amount or a set
 /// of specific non-fungible tokens.
 ///
 /// This is the unit in which deal specifications express transfers ("101
-/// coins", "tickets 12 and 13"). `K` names the kind: an [`AssetKind`] by
-/// default, a [`crate::intern::KindId`] in an
-/// [`crate::intern::InternedAsset`].
+/// coins", "tickets 12 and 13").
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Asset<K = AssetKind> {
+pub enum Asset {
     /// A fungible amount of the given kind.
     Fungible {
         /// The asset class.
-        kind: K,
+        kind: AssetKind,
         /// The amount, in indivisible units.
         amount: u64,
     },
     /// Specific non-fungible tokens of the given kind.
     NonFungible {
         /// The asset class.
-        kind: K,
+        kind: AssetKind,
         /// The specific token instances.
         tokens: BTreeSet<TokenId>,
     },
@@ -102,11 +89,9 @@ impl Asset {
             tokens: tokens.into_iter().map(TokenId).collect(),
         }
     }
-}
 
-impl<K> Asset<K> {
     /// The asset's kind.
-    pub fn kind(&self) -> &K {
+    pub fn kind(&self) -> &AssetKind {
         match self {
             Asset::Fungible { kind, .. } | Asset::NonFungible { kind, .. } => kind,
         }
@@ -128,24 +113,9 @@ impl<K> Asset<K> {
             Asset::NonFungible { tokens, .. } => tokens.len() as u64,
         }
     }
-
-    /// The same amount or tokens under the kind `f` maps this one to: how
-    /// names and interned ids convert into each other.
-    pub fn map_kind<L>(&self, f: impl FnOnce(&K) -> L) -> Asset<L> {
-        match self {
-            Asset::Fungible { kind, amount } => Asset::Fungible {
-                kind: f(kind),
-                amount: *amount,
-            },
-            Asset::NonFungible { kind, tokens } => Asset::NonFungible {
-                kind: f(kind),
-                tokens: tokens.clone(),
-            },
-        }
-    }
 }
 
-impl<K: fmt::Display> fmt::Display for Asset<K> {
+impl fmt::Display for Asset {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Asset::Fungible { kind, amount } => write!(f, "{amount} {kind}"),
@@ -165,24 +135,29 @@ impl<K: fmt::Display> fmt::Display for Asset<K> {
 
 /// A multi-kind bag of assets: a party's holdings, an escrow's C-map entry,
 /// or the "better off / worse off" difference the safety property compares.
-/// `K` names the kind, as for [`Asset`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AssetBag<K = AssetKind> {
-    fungible: BTreeMap<K, u64>,
-    non_fungible: BTreeMap<K, BTreeSet<TokenId>>,
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct AssetBag {
+    fungible: BTreeMap<AssetKind, u64>,
+    non_fungible: BTreeMap<AssetKind, BTreeSet<TokenId>>,
 }
 
 /// What [`AssetBag::tokens`] lends for a kind the bag does not hold.
 static NO_TOKENS: BTreeSet<TokenId> = BTreeSet::new();
 
-/// Written by hand: a derive would require `K: Default`.
-impl<K> Default for AssetBag<K> {
-    fn default() -> Self {
-        Self::new()
+/// The entry of `kind` in a kind-keyed map, created empty on first use: the
+/// kind's name is shared into the map only then, and every later call finds
+/// the entry through the borrowed kind.
+pub(crate) fn kind_entry<'m, V: Default>(
+    map: &'m mut BTreeMap<AssetKind, V>,
+    kind: &AssetKind,
+) -> &'m mut V {
+    if !map.contains_key(kind) {
+        map.insert(kind.clone(), V::default());
     }
+    map.get_mut(kind).expect("inserted above")
 }
 
-impl<K> AssetBag<K> {
+impl AssetBag {
     /// Creates an empty bag. A `const fn`, so an empty bag can be a `static`
     /// that lookups of unknown parties lend out.
     pub const fn new() -> Self {
@@ -191,11 +166,9 @@ impl<K> AssetBag<K> {
             non_fungible: BTreeMap::new(),
         }
     }
-}
 
-impl<K: Ord + Clone> AssetBag<K> {
     /// Adds an asset to the bag.
-    pub fn add(&mut self, asset: &Asset<K>) {
+    pub fn add(&mut self, asset: &Asset) {
         match asset {
             Asset::Fungible { kind, amount } => self.add_fungible(kind, *amount),
             Asset::NonFungible { kind, tokens } => self.add_tokens(kind, tokens.iter().copied()),
@@ -203,22 +176,23 @@ impl<K: Ord + Clone> AssetBag<K> {
     }
 
     /// Adds `amount` units of a fungible kind.
-    pub(crate) fn add_fungible(&mut self, kind: &K, amount: u64) {
-        *self.fungible.entry(kind.clone()).or_insert(0) += amount;
+    pub(crate) fn add_fungible(&mut self, kind: &AssetKind, amount: u64) {
+        *kind_entry(&mut self.fungible, kind) += amount;
     }
 
     /// Adds tokens of a non-fungible kind.
-    pub(crate) fn add_tokens(&mut self, kind: &K, tokens: impl IntoIterator<Item = TokenId>) {
-        self.non_fungible
-            .entry(kind.clone())
-            .or_default()
-            .extend(tokens);
+    pub(crate) fn add_tokens(
+        &mut self,
+        kind: &AssetKind,
+        tokens: impl IntoIterator<Item = TokenId>,
+    ) {
+        kind_entry(&mut self.non_fungible, kind).extend(tokens);
     }
 
     /// Removes an asset from the bag; returns false (and leaves the bag
     /// unchanged) if the bag does not contain it. A kind whose balance or
     /// token set becomes empty leaves the bag.
-    pub fn remove(&mut self, asset: &Asset<K>) -> bool {
+    pub fn remove(&mut self, asset: &Asset) -> bool {
         if !self.contains(asset) {
             return false;
         }
@@ -246,7 +220,7 @@ impl<K: Ord + Clone> AssetBag<K> {
     }
 
     /// True if the bag contains at least this asset.
-    pub fn contains(&self, asset: &Asset<K>) -> bool {
+    pub fn contains(&self, asset: &Asset) -> bool {
         match asset {
             Asset::Fungible { kind, amount } => self.balance(kind) >= *amount,
             Asset::NonFungible { kind, tokens } => tokens.is_subset(self.tokens(kind)),
@@ -254,12 +228,12 @@ impl<K: Ord + Clone> AssetBag<K> {
     }
 
     /// The fungible balance of a kind.
-    pub fn balance(&self, kind: &K) -> u64 {
+    pub fn balance(&self, kind: &AssetKind) -> u64 {
         self.fungible.get(kind).copied().unwrap_or(0)
     }
 
     /// The non-fungible tokens held of a kind (borrowed; empty if none).
-    pub fn tokens(&self, kind: &K) -> &BTreeSet<TokenId> {
+    pub fn tokens(&self, kind: &AssetKind) -> &BTreeSet<TokenId> {
         self.non_fungible.get(kind).unwrap_or(&NO_TOKENS)
     }
 
@@ -271,7 +245,7 @@ impl<K: Ord + Clone> AssetBag<K> {
     /// Component-wise comparison: true if `self` holds at least everything in
     /// `other` (every fungible balance >= and every token set superset).
     /// This is the partial order used to check "no worse off".
-    pub fn covers(&self, other: &AssetBag<K>) -> bool {
+    pub fn covers(&self, other: &AssetBag) -> bool {
         other
             .fungible
             .iter()
@@ -284,7 +258,7 @@ impl<K: Ord + Clone> AssetBag<K> {
 
     /// Everything in `self` that `other` does not cover: the component-wise
     /// saturating difference over fungible balances and token sets.
-    pub fn minus(&self, other: &AssetBag<K>) -> AssetBag<K> {
+    pub fn minus(&self, other: &AssetBag) -> AssetBag {
         let mut out = AssetBag::new();
         for (kind, amount) in self.fungible_holdings() {
             let held = other.balance(kind);
@@ -302,17 +276,17 @@ impl<K: Ord + Clone> AssetBag<K> {
     }
 
     /// Iterates over all (kind, amount) fungible holdings.
-    pub fn fungible_holdings(&self) -> impl Iterator<Item = (&K, u64)> {
+    pub fn fungible_holdings(&self) -> impl Iterator<Item = (&AssetKind, u64)> {
         self.fungible.iter().map(|(k, v)| (k, *v))
     }
 
     /// Iterates over all (kind, token set) non-fungible holdings.
-    pub fn non_fungible_holdings(&self) -> impl Iterator<Item = (&K, &BTreeSet<TokenId>)> {
+    pub fn non_fungible_holdings(&self) -> impl Iterator<Item = (&AssetKind, &BTreeSet<TokenId>)> {
         self.non_fungible.iter()
     }
 }
 
-impl<K: fmt::Display> fmt::Display for AssetBag<K> {
+impl fmt::Display for AssetBag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for (k, v) in &self.fungible {
@@ -345,7 +319,6 @@ impl<K: fmt::Display> fmt::Display for AssetBag<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::{InternedAsset, InternedBag, KindId};
 
     #[test]
     fn asset_constructors_and_display() {
@@ -393,21 +366,23 @@ mod tests {
         assert!(!b.covers(&a));
         assert!(a.covers(&a));
         assert!(a.covers(&AssetBag::new()));
+        // A kind removed down to nothing never blocks coverage.
+        let mut c = AssetBag::new();
+        c.add(&Asset::fungible("dust", 5));
+        assert!(c.remove(&Asset::fungible("dust", 5)));
+        assert!(a.covers(&c));
     }
 
     #[test]
     fn minus_computes_losses_and_gains() {
-        let (coin, ticket) = (KindId(0), KindId(1));
+        let (coin, ticket) = (AssetKind::new("coin"), AssetKind::new("ticket"));
         let bag = |coins: u64, tickets: &[u64]| {
-            let mut b = InternedBag::new();
-            b.add(&InternedAsset::Fungible {
-                kind: coin,
-                amount: coins,
-            });
-            b.add(&InternedAsset::NonFungible {
-                kind: ticket,
-                tokens: tickets.iter().copied().map(TokenId).collect(),
-            });
+            let mut b = AssetBag::new();
+            b.add(&Asset::fungible(coin.clone(), coins));
+            b.add(&Asset::non_fungible(
+                ticket.clone(),
+                tickets.iter().copied(),
+            ));
             b
         };
         let a = bag(100, &[1, 2]);
@@ -417,7 +392,7 @@ mod tests {
         assert_eq!(diff.tokens(&ticket), &BTreeSet::from([TokenId(1)]));
         assert!(b.minus(&b).is_empty());
         // The difference keeps no zero balance or empty token set.
-        assert_eq!(b.minus(&a), InternedBag::new());
+        assert_eq!(b.minus(&a), AssetBag::new());
     }
 
     #[test]

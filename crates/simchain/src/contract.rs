@@ -17,11 +17,11 @@
 
 use std::any::Any;
 
+use crate::asset::{Asset, AssetKind};
 use crate::crypto::{KeyDirectory, PublicKey, Signature};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasMeter;
 use crate::ids::{ContractId, Owner, PartyId, TokenId};
-use crate::intern::{InternedAsset, KindId, KindTable};
 use crate::ledger::{AssetLedger, EventTag, LogData, LogEntry};
 use crate::time::Time;
 
@@ -33,12 +33,6 @@ use crate::time::Time;
 pub trait Contract: Any + Send {
     /// A short, stable name used in the chain log.
     fn type_name(&self) -> &'static str;
-
-    /// Called once when the contract is installed on a chain, handing it the
-    /// chain's shared [`KindTable`]. Issuance contracts override this to
-    /// intern the kind they mint up front, so their per-call paths work on a
-    /// `Copy` [`KindId`] instead of a name. The default does nothing.
-    fn on_install(&mut self, _kinds: &KindTable) {}
 
     /// Upcast for downcasting to the concrete contract type.
     fn as_any(&self) -> &dyn Any;
@@ -158,16 +152,11 @@ impl<'a> CallCtx<'a> {
         Ok(self.keys.verify_words(sig, message))
     }
 
-    /// The chain's shared kind table.
-    pub fn kinds(&self) -> &KindTable {
-        self.assets.kinds()
-    }
-
     /// Moves an asset from the *caller* into the contract's custody. This is
     /// the escrow deposit path (Figure 3 line 8, `transferFrom(msg.sender,
     /// this, amount)`); it costs two storage writes like the ERC-20 call it
     /// models, in addition to whatever bookkeeping the contract itself writes.
-    pub fn deposit_from_caller(&mut self, asset: &InternedAsset) -> ChainResult<()> {
+    pub fn deposit_from_caller(&mut self, asset: &Asset) -> ChainResult<()> {
         self.charge_storage_writes(2)?;
         self.assets
             .transfer(self.caller, Owner::Contract(self.contract), asset)
@@ -176,31 +165,36 @@ impl<'a> CallCtx<'a> {
     /// Creates new units of an asset owned by the executing contract. Used by
     /// issuance contracts (token / ticket registries) that act as the minting
     /// authority for their asset kind. Costs one storage write.
-    pub fn mint_to_self(&mut self, asset: &InternedAsset) -> ChainResult<()> {
+    pub fn mint_to_self(&mut self, asset: &Asset) -> ChainResult<()> {
         self.charge_storage_write()?;
         self.assets.mint(Owner::Contract(self.contract), asset)
     }
 
     /// Pays an asset out of the contract's custody to `to`. Costs two storage
     /// writes (debit + credit).
-    pub fn pay_out(&mut self, to: Owner, asset: &InternedAsset) -> ChainResult<()> {
+    pub fn pay_out(&mut self, to: Owner, asset: &Asset) -> ChainResult<()> {
         self.charge_storage_writes(2)?;
         self.assets
             .transfer(Owner::Contract(self.contract), to, asset)
     }
 
-    /// Pays `amount` units of an interned fungible kind out of custody.
-    pub fn pay_out_fungible(&mut self, to: Owner, kind: KindId, amount: u64) -> ChainResult<()> {
+    /// Pays `amount` units of a fungible kind out of custody.
+    pub fn pay_out_fungible(
+        &mut self,
+        to: Owner,
+        kind: &AssetKind,
+        amount: u64,
+    ) -> ChainResult<()> {
         self.charge_storage_writes(2)?;
         self.assets
             .transfer_fungible(Owner::Contract(self.contract), to, kind, amount)
     }
 
-    /// Pays specific tokens of an interned non-fungible kind out of custody.
+    /// Pays specific tokens of a non-fungible kind out of custody.
     pub fn pay_out_tokens(
         &mut self,
         to: Owner,
-        kind: KindId,
+        kind: &AssetKind,
         tokens: &std::collections::BTreeSet<TokenId>,
     ) -> ChainResult<()> {
         self.charge_storage_writes(2)?;
@@ -233,7 +227,6 @@ impl<'a> CallCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asset::{Asset, AssetKind};
     use crate::crypto::KeyPair;
     use crate::gas::GasUsage;
 
@@ -284,12 +277,8 @@ mod tests {
         let (mut gas, mut assets, keys, mut log, mut seq) = make_ctx_parts();
         let alice = Owner::Party(PartyId(0));
         let coin = AssetKind::new("coin");
-        let hundred = assets
-            .kinds()
-            .intern_asset(&Asset::fungible(coin.clone(), 100));
-        let sixty = assets
-            .kinds()
-            .intern_asset(&Asset::fungible(coin.clone(), 60));
+        let hundred = Asset::fungible(coin.clone(), 100);
+        let sixty = Asset::fungible(coin.clone(), 60);
         assets.mint(alice, &hundred).unwrap();
         let mut ctx = CallCtx {
             contract: ContractId(1),
@@ -324,7 +313,7 @@ mod tests {
             log: &mut log,
             log_seq: &mut seq,
         };
-        let ten = ctx.kinds().intern_asset(&Asset::fungible("coin", 10));
+        let ten = Asset::fungible("coin", 10);
         let err = ctx.deposit_from_caller(&ten).unwrap_err();
         assert!(matches!(err, ChainError::InsufficientBalance { .. }));
     }

@@ -15,11 +15,8 @@
 //! * [`crypto`] — simulated signatures, key directories, the streaming
 //!   [`crypto::FnvHasher`], and the timelock protocol's path signatures.
 //! * [`asset`] — the one asset type ([`Asset`]) and the one bag type
-//!   ([`AssetBag`]), generic over the key that names a kind.
-//! * [`intern`] — world-owned asset-kind interning ([`intern::KindId`],
-//!   [`intern::KindTable`]); [`InternedAsset`] and [`InternedBag`] are the
-//!   asset and bag types keyed on ids, which the ledger, contracts and deal
-//!   plans use so their hot paths never touch a kind name.
+//!   ([`AssetBag`]), which name their kind by a shared [`AssetKind`] from
+//!   the deal specification through the ledger to a deal's outcome.
 //! * [`network`] — the synchronous, eventually-synchronous (GST), and
 //!   asynchronous timing models, plus offline/denial-of-service windows.
 //! * [`world::World`] — the multi-chain world with a global logical clock used
@@ -37,7 +34,6 @@ pub mod crypto;
 pub mod error;
 pub mod gas;
 pub mod ids;
-pub mod intern;
 pub mod ledger;
 pub mod network;
 pub mod time;
@@ -52,7 +48,6 @@ pub use crypto::{
 pub use error::{ChainError, ChainResult};
 pub use gas::{GasMeter, GasUsage, GAS_SIG_VERIFY, GAS_STORAGE_WRITE};
 pub use ids::{ChainId, ContractId, DealId, Owner, PartyId, TokenId, ValidatorId};
-pub use intern::{InternedAsset, InternedBag, Interner, KindId, KindTable};
 pub use ledger::{AssetLedger, Blockchain, EventTag, LogCursor, LogEntry, LogFilter};
 pub use network::{NetworkModel, OfflineSchedule, OfflineWindow};
 pub use time::{Duration, Time};

@@ -11,13 +11,12 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::asset::AssetBag;
+use crate::asset::{Asset, AssetBag};
 use crate::contract::{CallCtx, Contract};
 use crate::crypto::KeyPair;
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasUsage;
 use crate::ids::{ChainId, ContractId, Owner, PartyId};
-use crate::intern::{InternedAsset, InternedBag, KindTable};
 use crate::ledger::Blockchain;
 use crate::network::{NetworkModel, OfflineSchedule};
 use crate::time::{Duration, Time};
@@ -33,7 +32,6 @@ pub struct World {
     offline: OfflineSchedule,
     rng: StdRng,
     seed: u64,
-    kinds: KindTable,
 }
 
 impl World {
@@ -45,15 +43,6 @@ impl World {
 
     /// Creates a world with an explicit network model.
     pub fn with_network(seed: u64, network: NetworkModel) -> Self {
-        World::with_network_and_kinds(seed, network, KindTable::new())
-    }
-
-    /// Creates a world whose asset-kind table starts from `kinds` (typically
-    /// a [`KindTable::fork`] of a pre-resolved deal plan's canonical table,
-    /// so every id the plan assigned is valid on this world's chains). The
-    /// table is adopted as-is: pass a fork, not a shared handle, unless you
-    /// want later interning to flow back to the source.
-    pub fn with_network_and_kinds(seed: u64, network: NetworkModel, kinds: KindTable) -> Self {
         World {
             clock: Time::ZERO,
             chains: Vec::new(),
@@ -63,7 +52,6 @@ impl World {
             offline: OfflineSchedule::new(),
             rng: StdRng::seed_from_u64(seed),
             seed,
-            kinds,
         }
     }
 
@@ -98,16 +86,8 @@ impl World {
     // Chains
     // ------------------------------------------------------------------
 
-    /// The world-owned asset-kind interner. Every chain created by
-    /// [`World::add_chain`] shares it, so a kind name resolves to the same
-    /// [`crate::intern::KindId`] on all of this world's chains.
-    pub fn kinds(&self) -> &KindTable {
-        &self.kinds
-    }
-
     /// Creates a new blockchain with the given name and block interval and
-    /// returns its id. Existing parties' keys are registered on it, and it
-    /// shares the world's kind table.
+    /// returns its id. Existing parties' keys are registered on it.
     pub fn add_chain(&mut self, name: &str, block_interval: Duration) -> ChainId {
         self.push_chain(Some(name.to_string()), block_interval)
     }
@@ -125,7 +105,7 @@ impl World {
 
     fn push_chain(&mut self, name: Option<String>, block_interval: Duration) -> ChainId {
         let id = ChainId(self.chains.len() as u32);
-        let mut chain = Blockchain::with_kinds(id, name, block_interval, self.kinds.clone());
+        let mut chain = Blockchain::named(id, name, block_interval);
         chain.register_keys(self.parties.iter().map(|(party, kp)| (*party, kp)));
         self.chains.push(chain);
         id
@@ -178,11 +158,6 @@ impl World {
             .ok_or_else(|| ChainError::Other(format!("unknown party {party}")))
     }
 
-    /// All party ids in creation order.
-    pub fn party_ids(&self) -> Vec<PartyId> {
-        self.parties.keys().copied().collect()
-    }
-
     /// True if the party exists in this world.
     pub fn has_party(&self, party: PartyId) -> bool {
         self.parties.contains_key(&party)
@@ -227,7 +202,7 @@ impl World {
     // ------------------------------------------------------------------
 
     /// Mints assets to an owner on a chain (workload setup).
-    pub fn mint(&mut self, chain: ChainId, owner: Owner, asset: &InternedAsset) -> ChainResult<()> {
+    pub fn mint(&mut self, chain: ChainId, owner: Owner, asset: &Asset) -> ChainResult<()> {
         self.chain_mut(chain)?.mint(owner, asset)
     }
 
@@ -252,15 +227,14 @@ impl World {
         self.chain_mut(chain)?.call(now, caller, contract, f)
     }
 
-    /// Everything `owner` holds across all chains: every chain's entries
-    /// for the owner fold into one id-keyed bag (the chains share the
-    /// world's kind table), whose names are resolved once at the end.
+    /// Everything `owner` holds across all chains, folded into one bag: a
+    /// kind held on several chains adds up.
     pub fn holdings(&self, owner: Owner) -> AssetBag {
-        let mut bag = InternedBag::new();
+        let mut bag = AssetBag::new();
         for chain in &self.chains {
             chain.assets().add_holdings_to(owner, &mut bag);
         }
-        bag.resolve(&self.kinds)
+        bag
     }
 
     /// Total gas used across all chains.
@@ -285,7 +259,6 @@ impl std::fmt::Debug for World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asset::Asset;
 
     #[test]
     fn world_setup_and_clock() {
@@ -293,7 +266,8 @@ mod tests {
         let c1 = w.add_chain("coins", Duration(10));
         let p1 = w.add_party();
         let c2 = w.add_chain("tickets", Duration(10));
-        assert_eq!(w.party_ids(), vec![p1]);
+        assert!(w.has_party(p1));
+        assert!(!w.has_party(PartyId(1)));
         // party key is registered on both chains, including the one created later
         assert!(w.chain(c1).unwrap().keys().public_key_of(p1).is_some());
         assert!(w.chain(c2).unwrap().keys().public_key_of(p1).is_some());
@@ -310,13 +284,93 @@ mod tests {
         let c1 = w.add_chain("coins", Duration(1));
         let c2 = w.add_chain("tickets", Duration(1));
         let p = w.add_party();
-        let coins = w.kinds().intern_asset(&Asset::fungible("coin", 10));
-        let ticket = w.kinds().intern_asset(&Asset::non_fungible("ticket", [1]));
-        w.mint(c1, Owner::Party(p), &coins).unwrap();
-        w.mint(c2, Owner::Party(p), &ticket).unwrap();
+        w.mint(c1, Owner::Party(p), &Asset::fungible("coin", 10))
+            .unwrap();
+        w.mint(c2, Owner::Party(p), &Asset::non_fungible("ticket", [1]))
+            .unwrap();
         let bag = w.holdings(Owner::Party(p));
         assert_eq!(bag.balance(&"coin".into()), 10);
         assert!(bag.contains(&Asset::non_fungible("ticket", [1])));
+    }
+
+    /// Takes deposits, so a test can move assets between owners through a
+    /// real contract call.
+    struct Vault;
+    impl Contract for Vault {
+        fn type_name(&self) -> &'static str {
+            "vault"
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn bag(assets: &[Asset]) -> AssetBag {
+        let mut bag = AssetBag::new();
+        for a in assets {
+            bag.add(a);
+        }
+        bag
+    }
+
+    #[test]
+    fn holdings_give_each_owner_exactly_its_own_assets() {
+        // Adjacent owners, a kind named "", kinds whose names share a prefix,
+        // one kind's tokens split between owners and a balance drained to
+        // zero, over two chains.
+        let mut w = World::new(4);
+        w.add_parties(2);
+        let c1 = w.add_chain("one", Duration(1));
+        let c2 = w.add_chain("two", Duration(1));
+        let (p0, p1) = (Owner::Party(PartyId(0)), Owner::Party(PartyId(1)));
+        let vault = w.chain_mut(c1).unwrap().install(Vault);
+        let v = Owner::Contract(vault);
+        for (chain, owner, asset) in [
+            (c1, p0, Asset::fungible("", 5)),
+            (c1, p0, Asset::non_fungible("ab", [1, 2, 3])),
+            (c1, p1, Asset::fungible("a", 7)),
+            (c1, p1, Asset::fungible("ab", 6)),
+            (c2, p0, Asset::fungible("a", 4)),
+            (c2, p1, Asset::fungible("", 2)),
+        ] {
+            w.mint(chain, owner, &asset).unwrap();
+        }
+        for (from, asset) in [
+            (p1, Asset::fungible("a", 7)),
+            (p0, Asset::non_fungible("ab", [3])),
+        ] {
+            w.call(c1, from, vault, |_: &mut Vault, ctx| {
+                ctx.deposit_from_caller(&asset)
+            })
+            .unwrap();
+        }
+        let on = |chain: ChainId, owner: Owner| w.chain(chain).unwrap().assets().holdings(owner);
+        let vaulted = bag(&[Asset::fungible("a", 7), Asset::non_fungible("ab", [3])]);
+        assert_eq!(
+            on(c1, p0),
+            bag(&[Asset::fungible("", 5), Asset::non_fungible("ab", [1, 2])])
+        );
+        assert_eq!(on(c1, p1), bag(&[Asset::fungible("ab", 6)]));
+        assert_eq!(on(c1, v), vaulted);
+        assert_eq!(on(c2, p0), bag(&[Asset::fungible("a", 4)]));
+        assert_eq!(on(c2, p1), bag(&[Asset::fungible("", 2)]));
+        assert_eq!(on(c2, v), AssetBag::new());
+        assert_eq!(
+            w.holdings(p0),
+            bag(&[
+                Asset::fungible("", 5),
+                Asset::fungible("a", 4),
+                Asset::non_fungible("ab", [1, 2]),
+            ])
+        );
+        assert_eq!(
+            w.holdings(p1),
+            bag(&[Asset::fungible("", 2), Asset::fungible("ab", 6)])
+        );
+        assert_eq!(w.holdings(v), vaulted);
     }
 
     #[test]

@@ -136,17 +136,6 @@ impl DealEngine for SwapEngine {
             DealError::Config("deal is not expressible as a two-party HTLC swap".into())
         })?;
         let mut d = DealDriver::new(world, plan, configs)?;
-        // The two legs' interned assets, resolved once at planning time.
-        let leg = |from: PartyId| {
-            plan.transfers()
-                .iter()
-                .find(|t| t.from == from)
-                .expect("as_swap_spec checked the legs")
-                .asset
-                .clone()
-        };
-        let leader_asset = leg(swap.leader);
-        let follower_asset = leg(swap.follower);
         let secret = 0xA11CE ^ d.world.seed();
 
         // Clearing: install the two HTLCs under one hashlock, with the
@@ -183,7 +172,7 @@ impl DealEngine for SwapEngine {
                     swap.leader_chain,
                     Owner::Party(swap.leader),
                     leader_htlc,
-                    |h: &mut HtlcContract, ctx| h.fund(ctx, leader_asset.clone()),
+                    |h: &mut HtlcContract, ctx| h.fund(ctx, swap.leader_asset.clone()),
                 )
                 .is_ok();
             advance_one_observation(d.world);
@@ -196,7 +185,7 @@ impl DealEngine for SwapEngine {
                         swap.follower_chain,
                         Owner::Party(swap.follower),
                         follower_htlc,
-                        |h: &mut HtlcContract, ctx| h.fund(ctx, follower_asset.clone()),
+                        |h: &mut HtlcContract, ctx| h.fund(ctx, swap.follower_asset.clone()),
                     )
                     .is_ok();
             advance_one_observation(d.world);

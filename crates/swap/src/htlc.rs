@@ -7,11 +7,11 @@
 
 use std::any::Any;
 
+use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::{FnvHasher, Hash};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::PartyId;
-use xchain_sim::intern::InternedAsset;
 use xchain_sim::ledger::EventTag;
 use xchain_sim::time::Time;
 
@@ -28,15 +28,14 @@ pub enum HtlcState {
     Refunded,
 }
 
-/// A hashed-timelock escrow for a single asset. The locked asset is stored
-/// interned, so claim and refund payouts never touch a kind-name `String`.
+/// A hashed-timelock escrow for a single asset.
 #[derive(Debug, Clone)]
 pub struct HtlcContract {
     depositor: PartyId,
     beneficiary: PartyId,
     hashlock: Hash,
     timeout: Time,
-    asset: Option<InternedAsset>,
+    asset: Option<Asset>,
     state: HtlcState,
 }
 
@@ -73,9 +72,8 @@ impl HtlcContract {
         self.timeout
     }
 
-    /// The depositor funds the contract with an asset interned against the
-    /// chain's kind table.
-    pub fn fund(&mut self, ctx: &mut CallCtx<'_>, asset: InternedAsset) -> ChainResult<()> {
+    /// The depositor funds the contract with the asset.
+    pub fn fund(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
         ctx.require(
             self.state == HtlcState::Created,
             "already funded or resolved",
@@ -138,7 +136,6 @@ impl Contract for HtlcContract {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xchain_sim::asset::Asset;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, Owner};
     use xchain_sim::ledger::Blockchain;
@@ -146,7 +143,7 @@ mod tests {
 
     fn chain_with_coins(owner: PartyId) -> Blockchain {
         let mut chain = Blockchain::new(ChainId(0), "coins", Duration(1));
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
+        let coins = Asset::fungible("coin", 50);
         chain.mint(Owner::Party(owner), &coins).unwrap();
         chain
     }
@@ -163,7 +160,7 @@ mod tests {
             HtlcContract::hash_secret(secret),
             Time(100),
         ));
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
+        let coins = Asset::fungible("coin", 50);
         chain
             .call(
                 Time(0),
@@ -218,7 +215,7 @@ mod tests {
             HtlcContract::hash_secret(9),
             Time(100),
         ));
-        let coins = chain.kinds().intern_asset(&Asset::fungible("coin", 50));
+        let coins = Asset::fungible("coin", 50);
         chain
             .call(
                 Time(0),

@@ -97,23 +97,25 @@ fn deal_allocations(protocol: &Protocol) -> (u64, u64) {
 }
 
 /// Budgets about 15% above the counts this code makes under `cargo test`
-/// (timelock deal 255, CBC deal 247, checks 62 each). Before shared kind
+/// (timelock deal 245, CBC deal 237, checks 62 each). Before shared kind
 /// names, one-scan holdings snapshots, borrowing property checks and pooled
 /// path signatures, the same deals made 875 (timelock) and 584 (CBC)
 /// allocations in the deal call and 716 in the checks; before worlds
 /// stopped regrowing their tables and the deal information was shared
-/// across chains, 339 and 323.
-const TIMELOCK_DEAL_BUDGET: u64 = 295;
-const CBC_DEAL_BUDGET: u64 = 285;
+/// across chains, 339 and 323; before assets were keyed by their names
+/// instead of interned ids, 255 and 247.
+const TIMELOCK_DEAL_BUDGET: u64 = 282;
+const CBC_DEAL_BUDGET: u64 = 272;
 const CHECKS_BUDGET: u64 = 70;
 
-/// Budgets about 15% above the counts of `DealPlan::new` (87 on the n = 9
-/// brokered chain, 34 on a 3-party ring) and of one timelock `Deal::run` of
-/// that ring in a fresh session (133). Before the plan was resolved in one
-/// pass, they were 128, 45 and 172.
-const PLAN_N9_BUDGET: u64 = 100;
-const PLAN_RING3_BUDGET: u64 = 39;
-const SMALL_RUN_BUDGET: u64 = 153;
+/// Budgets about 15% above the counts of `DealPlan::new` (79 on the n = 9
+/// brokered chain, 28 on a 3-party ring) and of one timelock `Deal::run` of
+/// that ring in a fresh session (122). Before the plan was resolved in one
+/// pass, they were 128, 45 and 172; before assets were keyed by their names
+/// instead of interned ids, 87, 34 and 132.
+const PLAN_N9_BUDGET: u64 = 91;
+const PLAN_RING3_BUDGET: u64 = 32;
+const SMALL_RUN_BUDGET: u64 = 140;
 
 #[test]
 fn an_n9_deal_stays_within_its_allocation_budget() {

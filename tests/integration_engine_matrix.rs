@@ -200,9 +200,7 @@ fn a_payout_that_would_overflow_the_receiver_is_refused_for_every_engine() {
     for (name, engine) in &all_engines() {
         let deal = Deal::new(spec.clone()).seed(5);
         let mut world = deal.build_world().unwrap();
-        let hoard = world
-            .kinds()
-            .intern_asset(&Asset::fungible("asset-0", u64::MAX - 5));
+        let hoard = Asset::fungible("asset-0", u64::MAX - 5);
         world.mint(ChainId(0), bob, &hoard).unwrap();
         let run = deal.run_in(&mut world, engine).unwrap();
         // The payout is refused instead of wrapping: Bob's balance is

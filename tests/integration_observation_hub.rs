@@ -80,11 +80,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
         .chain_mut(COINS)
         .unwrap()
         .install(EscrowManager::new(spec.deal, spec.parties.clone()));
-    let tickets = world
-        .kinds()
-        .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
-    let coins = world.kinds().intern_asset(&Asset::fungible("coin", 101));
-    let one_coin = world.kinds().intern_asset(&Asset::fungible("coin", 1));
+    let tickets = Asset::non_fungible("ticket", [1, 2]);
+    let coins = Asset::fungible("coin", 101);
+    let one_coin = Asset::fungible("coin", 1);
 
     let mut hub = ObservationHub::new(&plan);
     let escrowed = [(TICKETS, BOB), (COINS, CAROL)];
@@ -274,9 +272,7 @@ fn foreign_entries_are_skipped_identically() {
         .chain_mut(TICKETS)
         .unwrap()
         .install(EscrowManager::new(spec.deal, spec.parties.clone()));
-    let tickets = world
-        .kinds()
-        .intern_asset(&Asset::non_fungible("ticket", [1, 2]));
+    let tickets = Asset::non_fungible("ticket", [1, 2]);
     world
         .call(
             TICKETS,

@@ -1,8 +1,8 @@
-//! Plan-vs-string parity: executing through pre-resolved [`DealPlan`]s (the
-//! sweep path — one plan per spec, worlds forked from the plan's kind table)
-//! must produce *exactly* the outcomes of resolving everything per run (the
-//! `Deal::run` path, whose plan is rebuilt from the string-kinded spec every
-//! call). The plan layer is a representation change, not a semantic one.
+//! Plan parity: executing through pre-resolved [`DealPlan`]s (the sweep
+//! path — one plan per spec, shared by every world that runs it) must
+//! produce *exactly* the outcomes of resolving everything per run (the
+//! `Deal::run` path, whose plan is rebuilt from the spec every call). The
+//! plan layer is a representation change, not a semantic one.
 
 use xchain_deals::builders::{
     auction_spec, broker_spec, broker_spec_with, brokered_chain_spec, ring_spec,
@@ -38,7 +38,7 @@ fn fingerprint(run: &DealRun) -> String {
     )
 }
 
-/// The sweep (shared plans, forked kind tables) against a hand-rolled loop
+/// The sweep (shared plans) against a hand-rolled loop
 /// over `Deal::run` (fresh plan per cell): identical outcomes, point for
 /// point, at `threads(1)` and `threads(4)`.
 #[test]
@@ -102,9 +102,8 @@ fn sweep_with_shared_plans_matches_per_run_resolution() {
     }
 }
 
-/// A world holding the deal's chains, parties and escrowed assets whose kind
-/// table numbers kinds differently from any plan of the spec: an unrelated
-/// kind is minted before the escrows.
+/// A world holding the deal's chains, parties and escrowed assets, plus an
+/// unrelated kind minted before the escrows.
 fn foreign_world(spec: &DealSpec, network: NetworkModel, seed: u64) -> World {
     let mut world = World::with_network(seed, network);
     let max_chain = spec.chains().iter().map(|c| c.0).max().unwrap();
@@ -113,38 +112,37 @@ fn foreign_world(spec: &DealSpec, network: NetworkModel, seed: u64) -> World {
     }
     let max_party = spec.parties.iter().map(|p| p.0).max().unwrap();
     world.add_parties(max_party as usize + 1);
-    // Interning `gold` first is what shifts the escrow kinds' ids.
-    let gold = world.kinds().intern_asset(&Asset::fungible("gold", 5));
     world
-        .mint(ChainId(0), Owner::Party(PartyId(0)), &gold)
+        .mint(
+            ChainId(0),
+            Owner::Party(PartyId(0)),
+            &Asset::fungible("gold", 5),
+        )
         .unwrap();
     for e in &spec.escrows {
-        let asset = world.kinds().intern_asset(&e.asset);
-        world.mint(e.chain, Owner::Party(e.owner), &asset).unwrap();
+        world
+            .mint(e.chain, Owner::Party(e.owner), &e.asset)
+            .unwrap();
     }
     world
 }
 
 /// One shared plan across many sessions (different seeds and engines) equals
-/// per-session planning, and `run_in` (plan resolved against the caller's
-/// world table) equals both — also when the caller's world numbers kinds
-/// differently from the plan.
+/// per-session planning, and `run_in` (the session's plan in the caller's
+/// world) equals both — also when the caller's world holds another kind.
 #[test]
 fn shared_plan_and_caller_world_agree_with_fresh_plans() {
     let spec = broker_spec();
     let network = NetworkModel::synchronous(100);
     let session = Deal::new(spec.clone()).network(network);
     let plan = session.plan().unwrap();
-    let escrow_kind = spec.escrows[0].asset.kind().clone();
-    let plan_id = plan.kinds().get(escrow_kind.name()).unwrap();
     for seed in [0u64, 7, 42, 1897] {
         for engine in [Protocol::timelock(), Protocol::cbc()] {
             let deal = session.clone().seed(seed);
             let fresh = deal.run(engine.clone()).unwrap();
             let shared = deal.run_planned(&plan, engine.clone()).unwrap();
             assert_eq!(fingerprint(&fresh), fingerprint(&shared), "seed {seed}");
-            // Caller-owned world: the plan is resolved against the world's
-            // own kind table instead of a fork.
+            // Caller-owned world.
             let mut world = deal.build_world().unwrap();
             let in_run = deal.run_in(&mut world, engine.clone()).unwrap();
             assert_eq!(
@@ -152,12 +150,10 @@ fn shared_plan_and_caller_world_agree_with_fresh_plans() {
                 format!("{:?}", in_run.outcome),
                 "seed {seed}"
             );
-            // A foreign kind table: `run_in` re-plans against it
-            // (`DealPlan::for_table`), so the ids differ from the session
-            // plan's but the deal runs the same. Holdings include the
-            // unrelated kind, so compare what the deal itself decides.
+            // A world that already holds an unrelated kind runs the deal the
+            // same. Holdings include the unrelated kind, so compare what the
+            // deal itself decides.
             let mut world = foreign_world(&spec, network, seed);
-            assert_ne!(world.kinds().get(escrow_kind.name()), Some(plan_id));
             let foreign = deal.run_in(&mut world, engine.clone()).unwrap();
             assert_eq!(
                 fresh.outcome.resolutions, foreign.outcome.resolutions,
@@ -213,8 +209,8 @@ fn invalid_specs_fail_at_plan_time() {
 }
 
 /// Asserts that the one-pass plan of `spec` equals what the name-keyed
-/// references on [`DealSpec`] derive: the transfer order, the chain sets, the
-/// expected net incoming bags, and the interned assets.
+/// references on [`DealSpec`] derive: the transfer order, the chain sets and
+/// the expected net incoming bags.
 fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
     spec.validate()
         .unwrap_or_else(|e| panic!("{case}: validate: {e}"));
@@ -225,12 +221,6 @@ fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
         "{case}: transfer order"
     );
     assert_eq!(plan.chains(), &spec.chains()[..], "{case}: chains");
-    for (pe, e) in plan.escrows().iter().zip(&spec.escrows) {
-        assert_eq!(pe.asset.resolve(plan.kinds()), e.asset, "{case}: escrow");
-    }
-    for (pt, t) in plan.transfers().iter().zip(&spec.transfers) {
-        assert_eq!(pt.asset.resolve(plan.kinds()), t.asset, "{case}: transfer");
-    }
     assert_eq!(plan.parties().len(), spec.parties.len(), "{case}: parties");
     for (pp, &p) in plan.parties().iter().zip(&spec.parties) {
         assert_eq!(pp.id, p, "{case}");
@@ -247,8 +237,8 @@ fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
         assert_eq!(pp.expected.len(), pp.incoming_chains.len(), "{case}: {p}");
         for (&chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
             assert_eq!(
-                expected.resolve(plan.kinds()),
-                expected_on_chain(spec, p, chain),
+                expected,
+                &expected_on_chain(spec, p, chain),
                 "{case}: {p} expected on {chain}"
             );
         }

@@ -366,11 +366,37 @@ mod tests {
         assert!(!b.covers(&a));
         assert!(a.covers(&a));
         assert!(a.covers(&AssetBag::new()));
-        // A kind removed down to nothing never blocks coverage.
+    }
+
+    #[test]
+    fn emptied_kind_never_blocks_covers() {
+        let mut a = AssetBag::new();
+        a.add(&Asset::fungible("coin", 100));
+        a.add(&Asset::non_fungible("ticket", [1, 2]));
         let mut c = AssetBag::new();
         c.add(&Asset::fungible("dust", 5));
+        c.add(&Asset::non_fungible("relic", [9]));
+        assert!(!a.covers(&c));
         assert!(c.remove(&Asset::fungible("dust", 5)));
+        assert!(c.remove(&Asset::non_fungible("relic", [9])));
         assert!(a.covers(&c));
+    }
+
+    #[test]
+    fn removal_drops_emptied_kinds() {
+        let mut bag = AssetBag::new();
+        bag.add(&Asset::fungible("coin", 100));
+        bag.add(&Asset::fungible("coin", 1));
+        bag.add(&Asset::non_fungible("ticket", [7]));
+        assert!(bag.remove(&Asset::fungible("coin", 100)));
+        assert!(bag.remove(&Asset::non_fungible("ticket", [7])));
+        // What is left equals a bag that never held the removed assets.
+        let mut left = AssetBag::new();
+        left.add(&Asset::fungible("coin", 1));
+        assert_eq!(bag, left);
+        assert!(bag.remove(&Asset::fungible("coin", 1)));
+        assert!(bag.is_empty());
+        assert_eq!(bag, AssetBag::new());
     }
 
     #[test]

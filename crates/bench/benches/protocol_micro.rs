@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo bench -p xchain-bench --bench protocol_micro`
 
-use xchain_bench::Suite;
+use xchain_bench::measure;
 use xchain_bft::log::CbcLog;
 use xchain_deals::builders::{broker_spec, ring_spec};
 use xchain_deals::digraph::DealDigraph;
@@ -16,13 +16,12 @@ use xchain_sim::time::Time;
 
 fn main() {
     println!("protocol_micro");
-    let mut suite = Suite::from_args("protocol_micro");
 
     // Figure 3: one full broker deal (escrow + transfer heavy).
     let deal = Deal::new(broker_spec())
         .network(NetworkModel::synchronous(100))
         .seed(3);
-    suite.bench("protocol_micro/fig3_broker_deal_timelock", 100, || {
+    measure("protocol_micro/fig3_broker_deal_timelock", 100, || {
         deal.run(Protocol::timelock()).unwrap()
     });
 
@@ -41,7 +40,7 @@ fn main() {
         for (i, key) in keys.iter().enumerate().skip(1) {
             path = path.forwarded_by(PartyId(i as u32), key, &msg);
         }
-        suite.bench(
+        measure(
             &format!("protocol_micro/fig5_path_signature_verify/{k}"),
             1_000,
             || {
@@ -67,7 +66,7 @@ fn main() {
         }
         let mut dir = KeyDirectory::new();
         cbc.validators().register_in(&mut dir);
-        suite.bench(
+        measure(
             &format!("protocol_micro/fig6_status_certificate/{f}"),
             500,
             || {
@@ -80,13 +79,12 @@ fn main() {
     // Section 5.1: strong-connectivity check on large rings.
     for n in [10u32, 100, 500] {
         let spec = ring_spec(DealId(n as u64), n);
-        suite.bench(
+        measure(
             &format!("protocol_micro/well_formedness_scc/{n}"),
             200,
             || DealDigraph::from_spec(&spec).is_strongly_connected(),
         );
     }
-    suite.finish();
 }
 
 fn words(w: &[u64]) -> Vec<u8> {

@@ -1,9 +1,9 @@
 //! The experiments that regenerate the paper's tables and figures.
 //!
-//! Each function returns one or more [`Table`]s whose *shape* is compared
-//! against the paper's claims in EXPERIMENTS.md. Parameters are small enough
-//! to run in seconds; the benches in `xchain-bench` re-run the same code
-//! under measurement. Every experiment goes through the unified
+//! Each function returns one or more [`Table`]s whose *shape* follows the
+//! paper's claims; the `experiments` binary prints them, and
+//! `tests/integration_workloads.rs` checks the shapes. Parameters are small
+//! enough to run in seconds. Every experiment goes through the unified
 //! [`Deal`] builder / [`Sweep`] API, so adding a protocol or network model is
 //! a one-line change.
 

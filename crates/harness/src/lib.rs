@@ -3,8 +3,8 @@
 //! Workload generators, adversary sweeps, the declarative [`sweep::Sweep`]
 //! API over the unified `DealEngine` abstraction, and the experiments that
 //! regenerate every table and figure of *Cross-chain Deals and Adversarial
-//! Commerce* (see DESIGN.md §3 for the per-experiment index and
-//! EXPERIMENTS.md for the measured results).
+//! Commerce* (run them with the `experiments` binary:
+//! `cargo run --release -p xchain-harness --bin experiments -- all`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

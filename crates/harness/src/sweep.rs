@@ -275,8 +275,8 @@ impl Sweep {
             }
         }
 
-        // Phase 2 (parallel): run the cells on the pool. Every worker builds
-        // its own engine per cell; results come back in cell order. A cell
+        // Phase 2 (parallel): run the cells on the pool. Workers share the
+        // engines built in phase 1; results come back in cell order. A cell
         // error fails the sweep fast: workers stop executing new cells once
         // one has failed (serial runs therefore report the first error in
         // cell order; parallel runs report the earliest-indexed error among

@@ -8,8 +8,7 @@
 //! Section 7.1), and (b) deviating parties to be unable to forge compliant
 //! parties' votes. Both are preserved by this deterministic keyed-hash scheme:
 //! only the holder of a [`KeyPair`] can call [`KeyPair::sign`], and the
-//! simulation only hands each party its own key pair. See DESIGN.md §1 for the
-//! substitution rationale.
+//! simulation only hands each party its own key pair.
 
 use std::fmt;
 

@@ -191,6 +191,64 @@ fn amounts_summing_past_u64_are_an_invalid_spec_for_every_engine() {
 }
 
 #[test]
+fn escrowing_one_token_twice_is_a_deal_error_for_every_engine() {
+    let (alice, bob, chain) = (PartyId(0), PartyId(1), ChainId(0));
+    let deeds = |tokens: &[u64]| Asset::non_fungible("deed", tokens.iter().copied());
+    let escrow = |owner, asset| EscrowSpec {
+        owner,
+        chain,
+        asset,
+    };
+    let transfer = |from, to, asset| TransferSpec {
+        from,
+        to,
+        chain,
+        asset,
+    };
+    // Alice and Bob each escrow deed 1 and swap it.
+    let two_owners = DealSpec::new(
+        DealId(92),
+        vec![alice, bob],
+        vec![escrow(alice, deeds(&[1])), escrow(bob, deeds(&[1]))],
+        vec![
+            transfer(alice, bob, deeds(&[1])),
+            transfer(bob, alice, deeds(&[1])),
+        ],
+    );
+    // Alice escrows deeds {1, 2} and {2, 3}, and sells {1, 2} for coins.
+    let coins = Asset::fungible("coin", 10);
+    let overlapping = DealSpec::new(
+        DealId(93),
+        vec![alice, bob],
+        vec![
+            escrow(alice, deeds(&[1, 2])),
+            escrow(alice, deeds(&[2, 3])),
+            escrow(bob, coins.clone()),
+        ],
+        vec![
+            transfer(alice, bob, deeds(&[1, 2])),
+            transfer(bob, alice, coins),
+        ],
+    );
+    for spec in [two_owners, overlapping] {
+        spec.validate().unwrap();
+        let deal = Deal::new(spec);
+        for (name, engine) in &all_engines() {
+            // The commit protocols fail at world set-up, minting the token a
+            // second time; the HTLC swap refuses the one-chain deal first.
+            let err = deal.run(engine).unwrap_err();
+            match *name {
+                "HTLC swap" => assert!(matches!(err, DealError::Config(_)), "{name}: {err}"),
+                _ => assert!(
+                    matches!(&err, DealError::Chain(e) if e.to_string().contains("already minted")),
+                    "{name}: {err}"
+                ),
+            }
+        }
+    }
+}
+
+#[test]
 fn a_payout_that_would_overflow_the_receiver_is_refused_for_every_engine() {
     // Bob already holds almost every unit of the asset-0 the ring pays him,
     // so crediting the 10 escrowed units would overflow his balance.

@@ -168,6 +168,31 @@ fn shared_plan_and_caller_world_agree_with_fresh_plans() {
     }
 }
 
+/// A market clearing deal after deal on one plan: every compliant run of the
+/// broker deal and of a 5-ring, at seeds 0..100 under both commit protocols,
+/// commits everywhere.
+#[test]
+fn many_seeds_on_one_shared_plan_all_commit() {
+    for spec in [broker_spec(), ring_spec(DealId(5), 5)] {
+        let session = Deal::new(spec).network(NetworkModel::synchronous(100));
+        let plan = session.plan().unwrap();
+        for engine in [Protocol::timelock(), Protocol::cbc()] {
+            for seed in 0..100 {
+                let run = session
+                    .clone()
+                    .seed(seed)
+                    .run_planned(&plan, engine.clone())
+                    .unwrap();
+                assert!(
+                    run.outcome.committed_everywhere(),
+                    "deal {:?}, seed {seed}",
+                    session.spec().deal
+                );
+            }
+        }
+    }
+}
+
 /// A plan is reusable concurrently: the same `DealPlan` value driving cells
 /// on several worker threads yields the serial outcome (the plan is shared
 /// state, so this doubles as a thread-safety check under `cargo test`).

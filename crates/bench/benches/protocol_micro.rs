@@ -25,7 +25,9 @@ fn main() {
         deal.run(Protocol::timelock()).unwrap()
     });
 
-    // Figure 5: verifying a forwarded path signature of length k.
+    // Figure 5: verifying a forwarded path signature of length k, signature
+    // by signature as the timelock contract does: look up the signer's key,
+    // then `CallCtx::verify_signature`'s signer check and word verification.
     for k in [1usize, 4, 8] {
         let mut dir = KeyDirectory::new();
         let keys: Vec<KeyPair> = (0..k as u32)
@@ -47,7 +49,7 @@ fn main() {
                 assert!(path.signers_unique());
                 for (p, sig) in &path.path {
                     let pk = dir.public_key_of(*p).unwrap();
-                    assert!(sig.verify(pk, &words(&msg), &dir));
+                    assert!(sig.signer == pk && dir.verify_words(sig, &msg));
                 }
             },
         );
@@ -85,12 +87,4 @@ fn main() {
             || DealDigraph::from_spec(&spec).is_strongly_connected(),
         );
     }
-}
-
-fn words(w: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for x in w {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
 }

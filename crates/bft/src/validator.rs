@@ -230,7 +230,10 @@ mod tests {
         let mut dir = KeyDirectory::new();
         set.register_in(&mut dir);
         for (vid, sig) in &sigs {
-            assert_eq!(dir.party_of(sig.signer), Some(validator_party_id(*vid)));
+            assert_eq!(
+                dir.public_key_of(validator_party_id(*vid)),
+                Some(sig.signer)
+            );
             assert!(dir.verify_words(sig, &[1, 2, 3]));
             assert!(!dir.verify_words(sig, &[1, 2, 4]));
         }

@@ -112,7 +112,7 @@ impl CbcManager {
                 registered == Some(pk),
                 "validator key not registered on chain",
             )?;
-            let ok = ctx.verify_signature(sig, pk, &payload)?;
+            let ok = ctx.verify_signature(sig, pk, &payload);
             ctx.require(ok, "invalid validator signature")?;
         }
         // line 12: record and act on the outcome.
@@ -144,7 +144,7 @@ impl CbcManager {
         // checker examines; then validate the proof's conclusion.
         let check = proof.verify(&self.info.validators, epoch_infos, ctx.keys());
         for _ in 0..check.sig_verifications {
-            ctx.charge_sig_verification()?;
+            ctx.charge_sig_verification();
         }
         let Some(status) = check.status else {
             return ctx.require(false, "block proof failed verification");

@@ -115,14 +115,12 @@ impl EscrowCore {
         // Pre: Owns(P, a): the deposit fails if the caller does not own it.
         ctx.deposit_from_caller(&asset)?;
         let magnitude = asset.magnitude();
-        // A map entry (1 write) + C map entry (1 write). Both maps are
-        // recorded before the emit below can fail (out of gas), so an abort
-        // can always refund exactly what was deposited.
-        ctx.charge_storage_write()?;
-        ctx.charge_storage_write()?;
+        // A map entry (1 write) + C map entry (1 write).
+        ctx.charge_storage_write();
+        ctx.charge_storage_write();
         self.on_commit.entry(caller).or_default().add(&asset);
         self.deposits.push((caller, asset));
-        ctx.emit(EventTag::Escrow, [self.deal.0, caller.0 as u64, magnitude])?;
+        ctx.emit(EventTag::Escrow, [self.deal.0, caller.0 as u64, magnitude]);
         Ok(())
     }
 
@@ -148,19 +146,19 @@ impl EscrowCore {
             sender_bag.contains(asset),
             "caller does not tentatively own the asset",
         )?;
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         let removed = self
             .on_commit
             .get_mut(&caller)
             .map(|b| b.remove(asset))
             .unwrap_or(false);
         debug_assert!(removed, "contains() checked above");
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.on_commit.entry(to).or_default().add(asset);
         ctx.emit(
             EventTag::TentativeTransfer,
             [self.deal.0, caller.0 as u64, to.0 as u64, asset.magnitude()],
-        )?;
+        );
         Ok(())
     }
 
@@ -169,7 +167,7 @@ impl EscrowCore {
     /// holds. One storage write records the outcome, plus the payout writes.
     pub fn distribute_commit(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
         ctx.require(self.is_active(), "deal already resolved")?;
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.resolution = Some(EscrowResolution::Committed);
         for (party, bag) in &self.on_commit {
             for (kind, amount) in bag.fungible_holdings() {
@@ -185,7 +183,7 @@ impl EscrowCore {
                 ctx.pay_out_tokens((*party).into(), kind, tokens)?;
             }
         }
-        ctx.emit(EventTag::EscrowCommitted, [self.deal.0])?;
+        ctx.emit(EventTag::EscrowCommitted, [self.deal.0]);
         Ok(())
     }
 
@@ -193,12 +191,12 @@ impl EscrowCore {
     /// aborted.
     pub fn distribute_abort(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
         ctx.require(self.is_active(), "deal already resolved")?;
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.resolution = Some(EscrowResolution::Aborted);
         for (owner, asset) in self.deposits_iter() {
             ctx.pay_out(owner.into(), asset)?;
         }
-        ctx.emit(EventTag::EscrowAborted, [self.deal.0])?;
+        ctx.emit(EventTag::EscrowAborted, [self.deal.0]);
         Ok(())
     }
 }

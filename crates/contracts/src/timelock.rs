@@ -127,16 +127,16 @@ impl TimelockManager {
             let Some(pk) = ctx.keys().public_key_of(*signer) else {
                 return ctx.require(false, "unknown signer key").map(|_| ());
             };
-            let ok = ctx.verify_signature(sig, pk, &message)?;
+            let ok = ctx.verify_signature(sig, pk, &message);
             ctx.require(ok, "invalid signature on vote path")?;
         }
         // line 13: remember who voted
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.voted.insert(vote.voter);
         ctx.emit(
             EventTag::CommitVote,
             [self.info.deal.0, vote.voter.0 as u64, vote.len() as u64],
-        )?;
+        );
         // Release once every party's vote has been accepted.
         if self.all_voted() {
             self.core.distribute_commit(ctx)?;

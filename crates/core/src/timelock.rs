@@ -18,7 +18,7 @@ use xchain_contracts::escrow::DealEscrow;
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_sim::crypto::PathSignature;
 use xchain_sim::ids::{ChainId, Owner, PartyId};
-use xchain_sim::time::{Duration, Time};
+use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
 use crate::driver::DealDriver;
@@ -66,7 +66,6 @@ struct PublishedVote {
     voter: PartyId,
     /// Index into the pool of built path signatures.
     path: usize,
-    published_at: Time,
 }
 
 /// The timelock protocol driver behind [`crate::Protocol::Timelock`]:
@@ -156,7 +155,6 @@ fn commit(
                     chain,
                     voter: p,
                     path,
-                    published_at: d.world.now(),
                 });
             }
         }
@@ -175,10 +173,10 @@ fn commit(
             break;
         }
         advance_one_observation(d.world);
-        // Votes observable this round are exactly those published in earlier
-        // rounds: everything pushed below carries `published_at == now` and
-        // fails the `< round_now` filter, so each party walks the prefix
-        // published before the round began.
+        // Votes observable this round are exactly the prefix published before
+        // the round began: the observation step above moves the clock at
+        // least one tick past each of them, and the votes pushed below join
+        // the prefix next round.
         let visible = published.len();
         for pp in plan.parties() {
             let p = pp.id;
@@ -190,10 +188,9 @@ fn commit(
                 continue;
             }
             let key = *d.world.key_pair(p).map_err(DealError::Chain)?;
-            let round_now = d.world.now();
             for i in 0..visible {
                 let seen = published[i];
-                if !pp.outgoing_chains.contains(&seen.chain) || seen.published_at >= round_now {
+                if !pp.outgoing_chains.contains(&seen.chain) {
                     continue;
                 }
                 // The forwarded signature does not depend on the target
@@ -225,7 +222,6 @@ fn commit(
                             chain: target,
                             voter: seen.voter,
                             path,
-                            published_at: d.world.now(),
                         });
                     }
                 }

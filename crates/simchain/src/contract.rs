@@ -20,18 +20,19 @@ use std::any::Any;
 use crate::asset::{Asset, AssetKind};
 use crate::crypto::{KeyDirectory, PublicKey, Signature};
 use crate::error::{ChainError, ChainResult};
-use crate::gas::GasMeter;
+use crate::gas::GasUsage;
 use crate::ids::{ContractId, Owner, PartyId, TokenId};
 use crate::ledger::{AssetLedger, EventTag, LogData, LogEntry};
 use crate::time::Time;
 
 /// A blockchain-resident program.
 ///
-/// Concrete contracts (escrow managers, token registries, the CBC vote log,
-/// …) live in the `xchain-contracts` crate; the runtime only needs to store
-/// them type-erased and hand them back by concrete type at call time.
+/// The deal contracts (the escrow managers of both commit protocols) live in
+/// the `xchain-contracts` crate and the HTLC in `xchain-swap`; the runtime
+/// only needs to store them type-erased and hand them back by concrete type
+/// at call time.
 pub trait Contract: Any + Send {
-    /// A short, stable name used in the chain log.
+    /// A short, stable name for the contract's type.
     fn type_name(&self) -> &'static str;
 
     /// Upcast for downcasting to the concrete contract type.
@@ -50,7 +51,7 @@ pub struct CallCtx<'a> {
     pub(crate) contract: ContractId,
     pub(crate) caller: Owner,
     pub(crate) now: Time,
-    pub(crate) gas: &'a mut GasMeter,
+    pub(crate) gas: &'a mut GasUsage,
     pub(crate) assets: &'a mut AssetLedger,
     pub(crate) keys: &'a KeyDirectory,
     pub(crate) log: &'a mut Vec<LogEntry>,
@@ -58,11 +59,6 @@ pub struct CallCtx<'a> {
 }
 
 impl<'a> CallCtx<'a> {
-    /// The owner form of the executing contract (for asset ownership checks).
-    pub fn self_owner(&self) -> Owner {
-        Owner::Contract(self.contract)
-    }
-
     /// Who submitted this call.
     pub fn caller(&self) -> Owner {
         self.caller
@@ -89,7 +85,7 @@ impl<'a> CallCtx<'a> {
     /// Solidity-style `require`: fails the call with a message when `cond` is
     /// false. Charges one compute step.
     pub fn require(&mut self, cond: bool, msg: &str) -> ChainResult<()> {
-        self.charge_compute(1)?;
+        self.charge_compute(1);
         if cond {
             Ok(())
         } else {
@@ -98,40 +94,25 @@ impl<'a> CallCtx<'a> {
     }
 
     /// Charges one write to long-lived storage (5000 gas).
-    pub fn charge_storage_write(&mut self) -> ChainResult<()> {
-        self.gas
-            .charge_storage_write()
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })
+    pub fn charge_storage_write(&mut self) {
+        self.gas.storage_writes += 1;
     }
 
     /// Charges `n` writes to long-lived storage.
-    pub fn charge_storage_writes(&mut self, n: u64) -> ChainResult<()> {
-        self.gas
-            .charge_storage_writes(n)
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })
-    }
-
-    /// Charges one read from long-lived storage (200 gas).
-    pub fn charge_storage_read(&mut self) -> ChainResult<()> {
-        self.gas
-            .charge_storage_read()
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })
+    pub fn charge_storage_writes(&mut self, n: u64) {
+        self.gas.storage_writes += n;
     }
 
     /// Charges `n` miscellaneous compute steps.
-    pub fn charge_compute(&mut self, n: u64) -> ChainResult<()> {
-        self.gas
-            .charge_compute(n)
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })
+    pub fn charge_compute(&mut self, n: u64) {
+        self.gas.compute_steps += n;
     }
 
     /// Charges the 3000-gas cost of one signature verification without
     /// performing it. Used by contracts that verify signatures against key
     /// material they store themselves (e.g. CBC validator certificates).
-    pub fn charge_sig_verification(&mut self) -> ChainResult<()> {
-        self.gas
-            .charge_sig_verify()
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })
+    pub fn charge_sig_verification(&mut self) {
+        self.gas.sig_verifications += 1;
     }
 
     /// Verifies a signature over a message of 64-bit words, charging the
@@ -142,14 +123,9 @@ impl<'a> CallCtx<'a> {
         sig: &Signature,
         expected_signer: PublicKey,
         message: &[u64],
-    ) -> ChainResult<bool> {
-        self.gas
-            .charge_sig_verify()
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })?;
-        if sig.signer != expected_signer {
-            return Ok(false);
-        }
-        Ok(self.keys.verify_words(sig, message))
+    ) -> bool {
+        self.charge_sig_verification();
+        sig.signer == expected_signer && self.keys.verify_words(sig, message)
     }
 
     /// Moves an asset from the *caller* into the contract's custody. This is
@@ -157,23 +133,15 @@ impl<'a> CallCtx<'a> {
     /// this, amount)`); it costs two storage writes like the ERC-20 call it
     /// models, in addition to whatever bookkeeping the contract itself writes.
     pub fn deposit_from_caller(&mut self, asset: &Asset) -> ChainResult<()> {
-        self.charge_storage_writes(2)?;
+        self.charge_storage_writes(2);
         self.assets
             .transfer(self.caller, Owner::Contract(self.contract), asset)
-    }
-
-    /// Creates new units of an asset owned by the executing contract. Used by
-    /// issuance contracts (token / ticket registries) that act as the minting
-    /// authority for their asset kind. Costs one storage write.
-    pub fn mint_to_self(&mut self, asset: &Asset) -> ChainResult<()> {
-        self.charge_storage_write()?;
-        self.assets.mint(Owner::Contract(self.contract), asset)
     }
 
     /// Pays an asset out of the contract's custody to `to`. Costs two storage
     /// writes (debit + credit).
     pub fn pay_out(&mut self, to: Owner, asset: &Asset) -> ChainResult<()> {
-        self.charge_storage_writes(2)?;
+        self.charge_storage_writes(2);
         self.assets
             .transfer(Owner::Contract(self.contract), to, asset)
     }
@@ -185,7 +153,7 @@ impl<'a> CallCtx<'a> {
         kind: &AssetKind,
         amount: u64,
     ) -> ChainResult<()> {
-        self.charge_storage_writes(2)?;
+        self.charge_storage_writes(2);
         self.assets
             .transfer_fungible(Owner::Contract(self.contract), to, kind, amount)
     }
@@ -197,7 +165,7 @@ impl<'a> CallCtx<'a> {
         kind: &AssetKind,
         tokens: &std::collections::BTreeSet<TokenId>,
     ) -> ChainResult<()> {
-        self.charge_storage_writes(2)?;
+        self.charge_storage_writes(2);
         self.assets
             .transfer_tokens(Owner::Contract(self.contract), to, kind, tokens)
     }
@@ -207,10 +175,8 @@ impl<'a> CallCtx<'a> {
     /// to the network model's observation delay. The payload is an array of
     /// at most four words, stored inline ([`LogData`]); a longer array fails
     /// to compile.
-    pub fn emit<const N: usize>(&mut self, tag: EventTag, data: [u64; N]) -> ChainResult<()> {
-        self.gas
-            .charge_log_entry()
-            .map_err(|(used, limit)| ChainError::OutOfGas { used, limit })?;
+    pub fn emit<const N: usize>(&mut self, tag: EventTag, data: [u64; N]) {
+        self.gas.log_entries += 1;
         *self.log_seq += 1;
         self.log.push(LogEntry {
             seq: *self.log_seq,
@@ -220,7 +186,6 @@ impl<'a> CallCtx<'a> {
             tag,
             data: LogData::new(data),
         });
-        Ok(())
     }
 }
 
@@ -228,7 +193,6 @@ impl<'a> CallCtx<'a> {
 mod tests {
     use super::*;
     use crate::crypto::KeyPair;
-    use crate::gas::GasUsage;
 
     struct Dummy;
     impl Contract for Dummy {
@@ -243,9 +207,9 @@ mod tests {
         }
     }
 
-    fn make_ctx_parts() -> (GasMeter, AssetLedger, KeyDirectory, Vec<LogEntry>, u64) {
+    fn make_ctx_parts() -> (GasUsage, AssetLedger, KeyDirectory, Vec<LogEntry>, u64) {
         (
-            GasMeter::unlimited(),
+            GasUsage::ZERO,
             AssetLedger::new(),
             KeyDirectory::new(),
             Vec::new(),
@@ -269,7 +233,7 @@ mod tests {
         assert!(ctx.require(true, "ok").is_ok());
         let err = ctx.require(false, "nope").unwrap_err();
         assert_eq!(err, ChainError::Require("nope".to_string()));
-        assert_eq!(gas.usage().compute_steps, 2);
+        assert_eq!(gas.compute_steps, 2);
     }
 
     #[test]
@@ -290,11 +254,12 @@ mod tests {
             log: &mut log,
             log_seq: &mut seq,
         };
+        let custody = Owner::Contract(ContractId(1));
         ctx.deposit_from_caller(&sixty).unwrap();
-        assert_eq!(ctx.assets.balance(ctx.self_owner(), &coin), 60);
+        assert_eq!(ctx.assets.balance(custody, &coin), 60);
         ctx.pay_out(Owner::Party(PartyId(1)), &sixty).unwrap();
-        assert_eq!(ctx.assets.balance(ctx.self_owner(), &coin), 0);
-        assert_eq!(gas.usage().storage_writes, 4);
+        assert_eq!(ctx.assets.balance(custody, &coin), 0);
+        assert_eq!(gas.storage_writes, 4);
         assert!(assets
             .holdings(Owner::Party(PartyId(1)))
             .contains(&Asset::fungible(coin, 60)));
@@ -336,13 +301,11 @@ mod tests {
             log: &mut log,
             log_seq: &mut seq,
         };
-        assert!(ctx.verify_signature(&sig, kp.public(), &[1, 2, 3]).unwrap());
-        assert!(!ctx
-            .verify_signature(&sig, other.public(), &[1, 2, 3])
-            .unwrap());
-        assert!(!ctx.verify_signature(&sig, kp.public(), &[9]).unwrap());
-        assert_eq!(gas.usage().sig_verifications, 3);
-        assert_eq!(gas.usage(), {
+        assert!(ctx.verify_signature(&sig, kp.public(), &[1, 2, 3]));
+        assert!(!ctx.verify_signature(&sig, other.public(), &[1, 2, 3]));
+        assert!(!ctx.verify_signature(&sig, kp.public(), &[9]));
+        assert_eq!(gas.sig_verifications, 3);
+        assert_eq!(gas, {
             let mut u = GasUsage::ZERO;
             u.sig_verifications = 3;
             u
@@ -363,13 +326,13 @@ mod tests {
                 log: &mut log,
                 log_seq: &mut seq,
             };
-            ctx.emit(EventTag::Escrow, [42]).unwrap();
+            ctx.emit(EventTag::Escrow, [42]);
         }
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].tag, EventTag::Escrow);
         assert_eq!(*log[0].data, [42]);
         assert_eq!(log[0].time, Time(9));
-        assert_eq!(gas.usage().log_entries, 1);
+        assert_eq!(gas.log_entries, 1);
     }
 
     #[test]

@@ -7,8 +7,14 @@
 //! *verify* signatures at a fixed gas cost (3000 gas per verification,
 //! Section 7.1), and (b) deviating parties to be unable to forge compliant
 //! parties' votes. Both are preserved by this deterministic keyed-hash scheme:
-//! only the holder of a [`KeyPair`] can call [`KeyPair::sign`], and the
-//! simulation only hands each party its own key pair.
+//! only the holder of a [`KeyPair`] can sign, and the simulation only hands
+//! each party its own key pair.
+//!
+//! A message is signed in one of two forms: as 64-bit words
+//! ([`KeyPair::sign_words`], the path signatures' form) or as a digest a
+//! caller already streamed through a [`FnvHasher`] ([`KeyPair::sign_digest`],
+//! the CBC certificates' form). Both are checked by
+//! [`KeyDirectory::verify_words`].
 
 use std::fmt;
 
@@ -118,7 +124,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// A public key. Displayed and compared by value; knowing a public key does
-/// not let simulation code produce signatures (only [`KeyPair::sign`] does).
+/// not let simulation code produce signatures (only a [`KeyPair`] does).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PublicKey(pub u64);
 
@@ -129,9 +135,9 @@ impl fmt::Display for PublicKey {
 }
 
 /// A signing key pair. The secret component is private to this module; the
-/// only way to obtain a signature is through [`KeyPair::sign`], which is the
-/// structural unforgeability guarantee the protocols rely on. Two words,
-/// so it is `Copy`.
+/// only way to obtain a signature is through [`KeyPair::sign_words`] or
+/// [`KeyPair::sign_digest`], which is the structural unforgeability
+/// guarantee the protocols rely on. Two words, so it is `Copy`.
 #[derive(Debug, Clone, Copy)]
 pub struct KeyPair {
     public: PublicKey,
@@ -150,16 +156,6 @@ impl KeyPair {
     /// Returns the public half of the pair.
     pub fn public(&self) -> PublicKey {
         self.public
-    }
-
-    /// Signs a message.
-    pub fn sign(&self, message: &[u8]) -> Signature {
-        let digest = hash_bytes(message);
-        let tag = splitmix64(self.secret ^ digest.0);
-        Signature {
-            signer: self.public,
-            tag,
-        }
     }
 
     /// Signs a message expressed as 64-bit words.
@@ -186,27 +182,6 @@ pub struct Signature {
     /// The claimed signer.
     pub signer: PublicKey,
     tag: u64,
-}
-
-impl Signature {
-    /// Verifies the signature against a message and an expected signer.
-    ///
-    /// Verification recomputes the expected tag from the signer's public key.
-    /// The secret is re-derived internally from the registered key material
-    /// by the [`KeyDirectory`] oracle. Contract code never calls this
-    /// directly — it goes through the gas-metered
-    /// [`crate::contract::CallCtx::verify_signature`].
-    pub fn verify(
-        &self,
-        expected_signer: PublicKey,
-        message: &[u8],
-        oracle: &KeyDirectory,
-    ) -> bool {
-        if self.signer != expected_signer {
-            return false;
-        }
-        oracle.verify(self, message)
-    }
 }
 
 /// A directory mapping parties to their public keys, plus the verification
@@ -252,31 +227,16 @@ impl KeyDirectory {
             .map(|(_, pk, _)| *pk)
     }
 
-    /// Looks up which party registered a public key.
-    pub fn party_of(&self, pk: PublicKey) -> Option<PartyId> {
-        self.keys
-            .iter()
-            .find(|(_, k, _)| *k == pk)
-            .map(|(p, ..)| *p)
-    }
-
-    /// Verifies a signature over a message. Returns false for unknown signers.
-    pub fn verify(&self, sig: &Signature, message: &[u8]) -> bool {
-        self.verify_digest(sig, hash_bytes(message))
-    }
-
-    /// Verifies a signature over a message expressed as 64-bit words, without
-    /// materializing the byte encoding.
+    /// Verifies a signature over a message expressed as 64-bit words, by the
+    /// key it claims as its signer. Returns false for unknown signers.
+    /// Contract code goes through the gas-charging
+    /// [`crate::contract::CallCtx::verify_signature`], which also checks the
+    /// claimed signer against the expected one.
     pub fn verify_words(&self, sig: &Signature, words: &[u64]) -> bool {
-        self.verify_digest(sig, hash_words(words))
-    }
-
-    /// The single tag check behind both message encodings.
-    fn verify_digest(&self, sig: &Signature, digest: Hash) -> bool {
         let Some((.., secret)) = self.keys.iter().find(|(_, pk, _)| *pk == sig.signer) else {
             return false;
         };
-        sig.tag == splitmix64(secret ^ digest.0)
+        sig.tag == splitmix64(secret ^ hash_words(words).0)
     }
 
     /// Number of registered parties.
@@ -393,32 +353,38 @@ mod tests {
     #[test]
     fn sign_and_verify_roundtrip() {
         let (dir, kps) = dir_with(&[PartyId(0), PartyId(1)]);
-        let sig = kps[0].sign(b"commit deal-7");
-        assert!(dir.verify(&sig, b"commit deal-7"));
-        assert!(!dir.verify(&sig, b"commit deal-8"));
+        let sig = kps[0].sign_words(&[7, 0]);
+        assert!(dir.verify_words(&sig, &[7, 0]));
+        assert!(!dir.verify_words(&sig, &[8, 0]));
+        assert_eq!(kps[0].sign_digest(hash_words(&[7, 0])), sig);
     }
 
     #[test]
     fn verification_rejects_wrong_signer() {
         let (dir, kps) = dir_with(&[PartyId(0), PartyId(1)]);
-        let sig = kps[0].sign(b"msg");
-        assert!(!sig.verify(kps[1].public(), b"msg", &dir));
-        assert!(sig.verify(kps[0].public(), b"msg", &dir));
+        let sig = kps[0].sign_words(&[1]);
+        // Party 0's tag does not verify under party 1's key.
+        let claimed = Signature {
+            signer: kps[1].public(),
+            ..sig
+        };
+        assert!(!dir.verify_words(&claimed, &[1]));
+        assert!(dir.verify_words(&sig, &[1]));
     }
 
     #[test]
     fn unknown_signer_fails() {
         let (dir, _) = dir_with(&[PartyId(0)]);
         let stranger = KeyPair::derive(PartyId(9), 4242);
-        let sig = stranger.sign(b"msg");
-        assert!(!dir.verify(&sig, b"msg"));
+        let sig = stranger.sign_words(&[1]);
+        assert!(!dir.verify_words(&sig, &[1]));
     }
 
     #[test]
     fn directory_lookup() {
         let (dir, kps) = dir_with(&[PartyId(3), PartyId(5)]);
         assert_eq!(dir.public_key_of(PartyId(3)), Some(kps[0].public()));
-        assert_eq!(dir.party_of(kps[1].public()), Some(PartyId(5)));
+        assert_eq!(dir.public_key_of(PartyId(5)), Some(kps[1].public()));
         assert_eq!(dir.public_key_of(PartyId(99)), None);
         assert_eq!(dir.len(), 2);
         assert!(!dir.is_empty());
@@ -437,8 +403,8 @@ mod tests {
         assert!(fwd2.signers().eq([PartyId(0), PartyId(1), PartyId(2)]));
         assert!(fwd2.signers_unique());
         for (p, sig) in &fwd2.path {
-            let pk = dir.public_key_of(*p).unwrap();
-            assert!(sig.verify(pk, &words_bytes(&msg), &dir));
+            assert_eq!(dir.public_key_of(*p), Some(sig.signer));
+            assert!(dir.verify_words(sig, &msg));
         }
     }
 

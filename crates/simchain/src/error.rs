@@ -47,13 +47,6 @@ pub enum ChainError {
     PartyOffline(PartyId),
     /// A signature failed verification.
     BadSignature,
-    /// The call ran out of gas (only triggered when a gas limit is configured).
-    OutOfGas {
-        /// Gas consumed when the limit was hit.
-        used: u64,
-        /// The configured limit.
-        limit: u64,
-    },
     /// Anything else.
     Other(String),
 }
@@ -94,9 +87,6 @@ impl fmt::Display for ChainError {
             ChainError::Require(msg) => write!(f, "require failed: {msg}"),
             ChainError::PartyOffline(p) => write!(f, "{p} is offline and cannot act"),
             ChainError::BadSignature => write!(f, "signature verification failed"),
-            ChainError::OutOfGas { used, limit } => {
-                write!(f, "out of gas: used {used}, limit {limit}")
-            }
             ChainError::Other(msg) => write!(f, "{msg}"),
         }
     }

@@ -2,10 +2,11 @@
 //!
 //! Section 7.1 of the paper: "gas costs are dominated by two kinds of
 //! operations: writing to long-lived storage is (usually) 5000 gas, and each
-//! signature verification is 3000 gas." The meter charges exactly those costs
-//! and additionally tracks *counts* of each operation class so the Figure 4
-//! experiments can report both raw gas and the asymptotic drivers
-//! (storage writes, signature verifications).
+//! signature verification is 3000 gas." Each chain counts the operations its
+//! contract calls perform in one [`GasUsage`]; gas is an account, never a
+//! budget, so no call can run out of it. Keeping *counts* of each operation
+//! class lets the Figure 4 experiments report both raw gas and the
+//! asymptotic drivers (storage writes, signature verifications).
 
 use std::ops::{Add, AddAssign};
 
@@ -30,7 +31,9 @@ pub const GAS_BASE_CALL: u64 = 21_000;
 pub struct GasUsage {
     /// Number of writes to long-lived storage.
     pub storage_writes: u64,
-    /// Number of reads from long-lived storage.
+    /// Number of reads from long-lived storage. No contract charges reads,
+    /// so this stays zero; it is kept because the pinned sweep digests hash
+    /// this struct's `Debug` form.
     pub storage_reads: u64,
     /// Number of signature verifications.
     pub sig_verifications: u64,
@@ -61,17 +64,6 @@ impl GasUsage {
             + self.log_entries * GAS_LOG_ENTRY
             + self.compute_steps * GAS_COMPUTE_STEP
             + self.calls * GAS_BASE_CALL
-    }
-
-    /// Gas attributable to storage writes only (the paper reports "O(m) writes").
-    pub fn write_gas(&self) -> u64 {
-        self.storage_writes * GAS_STORAGE_WRITE
-    }
-
-    /// Gas attributable to signature verification only (the paper reports
-    /// "O(mn^2) sig. ver." for the timelock commit and "O(m(2f+1))" for CBC).
-    pub fn sig_gas(&self) -> u64 {
-        self.sig_verifications * GAS_SIG_VERIFY
     }
 
     /// Difference between two cumulative snapshots (`later - self`), used to
@@ -108,95 +100,6 @@ impl AddAssign for GasUsage {
     }
 }
 
-/// A mutable gas meter attached to each blockchain. Contract execution charges
-/// the meter through [`crate::contract::CallCtx`]; callers read cumulative
-/// usage snapshots to attribute cost per phase.
-#[derive(Debug, Clone, Default)]
-pub struct GasMeter {
-    usage: GasUsage,
-    limit: Option<u64>,
-}
-
-impl GasMeter {
-    /// Creates an unmetered (no limit) gas meter.
-    pub fn unlimited() -> Self {
-        GasMeter {
-            usage: GasUsage::ZERO,
-            limit: None,
-        }
-    }
-
-    /// Creates a meter that fails calls once `limit` total gas is exceeded.
-    pub fn with_limit(limit: u64) -> Self {
-        GasMeter {
-            usage: GasUsage::ZERO,
-            limit: Some(limit),
-        }
-    }
-
-    /// Cumulative usage so far.
-    pub fn usage(&self) -> GasUsage {
-        self.usage
-    }
-
-    /// Cumulative total gas so far.
-    pub fn total(&self) -> u64 {
-        self.usage.total()
-    }
-
-    fn check_limit(&self) -> Result<(), (u64, u64)> {
-        if let Some(limit) = self.limit {
-            let used = self.usage.total();
-            if used > limit {
-                return Err((used, limit));
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges one storage write.
-    pub fn charge_storage_write(&mut self) -> Result<(), (u64, u64)> {
-        self.usage.storage_writes += 1;
-        self.check_limit()
-    }
-
-    /// Charges `n` storage writes.
-    pub fn charge_storage_writes(&mut self, n: u64) -> Result<(), (u64, u64)> {
-        self.usage.storage_writes += n;
-        self.check_limit()
-    }
-
-    /// Charges one storage read.
-    pub fn charge_storage_read(&mut self) -> Result<(), (u64, u64)> {
-        self.usage.storage_reads += 1;
-        self.check_limit()
-    }
-
-    /// Charges one signature verification.
-    pub fn charge_sig_verify(&mut self) -> Result<(), (u64, u64)> {
-        self.usage.sig_verifications += 1;
-        self.check_limit()
-    }
-
-    /// Charges one emitted log entry.
-    pub fn charge_log_entry(&mut self) -> Result<(), (u64, u64)> {
-        self.usage.log_entries += 1;
-        self.check_limit()
-    }
-
-    /// Charges `n` miscellaneous compute steps.
-    pub fn charge_compute(&mut self, n: u64) -> Result<(), (u64, u64)> {
-        self.usage.compute_steps += n;
-        self.check_limit()
-    }
-
-    /// Charges the intrinsic cost of one externally-submitted call.
-    pub fn charge_call(&mut self) -> Result<(), (u64, u64)> {
-        self.usage.calls += 1;
-        self.check_limit()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,8 +115,6 @@ mod tests {
             calls: 0,
         };
         assert_eq!(u.total(), 4 * 5_000 + 2 * 3_000);
-        assert_eq!(u.write_gas(), 20_000);
-        assert_eq!(u.sig_gas(), 6_000);
     }
 
     #[test]
@@ -232,26 +133,5 @@ mod tests {
         assert_eq!(sum.storage_writes, 4);
         assert_eq!(sum.sig_verifications, 2);
         assert_eq!(a.delta_to(&sum), b);
-    }
-
-    #[test]
-    fn meter_charges_accumulate() {
-        let mut m = GasMeter::unlimited();
-        m.charge_storage_write().unwrap();
-        m.charge_storage_write().unwrap();
-        m.charge_sig_verify().unwrap();
-        m.charge_call().unwrap();
-        assert_eq!(m.usage().storage_writes, 2);
-        assert_eq!(m.usage().sig_verifications, 1);
-        assert_eq!(m.usage().calls, 1);
-        assert_eq!(m.total(), 2 * 5_000 + 3_000 + 21_000);
-    }
-
-    #[test]
-    fn meter_limit_trips() {
-        let mut m = GasMeter::with_limit(9_999);
-        m.charge_storage_write().unwrap(); // 5 000
-        let err = m.charge_storage_write().unwrap_err(); // 10 000 > 9 999
-        assert_eq!(err, (10_000, 9_999));
     }
 }

@@ -99,19 +99,6 @@ impl Owner {
             Owner::Contract(_) => None,
         }
     }
-
-    /// Returns the contract id if this owner is a contract.
-    pub fn as_contract(self) -> Option<ContractId> {
-        match self {
-            Owner::Party(_) => None,
-            Owner::Contract(c) => Some(c),
-        }
-    }
-
-    /// True if this owner is a party (not a contract).
-    pub fn is_party(self) -> bool {
-        matches!(self, Owner::Party(_))
-    }
 }
 
 impl fmt::Display for Owner {
@@ -154,11 +141,7 @@ mod tests {
         let p = Owner::Party(PartyId(1));
         let c = Owner::Contract(ContractId(2));
         assert_eq!(p.as_party(), Some(PartyId(1)));
-        assert_eq!(p.as_contract(), None);
-        assert_eq!(c.as_contract(), Some(ContractId(2)));
         assert_eq!(c.as_party(), None);
-        assert!(p.is_party());
-        assert!(!c.is_party());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::asset::{kind_entry, Asset, AssetBag, AssetKind};
 use crate::contract::{CallCtx, Contract};
 use crate::crypto::{KeyDirectory, KeyPair};
 use crate::error::{ChainError, ChainResult};
-use crate::gas::{GasMeter, GasUsage};
+use crate::gas::GasUsage;
 use crate::ids::{ChainId, ContractId, Owner, PartyId, TokenId};
 use crate::time::{Duration, Time};
 
@@ -218,7 +218,8 @@ pub enum EventTag {
     HtlcClaimed = 6,
     /// An HTLC timed out and refunded.
     HtlcRefunded = 7,
-    /// Any other event (token mints, ticket issues, test contracts, …).
+    /// Any other event: log traffic outside the deal vocabulary, such as
+    /// test contracts' entries.
     Other = 8,
 }
 
@@ -231,11 +232,6 @@ impl LogFilter {
     /// The empty filter (accepts nothing).
     pub const fn none() -> Self {
         LogFilter(0)
-    }
-
-    /// A filter accepting every tag, including [`EventTag::Other`].
-    pub fn all() -> Self {
-        LogFilter(u16::MAX)
     }
 
     /// This filter extended with one more tag.
@@ -344,7 +340,7 @@ pub struct Blockchain {
     /// `None` for the duration of the call executing its contract.
     contracts: BTreeMap<ContractId, Option<Box<dyn Contract>>>,
     next_contract: u64,
-    gas: GasMeter,
+    gas: GasUsage,
     keys: KeyDirectory,
     log: Vec<LogEntry>,
     log_seq: u64,
@@ -369,7 +365,7 @@ impl Blockchain {
             assets: AssetLedger::new(),
             contracts: BTreeMap::new(),
             next_contract: 1,
-            gas: GasMeter::unlimited(),
+            gas: GasUsage::ZERO,
             keys: KeyDirectory::new(),
             log: Vec::new(),
             log_seq: 0,
@@ -443,7 +439,7 @@ impl Blockchain {
 
     /// Cumulative gas usage on this chain.
     pub fn gas_usage(&self) -> GasUsage {
-        self.gas.usage()
+        self.gas
     }
 
     /// The full public log.
@@ -480,8 +476,11 @@ impl Blockchain {
     /// and a [`CallCtx`]; its result is the call's result. Charges the
     /// intrinsic call cost plus whatever the contract charges.
     ///
-    /// A failed call (`Err`) still consumes the gas charged up to the failure
-    /// point, like a reverted Ethereum transaction consumes gas.
+    /// A failed call (`Err`) still consumes the intrinsic call cost and the
+    /// gas charged up to the failure point, like a reverted Ethereum
+    /// transaction consumes gas; a call that names a contract of another
+    /// type pays the intrinsic cost alone. Either way the contract stays
+    /// installed.
     pub fn call<C, R>(
         &mut self,
         now: Time,
@@ -497,10 +496,7 @@ impl Blockchain {
             .get_mut(&id)
             .ok_or(ChainError::UnknownContract(id))?;
         let mut boxed = slot.take().ok_or(ChainError::UnknownContract(id))?;
-        if let Err((used, limit)) = self.gas.charge_call() {
-            *self.contracts.get_mut(&id).expect("slot exists") = Some(boxed);
-            return Err(ChainError::OutOfGas { used, limit });
-        }
+        self.gas.calls += 1;
         let chain_now = self.chain_time(now);
         let result = {
             let concrete = match boxed.as_any_mut().downcast_mut::<C>() {
@@ -552,7 +548,7 @@ impl std::fmt::Debug for Blockchain {
             .field("name", &self.name())
             .field("contracts", &self.contracts.len())
             .field("log_entries", &self.log.len())
-            .field("gas", &self.gas.usage())
+            .field("gas", &self.gas)
             .finish()
     }
 }
@@ -581,10 +577,25 @@ mod tests {
 
     impl Counter {
         fn bump(&mut self, ctx: &mut CallCtx<'_>, by: u64) -> ChainResult<u64> {
-            ctx.charge_storage_write()?;
+            ctx.charge_storage_write();
             self.value += by;
-            ctx.emit(EventTag::Other, [self.value])?;
+            ctx.emit(EventTag::Other, [self.value]);
             Ok(self.value)
+        }
+    }
+
+    /// A contract of another type than [`Counter`], for mismatched calls.
+    struct Other;
+
+    impl Contract for Other {
+        fn type_name(&self) -> &'static str {
+            "other"
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
         }
     }
 
@@ -710,19 +721,6 @@ mod tests {
             ),
             Err(ChainError::UnknownContract(_))
         ));
-
-        struct Other;
-        impl Contract for Other {
-            fn type_name(&self) -> &'static str {
-                "other"
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
         assert!(matches!(
             c.call(
                 Time(0),
@@ -734,6 +732,44 @@ mod tests {
         ));
         // contract survives the failed dispatch
         assert_eq!(c.view(id, |ctr: &Counter| ctr.value).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_failed_call_keeps_its_charges_and_its_contract() {
+        let mut c = chain();
+        let id = c.install(Counter::default());
+        let caller = Owner::Party(PartyId(0));
+        let refused = c.call(Time(0), caller, id, |ctr: &mut Counter, ctx| {
+            ctr.bump(ctx, 1)?;
+            ctx.require(false, "refused")
+        });
+        assert_eq!(refused, Err(ChainError::require("refused")));
+        let charged = GasUsage {
+            calls: 1,
+            storage_writes: 1,
+            log_entries: 1,
+            compute_steps: 1,
+            ..GasUsage::ZERO
+        };
+        assert_eq!(c.gas_usage(), charged);
+
+        let mismatched = c.call(Time(0), caller, id, |_: &mut Other, _| Ok(()));
+        assert_eq!(mismatched, Err(ChainError::ContractTypeMismatch(id)));
+        assert_eq!(
+            c.gas_usage(),
+            GasUsage {
+                calls: 2,
+                ..charged
+            }
+        );
+
+        // The contract is still installed and answers calls.
+        assert!(c.view(id, |_: &Counter| ()).is_ok());
+        c.call(Time(0), caller, id, |ctr: &mut Counter, ctx| {
+            ctr.bump(ctx, 1)
+        })
+        .unwrap();
+        assert_eq!(c.gas_usage().calls, 3);
     }
 
     #[test]
@@ -782,10 +818,9 @@ mod tests {
         assert_eq!(c.log_from_filtered(&mut cursor, escrow_only).count(), 0);
         // The cursor advanced past the skipped entry: nothing is re-delivered.
         assert_eq!(cursor.position(), 1);
-        assert_eq!(
-            c.log_from_filtered(&mut cursor, LogFilter::all()).count(),
-            0
-        );
+        let other = LogFilter::none().with(EventTag::Other);
+        assert_eq!(c.log_from_filtered(&mut cursor, other).count(), 0);
+        assert_eq!(c.log_from_filtered(&mut LogCursor::new(), other).count(), 1);
         // Filter membership behaves like a set.
         let f = LogFilter::none()
             .with(EventTag::Escrow)

@@ -10,7 +10,7 @@
 //! * [`ledger::Blockchain`] — independent, publicly-readable ledgers tracking
 //!   ownership of fungible and non-fungible assets, hosting deterministic
 //!   contracts, and exposing an append-only log that parties can monitor.
-//! * [`contract`] — the contract runtime with Ethereum-style gas metering
+//! * [`contract`] — the contract runtime with Ethereum-style gas accounting
 //!   (5000 gas per storage write, 3000 per signature verification, Section 7.1).
 //! * [`crypto`] — simulated signatures, key directories, the streaming
 //!   [`crypto::FnvHasher`], and the timelock protocol's path signatures.
@@ -46,7 +46,7 @@ pub use crypto::{
     Signature,
 };
 pub use error::{ChainError, ChainResult};
-pub use gas::{GasMeter, GasUsage, GAS_SIG_VERIFY, GAS_STORAGE_WRITE};
+pub use gas::{GasUsage, GAS_SIG_VERIFY, GAS_STORAGE_WRITE};
 pub use ids::{ChainId, ContractId, DealId, Owner, PartyId, TokenId, ValidatorId};
 pub use ledger::{AssetLedger, Blockchain, EventTag, LogCursor, LogEntry, LogFilter};
 pub use network::{NetworkModel, OfflineSchedule, OfflineWindow};

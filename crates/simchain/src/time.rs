@@ -29,11 +29,6 @@ impl Time {
         self.0
     }
 
-    /// Saturating difference between two instants.
-    pub fn saturating_since(self, earlier: Time) -> Duration {
-        Duration(self.0.saturating_sub(earlier.0))
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
@@ -149,7 +144,7 @@ mod tests {
     fn min_max_and_since() {
         assert_eq!(Time(5).max(Time(9)), Time(9));
         assert_eq!(Time(5).min(Time(9)), Time(5));
-        assert_eq!(Time(9).saturating_since(Time(4)), Duration(5));
-        assert_eq!(Time(4).saturating_since(Time(9)), Duration(0));
+        assert_eq!(Time(9) - Time(4), Duration(5));
+        assert_eq!(Time(4) - Time(9), Duration(0));
     }
 }

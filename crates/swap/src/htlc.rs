@@ -84,10 +84,10 @@ impl HtlcContract {
         )?;
         ctx.require(!asset.is_empty(), "cannot fund with an empty asset")?;
         ctx.deposit_from_caller(&asset)?;
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.asset = Some(asset);
         self.state = HtlcState::Funded;
-        ctx.emit(EventTag::HtlcFunded, [self.hashlock.0])?;
+        ctx.emit(EventTag::HtlcFunded, [self.hashlock.0]);
         Ok(())
     }
 
@@ -100,11 +100,11 @@ impl HtlcContract {
             "only the beneficiary can claim",
         )?;
         ctx.require(Self::hash_secret(secret) == self.hashlock, "wrong preimage")?;
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.state = HtlcState::Claimed;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out(self.beneficiary.into(), asset)?;
-        ctx.emit(EventTag::HtlcClaimed, [secret])?;
+        ctx.emit(EventTag::HtlcClaimed, [secret]);
         Ok(())
     }
 
@@ -112,11 +112,11 @@ impl HtlcContract {
     pub fn refund(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
         ctx.require(self.state == HtlcState::Funded, "not funded")?;
         ctx.require(ctx.now() >= self.timeout, "not timed out yet")?;
-        ctx.charge_storage_write()?;
+        ctx.charge_storage_write();
         self.state = HtlcState::Refunded;
         let asset = self.asset.as_ref().expect("funded");
         ctx.pay_out(self.depositor.into(), asset)?;
-        ctx.emit(EventTag::HtlcRefunded, [self.hashlock.0])?;
+        ctx.emit(EventTag::HtlcRefunded, [self.hashlock.0]);
         Ok(())
     }
 }

@@ -9,6 +9,8 @@
 //! checked against, entry for entry and in order, before that reference was
 //! removed. Batching the ingest changes the cost, never the view.
 
+use std::any::Any;
+
 use xchain_contracts::escrow::EscrowManager;
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_contracts::DealEscrow;
@@ -19,8 +21,10 @@ use xchain_deals::setup::world_for_plan;
 use xchain_deals::spec::DealSpec;
 use xchain_deals::strategy::{DealView, ObservationHub};
 use xchain_sim::asset::Asset;
+use xchain_sim::contract::Contract;
 use xchain_sim::crypto::PathSignature;
 use xchain_sim::ids::{ChainId, Owner, PartyId};
+use xchain_sim::ledger::EventTag;
 use xchain_sim::network::NetworkModel;
 use xchain_sim::time::{Duration, Time};
 use xchain_sim::world::World;
@@ -244,28 +248,42 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
     assert!(ctx.view.counterparty_escrows_locked(&spec, ALICE));
 }
 
+/// A contract outside the deal vocabulary: each call appends one
+/// [`EventTag::Other`] entry to its chain's log.
+struct Announcer;
+
+impl Contract for Announcer {
+    fn type_name(&self) -> &'static str {
+        "announcer"
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 /// Foreign log entries (outside the deal vocabulary) are filtered out by the
 /// hub's subscription: the view is blind to them.
 #[test]
 fn foreign_entries_are_skipped_identically() {
-    use xchain_contracts::token::TokenContract;
-
     let spec = broker_spec();
     let plan = DealPlan::new(&spec).unwrap();
     let mut world = world_for_plan(&plan, NetworkModel::synchronous(100), 7).unwrap();
 
-    // A token registry on a deal chain: its mint entries are log traffic
-    // the deal views never ingest.
-    let registry = world
-        .chain_mut(TICKETS)
-        .unwrap()
-        .install(TokenContract::new("gold", "GLD", ALICE));
+    // A foreign contract on a deal chain: its entries are log traffic the
+    // deal views never ingest.
+    let announcer = world.chain_mut(TICKETS).unwrap().install(Announcer);
     world
         .call(
             TICKETS,
             Owner::Party(ALICE),
-            registry,
-            |r: &mut TokenContract, c| r.mint(c, BOB, 50),
+            announcer,
+            |_: &mut Announcer, c| {
+                c.emit(EventTag::Other, [BOB.0 as u64, 50]);
+                Ok(())
+            },
         )
         .unwrap();
     let esc = world
@@ -289,7 +307,7 @@ fn foreign_entries_are_skipped_identically() {
         &mut hub,
         &spec,
         ALICE,
-        "after a mint and an escrow",
+        "after a foreign entry and an escrow",
         expected,
     );
 }

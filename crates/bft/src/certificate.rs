@@ -124,8 +124,8 @@ impl Certificate {
             if sig.signer != pk {
                 return fail(CertFailure::BadSignature, verifications);
             }
-            let party = validator_party_id(*vid);
-            if keys.public_key_of(party) != Some(pk) || !keys.verify_words(sig, payload) {
+            let registered = keys.public_key_of(validator_party_id(*vid)) == Some(pk);
+            if !registered || !keys.verify_digest(sig, self.payload_hash) {
                 return fail(CertFailure::BadSignature, verifications);
             }
         }

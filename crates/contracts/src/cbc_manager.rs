@@ -15,7 +15,7 @@ use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
 use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
 use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
-use xchain_sim::crypto::Hash;
+use xchain_sim::crypto::{hash_words, Hash};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 
@@ -101,7 +101,7 @@ impl CbcManager {
             "fewer than 2f+1 validator signatures",
         )?;
         // lines 9-11: verify 2f+1 signatures (expensive).
-        let payload = cert.payload();
+        let digest = hash_words(&cert.payload());
         for (vid, sig) in cert.certificate.signatures.iter().take(quorum) {
             let Some(pk) = self.info.validators.public_key_of(*vid) else {
                 return ctx.require(false, "validator key missing").map(|_| ());
@@ -112,7 +112,7 @@ impl CbcManager {
                 registered == Some(pk),
                 "validator key not registered on chain",
             )?;
-            let ok = ctx.verify_signature(sig, pk, &payload);
+            let ok = ctx.verify_signature(sig, pk, digest);
             ctx.require(ok, "invalid validator signature")?;
         }
         // line 12: record and act on the outcome.

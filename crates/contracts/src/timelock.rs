@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
-use xchain_sim::crypto::PathSignature;
+use xchain_sim::crypto::{hash_words, PathSignature};
 use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::ledger::EventTag;
@@ -121,13 +121,14 @@ impl TimelockManager {
             vote.path.first().map(|(p, _)| *p) == Some(vote.voter),
             "path does not start with the voter's signature",
         )?;
-        // lines 10-12: verify each signature (expensive)
-        let message = self.info.vote_message(vote.voter);
+        // lines 10-12: verify each signature (expensive); every signature
+        // attests to the same message, so it is hashed once
+        let digest = hash_words(&self.info.vote_message(vote.voter));
         for (signer, sig) in &vote.path {
             let Some(pk) = ctx.keys().public_key_of(*signer) else {
                 return ctx.require(false, "unknown signer key").map(|_| ());
             };
-            let ok = ctx.verify_signature(sig, pk, &message);
+            let ok = ctx.verify_signature(sig, pk, digest);
             ctx.require(ok, "invalid signature on vote path")?;
         }
         // line 13: remember who voted

@@ -247,8 +247,9 @@ impl ObservationHub {
     /// Reads every subscribed chain's new log entries once, then folds
     /// everything `party`'s view has not seen yet, and assembles the
     /// observation context for the party's decision. A decision with nothing
-    /// new costs one cursor check per chain, and the fold is skipped when the
-    /// party's view already holds every ingested event.
+    /// new costs one log-length comparison per chain (a chain whose log has
+    /// not grown past its cursor is never read), and the fold is skipped
+    /// when the party's view already holds every ingested event.
     ///
     /// # Panics
     ///
@@ -269,6 +270,10 @@ impl ObservationHub {
         for (cix, &chain) in self.chains.iter().enumerate() {
             let events = &mut self.events[cix];
             if let Ok(c) = world.chain(chain) {
+                // A chain whose log has not grown has nothing to filter.
+                if c.log().len() == self.cursors[cix].position() {
+                    continue;
+                }
                 let before = events.len();
                 events.extend(
                     c.log_from_filtered(&mut self.cursors[cix], DEAL_FILTER)

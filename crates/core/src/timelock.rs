@@ -11,12 +11,12 @@
 //! Theorem 5.3 and arbitrary adversarial executions (Theorem 5.1) are
 //! produced by the same engine.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xchain_contracts::escrow::DealEscrow;
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
-use xchain_sim::crypto::PathSignature;
+use xchain_sim::crypto::{KeyPair, PathSignature};
 use xchain_sim::ids::{ChainId, Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
@@ -27,7 +27,7 @@ use crate::error::DealError;
 use crate::outcome::ProtocolKind;
 use crate::party::PartyConfig;
 use crate::phases::Phase;
-use crate::plan::DealPlan;
+use crate::plan::{DealPlan, PartyPlan};
 use crate::setup::advance_one_observation;
 use crate::spec::DealSpec;
 use crate::strategy::Vote;
@@ -62,10 +62,124 @@ impl Default for TimelockOptions {
 /// signature pool, so a vote accepted on several chains is stored once.
 #[derive(Debug, Clone, Copy)]
 struct PublishedVote {
-    chain: ChainId,
-    voter: PartyId,
+    /// The accepting chain's index in [`DealPlan::chains`].
+    chain: usize,
+    /// The voter's index in [`DealPlan::parties`].
+    voter: usize,
     /// Index into the pool of built path signatures.
     path: usize,
+}
+
+/// The commit phase's vote bookkeeping: every path signature built, every
+/// vote a contract accepted, and a dense chains × parties table of which
+/// chain accepted which voter.
+struct Votes {
+    /// Every path signature built this deal, each stored once.
+    paths: Vec<PathSignature>,
+    /// Accepted votes in acceptance order; a chain accepts each voter once.
+    published: Vec<PublishedVote>,
+    /// `accepted[chain * parties + voter]`: the chain accepted the voter.
+    /// It mirrors the contracts' acceptance state exactly (every published
+    /// vote was an `Ok` commit), so no duplicate check re-reads a contract.
+    accepted: Vec<bool>,
+    parties: usize,
+}
+
+impl Votes {
+    fn new(plan: &DealPlan) -> Self {
+        let (chains, parties) = (plan.chains().len(), plan.parties().len());
+        // A compliant deal builds at most one signature per accepted vote.
+        Votes {
+            paths: Vec::with_capacity(parties * chains),
+            published: Vec::with_capacity(parties * chains),
+            accepted: vec![false; chains * parties],
+            parties,
+        }
+    }
+
+    /// Submits the pooled path signature `path` to `chain` on behalf of
+    /// `caller`, publishing the vote if the contract accepts it. Returns
+    /// whether it did.
+    fn submit(
+        &mut self,
+        d: &mut DealDriver<'_>,
+        caller: PartyId,
+        chain: usize,
+        voter: usize,
+        path: usize,
+    ) -> bool {
+        let chain_id = d.plan.chains()[chain];
+        let accepted = d
+            .world
+            .call(
+                chain_id,
+                Owner::Party(caller),
+                d.contracts[&chain_id],
+                |m: &mut TimelockManager, ctx| m.commit(ctx, &self.paths[path]),
+            )
+            .is_ok();
+        if accepted {
+            self.accepted[chain * self.parties + voter] = true;
+            self.published.push(PublishedVote { chain, voter, path });
+        }
+        accepted
+    }
+
+    /// `forwarder` forwards published vote `i` from its source chain to each
+    /// of the forwarder's incoming-asset chains that has not accepted the
+    /// voter yet. Returns true if some chain refused the forward.
+    fn forward(
+        &mut self,
+        d: &mut DealDriver<'_>,
+        info: &TimelockDealInfo,
+        forwarder: &PartyPlan,
+        key: &KeyPair,
+        i: usize,
+    ) -> bool {
+        let plan = d.plan;
+        let seen = self.published[i];
+        if !forwarder
+            .outgoing_chains
+            .contains(&plan.chains()[seen.chain])
+        {
+            return false;
+        }
+        // The forwarded signature does not depend on the target chain, so it
+        // is built at most once per look at a vote, and not at all when
+        // every target already accepted the voter.
+        let mut forwarded: Option<usize> = None;
+        let mut refused = false;
+        for &target in &forwarder.incoming_chains {
+            let t = chain_index(plan, target);
+            if t == seen.chain || self.accepted[t * self.parties + seen.voter] {
+                continue;
+            }
+            let path = *forwarded.get_or_insert_with(|| {
+                let source = &self.paths[seen.path];
+                let fwd = source.forwarded_by(forwarder.id, key, &info.vote_message(source.voter));
+                self.paths.push(fwd);
+                self.paths.len() - 1
+            });
+            refused |= !self.submit(d, forwarder.id, t, seen.voter, path);
+        }
+        refused
+    }
+}
+
+/// Where a party's forwarding stands: the votes it has yet to look at start
+/// at `cursor` in the published list, and `retry` lists, in publication
+/// order, the votes below the cursor that some chain refused.
+#[derive(Clone, Default)]
+struct Forwarder {
+    cursor: usize,
+    retry: Vec<usize>,
+}
+
+/// The index of `chain` in the plan's sorted chain list.
+fn chain_index(plan: &DealPlan, chain: ChainId) -> usize {
+    plan.chains()
+        .binary_search(&chain)
+        .expect("a party's chains are the plan's chains")
 }
 
 /// The timelock protocol driver behind [`crate::Protocol::Timelock`]:
@@ -118,15 +232,11 @@ fn commit(
     opts: &TimelockOptions,
 ) -> Result<(), DealError> {
     let plan = d.plan;
-    // Every path signature built this deal, each stored once.
-    let mut paths: Vec<PathSignature> = Vec::new();
-    // A chain accepts each voter once.
-    let mut published: Vec<PublishedVote> =
-        Vec::with_capacity(plan.parties().len() * plan.chains().len());
+    let mut votes = Votes::new(plan);
 
     // Direct votes: each willing party votes on its incoming-asset chains
     // (or on every chain when broadcasting altruistically).
-    for pp in plan.parties() {
+    for (voter, pp) in plan.parties().iter().enumerate() {
         let p = pp.id;
         let verdict = validated.get(&p).copied().unwrap_or(false);
         let votes_commit = d.decide(p, Phase::Commit, Some(verdict), |s, ctx| {
@@ -141,33 +251,28 @@ fn commit(
             &pp.incoming_chains
         };
         let key = *d.world.key_pair(p).map_err(DealError::Chain)?;
-        let path = paths.len();
-        paths.push(PathSignature::direct(p, &key, &info.vote_message(p)));
+        let path = votes.paths.len();
+        votes
+            .paths
+            .push(PathSignature::direct(p, &key, &info.vote_message(p)));
         for &chain in target_chains {
-            let result = d.world.call(
-                chain,
-                Owner::Party(p),
-                d.contracts[&chain],
-                |m: &mut TimelockManager, ctx| m.commit(ctx, &paths[path]),
-            );
-            if result.is_ok() {
-                published.push(PublishedVote {
-                    chain,
-                    voter: p,
-                    path,
-                });
-            }
+            votes.submit(d, p, chain_index(plan, chain), voter, path);
         }
     }
 
     // Forwarding rounds: each round, every willing party forwards the votes it
     // observes on its outgoing-asset chains to its incoming-asset chains.
     // Strong connectivity guarantees every vote reaches every contract within
-    // n rounds; each round costs at most ∆. `accepted` mirrors the contracts'
-    // acceptance state exactly (every vote in `published` was an `Ok` commit),
-    // so the duplicate check never re-reads a contract.
-    let mut accepted: BTreeSet<(ChainId, PartyId)> =
-        published.iter().map(|v| (v.chain, v.voter)).collect();
+    // n rounds; each round costs at most ∆.
+    //
+    // A party looks at each published vote once: in a round where it
+    // forwards, it first retries the votes some chain refused, then looks at
+    // the votes published since its cursor and moves the cursor past them.
+    // A vote that left its retry list can never make another call (its
+    // targets are its source chain or chains that accepted the voter, and
+    // acceptance is permanent), so every round makes the same calls, in the
+    // same order, as a rescan of every published vote would.
+    let mut forwarders = vec![Forwarder::default(); plan.parties().len()];
     for _round in 0..plan.spec().n_parties() {
         if d.all_resolved::<TimelockManager>() {
             break;
@@ -177,8 +282,8 @@ fn commit(
         // the round began: the observation step above moves the clock at
         // least one tick past each of them, and the votes pushed below join
         // the prefix next round.
-        let visible = published.len();
-        for pp in plan.parties() {
+        let visible = votes.published.len();
+        for (pp, f) in plan.parties().iter().zip(&mut forwarders) {
             let p = pp.id;
             let verdict = validated.get(&p).copied().unwrap_or(false);
             let forwards = d.decide(p, Phase::Commit, Some(verdict), |s, ctx| {
@@ -188,44 +293,13 @@ fn commit(
                 continue;
             }
             let key = *d.world.key_pair(p).map_err(DealError::Chain)?;
-            for i in 0..visible {
-                let seen = published[i];
-                if !pp.outgoing_chains.contains(&seen.chain) {
-                    continue;
-                }
-                // The forwarded signature does not depend on the target
-                // chain, so it is built at most once per observed vote — and
-                // not at all when every target already accepted the voter
-                // (the common case once a vote has circulated).
-                let mut forwarded: Option<usize> = None;
-                for &target in &pp.incoming_chains {
-                    // Skip the source chain and targets that already accepted
-                    // this voter.
-                    if target == seen.chain || accepted.contains(&(target, seen.voter)) {
-                        continue;
-                    }
-                    let path = *forwarded.get_or_insert_with(|| {
-                        let fwd =
-                            paths[seen.path].forwarded_by(p, &key, &info.vote_message(seen.voter));
-                        paths.push(fwd);
-                        paths.len() - 1
-                    });
-                    let result = d.world.call(
-                        target,
-                        Owner::Party(p),
-                        d.contracts[&target],
-                        |m: &mut TimelockManager, ctx| m.commit(ctx, &paths[path]),
-                    );
-                    if result.is_ok() {
-                        accepted.insert((target, seen.voter));
-                        published.push(PublishedVote {
-                            chain: target,
-                            voter: seen.voter,
-                            path,
-                        });
-                    }
-                }
-            }
+            // Retried votes precede the cursor and stay in publication
+            // order, so retries then fresh votes is publication order.
+            f.retry.retain(|&i| votes.forward(d, info, pp, &key, i));
+            let fresh = f.cursor..visible;
+            f.retry
+                .extend(fresh.filter(|&i| votes.forward(d, info, pp, &key, i)));
+            f.cursor = visible;
         }
     }
 

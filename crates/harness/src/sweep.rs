@@ -8,10 +8,11 @@
 //! declaration order alone, so a sweep's [`SweepOutcome`] is identical for
 //! every thread count.
 //!
-//! Before execution, the sweep resolves one [`DealPlan`] per specification
-//! and builds each engine once: every cell that runs a given spec reuses its
-//! plan, and workers share the hoisted engine values instead of re-invoking
-//! the factories per cell.
+//! Before execution, the sweep opens one [`Deal`] session per specification,
+//! resolves its plan, and builds each engine once: every cell that runs a
+//! given spec clones that session, so it shares the spec and its plan, and
+//! workers share the hoisted engine values instead of re-invoking the
+//! factories per cell.
 //!
 //! ```
 //! use xchain_harness::sweep::{standard_engines, Sweep};
@@ -41,7 +42,6 @@ use std::sync::{Arc, Mutex};
 use xchain_deals::engine::{DealEngine, Protocol};
 use xchain_deals::error::DealError;
 use xchain_deals::party::PartyConfig;
-use xchain_deals::plan::DealPlan;
 use xchain_deals::spec::DealSpec;
 use xchain_deals::{Deal, DealRun};
 use xchain_sim::network::NetworkModel;
@@ -233,8 +233,9 @@ impl Sweep {
     pub fn run(&self) -> Result<SweepOutcome, DealError> {
         // Phase 1 (serial): generate scenarios, build each engine once
         // (hoisted out of the cell loop — cells share them by reference),
-        // resolve one plan per specification (shared by every cell running
-        // that spec), and enumerate the executable cells in declaration
+        // open one session per specification and resolve its plan (every
+        // cell running that spec clones the session, so it shares the spec
+        // and the plan), and enumerate the executable cells in declaration
         // order. This fixes each cell's seed and output slot before any
         // execution happens.
         let scenarios: Vec<Vec<AdversaryScenario>> = self
@@ -244,11 +245,14 @@ impl Sweep {
             .collect();
         let engines: Vec<Box<dyn DealEngine + Send + Sync>> =
             self.engines.iter().map(|(_, make)| make()).collect();
-        let plans: Vec<DealPlan> = self
+        let sessions: Vec<Deal> = self
             .specs
             .iter()
-            .map(|(_, spec)| DealPlan::new(spec))
-            .collect::<Result<_, _>>()?;
+            .map(|(_, spec)| Deal::new(spec.clone()))
+            .collect();
+        for session in &sessions {
+            session.plan()?;
+        }
 
         let mut cells = Vec::new();
         let mut skipped = 0;
@@ -287,7 +291,7 @@ impl Sweep {
             if first_err.lock().expect("sweep error slot").is_some() {
                 return None;
             }
-            match self.run_cell(&cells[i], &scenarios, &engines, &plans) {
+            match self.run_cell(&cells[i], &scenarios, &engines, &sessions) {
                 Ok(point) => Some(point),
                 Err(e) => {
                     let mut slot = first_err.lock().expect("sweep error slot");
@@ -306,23 +310,25 @@ impl Sweep {
     }
 
     /// Executes one enumerated cell (on whichever worker claimed it), reusing
-    /// the hoisted engine and the specification's shared plan.
+    /// the hoisted engine and a clone of the specification's session, which
+    /// shares its spec and its resolved plan.
     fn run_cell(
         &self,
         cell: &Cell,
         scenarios: &[Vec<AdversaryScenario>],
         engines: &[Box<dyn DealEngine + Send + Sync>],
-        plans: &[DealPlan],
+        sessions: &[Deal],
     ) -> Result<SweepPoint, DealError> {
         let (spec_label, spec) = &self.specs[cell.spec_ix];
         let (engine_label, _) = &self.engines[cell.engine_ix];
         let (net_label, network) = &self.networks[cell.net_ix];
         let (adv_label, configs) = &scenarios[cell.spec_ix][cell.adv_ix];
-        let run = Deal::new(spec.clone())
+        let run = sessions[cell.spec_ix]
+            .clone()
             .network(*network)
             .parties(configs)
             .seed(cell.seed)
-            .run_planned(&plans[cell.spec_ix], &engines[cell.engine_ix])?;
+            .run(&engines[cell.engine_ix])?;
         Ok(SweepPoint {
             spec: spec_label.clone(),
             engine: engine_label.clone(),
@@ -341,6 +347,7 @@ mod tests {
     use super::*;
     use crate::adversary::single_deviator_configs;
     use xchain_deals::builders::{broker_spec, ring_spec};
+    use xchain_deals::plan::DealPlan;
     use xchain_deals::properties::check_safety;
     use xchain_sim::ids::DealId;
 

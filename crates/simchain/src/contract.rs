@@ -18,7 +18,7 @@
 use std::any::Any;
 
 use crate::asset::{Asset, AssetKind};
-use crate::crypto::{KeyDirectory, PublicKey, Signature};
+use crate::crypto::{Hash, KeyDirectory, PublicKey, Signature};
 use crate::error::{ChainError, ChainResult};
 use crate::gas::GasUsage;
 use crate::ids::{ContractId, Owner, PartyId, TokenId};
@@ -115,17 +115,20 @@ impl<'a> CallCtx<'a> {
         self.gas.sig_verifications += 1;
     }
 
-    /// Verifies a signature over a message of 64-bit words, charging the
-    /// 3000-gas signature-verification cost regardless of the outcome
-    /// (verification work is done before validity is known).
+    /// Verifies a signature over a message digest, charging the 3000-gas
+    /// signature-verification cost regardless of the outcome (verification
+    /// work is done before validity is known). A contract that checks
+    /// several signatures over one message hashes it once (e.g. with
+    /// [`crate::crypto::hash_words`]) and pays one verification per
+    /// signature.
     pub fn verify_signature(
         &mut self,
         sig: &Signature,
         expected_signer: PublicKey,
-        message: &[u64],
+        digest: Hash,
     ) -> bool {
         self.charge_sig_verification();
-        sig.signer == expected_signer && self.keys.verify_words(sig, message)
+        sig.signer == expected_signer && self.keys.verify_digest(sig, digest)
     }
 
     /// Moves an asset from the *caller* into the contract's custody. This is
@@ -192,7 +195,7 @@ impl<'a> CallCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crypto::KeyPair;
+    use crate::crypto::{hash_words, KeyPair};
 
     struct Dummy;
     impl Contract for Dummy {
@@ -301,9 +304,10 @@ mod tests {
             log: &mut log,
             log_seq: &mut seq,
         };
-        assert!(ctx.verify_signature(&sig, kp.public(), &[1, 2, 3]));
-        assert!(!ctx.verify_signature(&sig, other.public(), &[1, 2, 3]));
-        assert!(!ctx.verify_signature(&sig, kp.public(), &[9]));
+        let digest = hash_words(&[1, 2, 3]);
+        assert!(ctx.verify_signature(&sig, kp.public(), digest));
+        assert!(!ctx.verify_signature(&sig, other.public(), digest));
+        assert!(!ctx.verify_signature(&sig, kp.public(), hash_words(&[9])));
         assert_eq!(gas.sig_verifications, 3);
         assert_eq!(gas, {
             let mut u = GasUsage::ZERO;

@@ -10,11 +10,13 @@
 //! only the holder of a [`KeyPair`] can sign, and the simulation only hands
 //! each party its own key pair.
 //!
-//! A message is signed in one of two forms: as 64-bit words
-//! ([`KeyPair::sign_words`], the path signatures' form) or as a digest a
-//! caller already streamed through a [`FnvHasher`] ([`KeyPair::sign_digest`],
-//! the CBC certificates' form). Both are checked by
-//! [`KeyDirectory::verify_words`].
+//! A signature is made over the message's digest. A message is signed in one
+//! of two forms: as 64-bit words ([`KeyPair::sign_words`], the path
+//! signatures' form) or as a digest a caller already streamed through a
+//! [`FnvHasher`] ([`KeyPair::sign_digest`], the CBC certificates' form).
+//! Both are checked by [`KeyDirectory::verify_digest`]; a verifier that
+//! checks several signatures over one message hashes it once.
+//! [`KeyDirectory::verify_words`] hashes the words first.
 
 use std::fmt;
 
@@ -188,6 +190,8 @@ pub struct Signature {
 /// oracle. Every blockchain in the world holds a copy ("any party's public key
 /// is known to all"). The directory stores enough material to *verify*
 /// signatures but is never used by simulation code to *create* them.
+/// Verification works on a message digest ([`KeyDirectory::verify_digest`]),
+/// so checking every signature on a path hashes the message once.
 #[derive(Debug, Clone, Default)]
 pub struct KeyDirectory {
     /// One entry per registered party: its public key and the verification
@@ -227,16 +231,22 @@ impl KeyDirectory {
             .map(|(_, pk, _)| *pk)
     }
 
-    /// Verifies a signature over a message expressed as 64-bit words, by the
-    /// key it claims as its signer. Returns false for unknown signers.
-    /// Contract code goes through the gas-charging
+    /// Verifies a signature over a message digest, by the key it claims as
+    /// its signer. Returns false for unknown signers. Contract code goes
+    /// through the gas-charging
     /// [`crate::contract::CallCtx::verify_signature`], which also checks the
     /// claimed signer against the expected one.
-    pub fn verify_words(&self, sig: &Signature, words: &[u64]) -> bool {
+    pub fn verify_digest(&self, sig: &Signature, digest: Hash) -> bool {
         let Some((.., secret)) = self.keys.iter().find(|(_, pk, _)| *pk == sig.signer) else {
             return false;
         };
-        sig.tag == splitmix64(secret ^ hash_words(words).0)
+        sig.tag == splitmix64(secret ^ digest.0)
+    }
+
+    /// [`KeyDirectory::verify_digest`] over the [`hash_words`] digest of a
+    /// message expressed as 64-bit words.
+    pub fn verify_words(&self, sig: &Signature, words: &[u64]) -> bool {
+        self.verify_digest(sig, hash_words(words))
     }
 
     /// Number of registered parties.
@@ -357,6 +367,8 @@ mod tests {
         assert!(dir.verify_words(&sig, &[7, 0]));
         assert!(!dir.verify_words(&sig, &[8, 0]));
         assert_eq!(kps[0].sign_digest(hash_words(&[7, 0])), sig);
+        assert!(dir.verify_digest(&sig, hash_words(&[7, 0])));
+        assert!(!dir.verify_digest(&sig, hash_words(&[8, 0])));
     }
 
     #[test]

@@ -192,3 +192,31 @@ fn larger_delta_only_changes_timeouts_not_gas() {
         r2.outcome.metrics.total_gas()
     );
 }
+
+#[test]
+fn a_refused_forward_is_retried_every_round() {
+    // Before GST a forwarding round can outlast a path's deadline, so
+    // contracts refuse late forwards; the forwarder retries each refused
+    // forward in every later round until the deal times out. The commit
+    // phase's exact gas pins that retry schedule: a forwarder that tried
+    // each vote only once would make 9 calls and 45 compute steps.
+    let spec = ring_spec(DealId(3), 3);
+    let run = Deal::new(spec)
+        .network(NetworkModel::eventually_synchronous(2000, 100, 400))
+        .seed(3)
+        .run(Protocol::timelock())
+        .unwrap();
+    let gas = run.outcome.metrics.gas(Phase::Commit);
+    assert_eq!(
+        (
+            gas.calls,
+            gas.compute_steps,
+            gas.storage_writes,
+            gas.sig_verifications,
+            gas.log_entries,
+        ),
+        (15, 57, 12, 3, 6)
+    );
+    assert_eq!(run.outcome.metrics.duration(Phase::Commit), Duration(766));
+    assert!(run.outcome.aborted_everywhere());
+}

@@ -60,10 +60,11 @@ pub struct Deal {
 
 impl Deal {
     /// Starts a session for the given specification with a synchronous
-    /// ∆ = 100 network, all parties compliant, and seed 0.
-    pub fn new(spec: DealSpec) -> Self {
+    /// ∆ = 100 network, all parties compliant, and seed 0. A spec passed as
+    /// an `Arc` is shared, not copied.
+    pub fn new(spec: impl Into<Arc<DealSpec>>) -> Self {
         Deal {
-            spec: Arc::new(spec),
+            spec: spec.into(),
             network: NetworkModel::default(),
             configs: Vec::new(),
             seed: 0,

@@ -15,6 +15,9 @@
 //!   escrow and transfer between listed parties, no empty asset);
 //! * each fungible kind's total volume is checked against `u64`;
 //! * the tentative [`transfer order`] is computed once;
+//! * every escrow's chain must carry a transfer: on a chain nothing moves
+//!   on, nobody votes under the timelock protocol, so timelock would refund
+//!   the escrow while CBC commits it;
 //! * per-party tables ([`PartyPlan`]) come from one scan of the transfers:
 //!   the incoming/outgoing chain sets (the timelock vote and forwarding
 //!   targets) and the per-chain *expected net incoming* [`AssetBag`]s that
@@ -81,12 +84,13 @@ impl DealPlan {
 
     /// The one resolution pass, also behind [`DealSpec::validate`]: the
     /// structural checks, then the volume check, then the transfer order,
-    /// then the per-party tables. The plan keeps `spec`, so a
-    /// [`crate::Deal`] session shares its spec with its plans.
+    /// then the escrowed chains, then the per-party tables. The plan keeps
+    /// `spec`, so a [`crate::Deal`] session shares its spec with its plans.
     pub(crate) fn resolve(spec: Arc<DealSpec>) -> Result<Self, DealError> {
         check_structure(&spec)?;
         check_volumes(&spec)?;
         let transfer_order = order_transfers(&spec.escrows, &spec.transfers)?;
+        check_escrowed_chains(&spec)?;
         let parties = party_plans(&spec);
         Ok(DealPlan {
             chains: spec.chains(),
@@ -200,6 +204,24 @@ fn check_volumes(spec: &DealSpec) -> Result<(), DealError> {
         })?;
     }
     Ok(())
+}
+
+/// Checks that a transfer moves something on every chain an escrow is on.
+/// A chain nothing moves on gets no commit votes under the timelock
+/// protocol, so its escrow would refund there and commit under CBC: the
+/// engines would split on one valid deal.
+fn check_escrowed_chains(spec: &DealSpec) -> Result<(), DealError> {
+    match spec
+        .escrows
+        .iter()
+        .find(|e| !spec.transfers.iter().any(|t| t.chain == e.chain))
+    {
+        Some(e) => Err(DealError::Config(format!(
+            "{} escrows on {}, where no transfer happens",
+            e.owner, e.chain
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// The tentative-transfer order: greedy passes over the transfers not yet

@@ -11,12 +11,39 @@
 //!   eventually resolves).
 //! * **Property 3 (strong liveness)**: if all parties are compliant, all
 //!   transfers happen.
+//!
+//! # Deciding a party's outcome
+//!
+//! Call a party's holdings at the start I and at the end F. Two exact tests
+//! decide almost every outcome:
+//!
+//! * *unchanged*: F == I;
+//! * *full deal*: F == (I + incoming) − outgoing,
+//!
+//! both compared kind by kind, where a kind a bag does not hold counts as
+//! zero coins or no tokens (what [`AssetBag::covers`] in both directions
+//! means). Either test proves Property 1 for the party: F == I means it
+//! lost nothing, and F == the full deal means every loss is an agreed
+//! outgoing asset and it ends at the full-deal floor. Strong liveness is
+//! the full-deal test for every party.
+//!
+//! The tests read one walk of the spec's transfers and of the party's two
+//! bags into a table on the stack, and allocate nothing. Kinds are compared
+//! by name, which the kinds' shared names mostly settle by pointer. A party
+//! that fails both tests (a violation, or a partial outcome such as a
+//! windfall from deviating parties) is checked with [`AssetBag`]
+//! arithmetic, which decides every case exactly and words the violation;
+//! so is a party with more kinds in play than the table holds.
+//! Conservation sums each escrowed kind's coins and token counts over one
+//! walk of the parties' bags, without building a bag either.
 
-use xchain_sim::asset::{AssetBag, AssetKind};
+use std::collections::BTreeSet;
+
+use xchain_sim::asset::{Asset, AssetBag, AssetKind};
 use xchain_sim::ids::{PartyId, TokenId};
 
 use crate::outcome::{ChainResolution, DealOutcome};
-use crate::party::{config_of, PartyConfig};
+use crate::party::PartyConfig;
 use crate::spec::DealSpec;
 
 /// A violation of the safety property for one party.
@@ -42,6 +69,234 @@ impl SafetyReport {
     }
 }
 
+/// True if `p` follows the protocol; a party without a configuration is
+/// compliant, as in [`crate::party::config_of`].
+fn is_compliant(configs: &[PartyConfig], p: PartyId) -> bool {
+    configs
+        .iter()
+        .find(|c| c.id == p)
+        .is_none_or(PartyConfig::is_compliant)
+}
+
+/// True if two kinds have the same name. Kinds cloned from one spec share
+/// their name, so the pointer settles most comparisons; the names of one
+/// deal's kinds mostly differ in their last character (`asset-1`,
+/// `asset-2`), so that is compared before the whole names.
+fn same_kind(a: &AssetKind, b: &AssetKind) -> bool {
+    let (a, b) = (a.name().as_bytes(), b.name().as_bytes());
+    std::ptr::eq(a, b) || (a.len() == b.len() && a.last() == b.last() && a == b)
+}
+
+/// How many asset kinds, and how many token transfers, one party's
+/// [`Ledger`] holds: enough for the broker of Fig 4's n = 9 chain, which
+/// has 8 kinds in play. A party with more takes the bag arithmetic.
+const KINDS: usize = 8;
+const TOKEN_MOVES: usize = 4;
+
+/// How many escrowed kinds one walk of [`check_conservation`] sums.
+const SUPPLIES: usize = 16;
+
+/// What [`Kind`] lends for tokens a bag does not hold.
+static NO_TOKENS: BTreeSet<TokenId> = BTreeSet::new();
+
+/// One asset kind of a party's outcome: its coins at the start and the end,
+/// the coins the deal's transfers move in and out of its hands, and its
+/// tokens at the start and the end.
+#[derive(Clone, Copy)]
+struct Kind<'a> {
+    kind: &'a AssetKind,
+    initial: u64,
+    fin: u64,
+    incoming: u64,
+    outgoing: u64,
+    initial_tokens: &'a BTreeSet<TokenId>,
+    final_tokens: &'a BTreeSet<TokenId>,
+}
+
+/// One transfer of tokens into (`incoming`) or out of a party's hands.
+#[derive(Clone, Copy)]
+struct TokenMove<'a> {
+    kind: &'a AssetKind,
+    incoming: bool,
+    tokens: &'a BTreeSet<TokenId>,
+}
+
+/// One party's outcome kind by kind, in fixed tables on the stack.
+struct Ledger<'a> {
+    kinds: [Option<Kind<'a>>; KINDS],
+    n_kinds: usize,
+    moves: [Option<TokenMove<'a>>; TOKEN_MOVES],
+    n_moves: usize,
+}
+
+impl<'a> Ledger<'a> {
+    /// An empty ledger. `from_fn` writes only each slot's `None` tag, where
+    /// copying an empty constant writes every byte of the tables.
+    fn new() -> Self {
+        Ledger {
+            kinds: std::array::from_fn(|_| None),
+            n_kinds: 0,
+            moves: std::array::from_fn(|_| None),
+            n_moves: 0,
+        }
+    }
+
+    /// Reads party `p`'s transfers from one walk of the spec, then its
+    /// initial and final bags. `None` if `p` has more kinds or token
+    /// transfers in play than the tables hold, or moves more coins of a
+    /// kind than a `u64` counts.
+    fn read(
+        &mut self,
+        spec: &'a DealSpec,
+        p: PartyId,
+        initial: &'a AssetBag,
+        fin: &'a AssetBag,
+    ) -> Option<()> {
+        // `|`, not `||`: most transfers involve neither end, and a branch on
+        // each end is mispredicted often enough to show in the checks' cost.
+        for t in spec
+            .transfers
+            .iter()
+            .filter(|t| (t.to == p) | (t.from == p))
+        {
+            let k = self.kind(t.asset.kind())?;
+            match &t.asset {
+                Asset::Fungible { amount, .. } => {
+                    if t.to == p {
+                        k.incoming = k.incoming.checked_add(*amount)?;
+                    }
+                    if t.from == p {
+                        k.outgoing = k.outgoing.checked_add(*amount)?;
+                    }
+                }
+                Asset::NonFungible { kind, tokens } => {
+                    if t.to == p {
+                        self.token_move(kind, true, tokens)?;
+                    }
+                    if t.from == p {
+                        self.token_move(kind, false, tokens)?;
+                    }
+                }
+            }
+        }
+        for (kind, amount) in initial.fungible_holdings() {
+            self.kind(kind)?.initial = amount;
+        }
+        for (kind, amount) in fin.fungible_holdings() {
+            self.kind(kind)?.fin = amount;
+        }
+        for (kind, held) in initial.non_fungible_holdings() {
+            self.kind(kind)?.initial_tokens = held;
+        }
+        for (kind, held) in fin.non_fungible_holdings() {
+            self.kind(kind)?.final_tokens = held;
+        }
+        Some(())
+    }
+
+    /// The entry of `kind`, added empty on first sight; `None` if the table
+    /// is full.
+    fn kind(&mut self, kind: &'a AssetKind) -> Option<&mut Kind<'a>> {
+        let known = self.kinds().position(|k| same_kind(k.kind, kind));
+        let i = match known {
+            Some(i) => i,
+            None => {
+                *self.kinds.get_mut(self.n_kinds)? = Some(Kind {
+                    kind,
+                    initial: 0,
+                    fin: 0,
+                    incoming: 0,
+                    outgoing: 0,
+                    initial_tokens: &NO_TOKENS,
+                    final_tokens: &NO_TOKENS,
+                });
+                self.n_kinds += 1;
+                self.n_kinds - 1
+            }
+        };
+        self.kinds[i].as_mut()
+    }
+
+    /// Records one token transfer; `None` if the table is full.
+    fn token_move(
+        &mut self,
+        kind: &'a AssetKind,
+        incoming: bool,
+        tokens: &'a BTreeSet<TokenId>,
+    ) -> Option<()> {
+        *self.moves.get_mut(self.n_moves)? = Some(TokenMove {
+            kind,
+            incoming,
+            tokens,
+        });
+        self.n_moves += 1;
+        Some(())
+    }
+
+    fn kinds(&self) -> impl Iterator<Item = &Kind<'a>> {
+        self.kinds[..self.n_kinds].iter().flatten()
+    }
+
+    fn moves(&self) -> impl Iterator<Item = &TokenMove<'a>> + Clone {
+        self.moves[..self.n_moves].iter().flatten()
+    }
+
+    /// F == I.
+    fn unchanged(&self) -> bool {
+        self.kinds()
+            .all(|k| k.fin == k.initial && k.final_tokens == k.initial_tokens)
+    }
+
+    /// F == (I + incoming) − outgoing: per kind, the coins saturate at zero
+    /// and the tokens are (I ∪ incoming) \ outgoing.
+    fn full_deal(&self) -> bool {
+        self.kinds().all(|k| {
+            let coins = (u128::from(k.initial) + u128::from(k.incoming))
+                .saturating_sub(u128::from(k.outgoing));
+            u128::from(k.fin) == coins && self.full_deal_tokens(k)
+        })
+    }
+
+    /// The tokens of `k` at the end are (I ∪ incoming) \ outgoing.
+    fn full_deal_tokens(&self, k: &Kind<'a>) -> bool {
+        // Most kinds are coins: skip the set walks when no tokens are in play.
+        if self.n_moves == 0 && k.initial_tokens.is_empty() && k.final_tokens.is_empty() {
+            return true;
+        }
+        let moves = self.moves().filter(|m| same_kind(m.kind, k.kind));
+        let moved = |t: &TokenId, incoming: bool| {
+            moves
+                .clone()
+                .any(|m| m.incoming == incoming && m.tokens.contains(t))
+        };
+        let received = moves.clone().filter(|m| m.incoming).flat_map(|m| m.tokens);
+        // Every final token was held or received and not sent, and every
+        // token held or received is kept unless sent.
+        k.final_tokens
+            .iter()
+            .all(|t| !moved(t, false) && (k.initial_tokens.contains(t) || moved(t, true)))
+            && k.initial_tokens
+                .iter()
+                .chain(received)
+                .all(|t| k.final_tokens.contains(t) || moved(t, false))
+    }
+}
+
+/// Decides party `p`'s outcome with the two exact tests: true if it is
+/// unchanged or exactly the full deal (`full_deal_only` asks for the
+/// latter), `None` if the party has more in play than a [`Ledger`] holds.
+fn decide(
+    spec: &DealSpec,
+    p: PartyId,
+    initial: &AssetBag,
+    fin: &AssetBag,
+    full_deal_only: bool,
+) -> Option<bool> {
+    let mut ledger = Ledger::new();
+    ledger.read(spec, p, initial, fin)?;
+    Some((!full_deal_only && ledger.unchanged()) || ledger.full_deal())
+}
+
 /// What `p` holds after the whole deal, starting from `initial`:
 /// `(initial + incoming) - outgoing`. Incoming assets may fund outgoing ones
 /// (Alice pays Bob out of Carol's coins), so they are added before the
@@ -55,6 +310,10 @@ fn full_deal(spec: &DealSpec, p: PartyId, initial: &AssetBag, outgoing: &AssetBa
 }
 
 /// Checks Property 1 (safety) for every compliant party.
+///
+/// A party whose outcome is unchanged (F == I) lost nothing. A party that
+/// ends with exactly the full deal lost only agreed outgoing assets and
+/// sits at the full-deal floor. Every other party is checked with bags.
 pub fn check_safety(
     spec: &DealSpec,
     configs: &[PartyConfig],
@@ -62,11 +321,14 @@ pub fn check_safety(
 ) -> SafetyReport {
     let mut report = SafetyReport::default();
     for &p in &spec.parties {
-        if !config_of(configs, p).is_compliant() {
+        if !is_compliant(configs, p) {
             continue;
         }
         let initial = outcome.initial_of(p);
         let fin = outcome.final_of(p);
+        if decide(spec, p, initial, fin, false) == Some(true) {
+            continue;
+        }
         let lost = initial.minus(fin);
         let expected_out = spec.outgoing_of(p);
 
@@ -104,16 +366,13 @@ pub fn check_weak_liveness(
     configs: &[PartyConfig],
     outcome: &DealOutcome,
 ) -> bool {
-    for e in &spec.escrows {
-        if !config_of(configs, e.owner).is_compliant() {
-            continue;
-        }
-        match outcome.resolutions.get(&e.chain) {
-            Some(ChainResolution::Unresolved) | None => return false,
-            _ => {}
-        }
-    }
-    true
+    // Resolution first: only an unresolved chain needs its owner's config.
+    spec.escrows.iter().all(|e| {
+        matches!(
+            outcome.resolutions.get(&e.chain),
+            Some(ChainResolution::Committed | ChainResolution::Aborted)
+        ) || !is_compliant(configs, e.owner)
+    })
 }
 
 /// Checks Property 3 (strong liveness): meaningful only when every party is
@@ -124,56 +383,119 @@ pub fn check_strong_liveness(
     configs: &[PartyConfig],
     outcome: &DealOutcome,
 ) -> bool {
-    let all_compliant = spec
-        .parties
-        .iter()
-        .all(|p| config_of(configs, *p).is_compliant());
-    if !all_compliant {
+    if !spec.parties.iter().all(|&p| is_compliant(configs, p)) {
         return true; // vacuously true; the property only constrains all-compliant runs
     }
     spec.parties.iter().all(|&p| {
+        let initial = outcome.initial_of(p);
         let fin = outcome.final_of(p);
-        let expected = full_deal(spec, p, outcome.initial_of(p), &spec.outgoing_of(p));
-        fin.covers(&expected) && expected.covers(fin)
+        match decide(spec, p, initial, fin, true) {
+            Some(full_deal) => full_deal,
+            None => {
+                let expected = full_deal(spec, p, initial, &spec.outgoing_of(p));
+                fin.covers(&expected) && expected.covers(fin)
+            }
+        }
     })
 }
 
 /// Conservation check used by the property-based tests: for every asset kind
 /// the deal escrows, the deal's parties together hold the same fungible
-/// supply (summed in `u128`, so no balance overflows the sum) and the same
-/// tokens (compared as a sorted multiset) in the initial and the final
-/// snapshots. Assets still held by an unresolved escrow contract are not in
-/// any party's hands, so conservation is only required when the outcome is
-/// fully resolved.
+/// supply (summed in 128 bits, so no balance overflows the sum) and the same
+/// tokens, each as many times, in the initial and the final snapshots.
+/// Assets still held by an unresolved escrow contract are not in any party's
+/// hands, so conservation is only required when the outcome is fully
+/// resolved.
 pub fn check_conservation(spec: &DealSpec, outcome: &DealOutcome) -> bool {
     if !outcome.fully_resolved() {
         return true;
     }
-    // An escrowed kind is numbered by its first escrow. Kinds are shared
-    // names, so the scan mostly compares pointers.
-    let escrowed = |kind: &AssetKind| spec.escrows.iter().position(|e| e.asset.kind() == kind);
-    // One walk over each party's bag: the supply per escrowed kind and the
-    // (kind, token) pairs held.
-    let supply = |holdings: fn(&DealOutcome, PartyId) -> &AssetBag| {
-        let mut fungible = vec![0u128; spec.escrows.len()];
-        let mut tokens: Vec<(usize, TokenId)> = Vec::new();
-        for &p in &spec.parties {
-            let bag = holdings(outcome, p);
-            for (kind, amount) in bag.fungible_holdings() {
-                if let Some(i) = escrowed(kind) {
-                    fungible[i] += u128::from(amount);
-                }
+    // Each walk of the parties' bags sums the kinds first escrowed by the
+    // next `SUPPLIES` escrows.
+    for first in (0..spec.escrows.len()).step_by(SUPPLIES) {
+        let mut supply: [Option<Supply<'_>>; SUPPLIES] = std::array::from_fn(|_| None);
+        let mut n = 0;
+        for i in first..spec.escrows.len().min(first + SUPPLIES) {
+            let kind = spec.escrows[i].asset.kind();
+            if spec.escrows[..i]
+                .iter()
+                .any(|e| same_kind(e.asset.kind(), kind))
+            {
+                continue;
             }
-            for (kind, held) in bag.non_fungible_holdings() {
-                if let Some(i) = escrowed(kind) {
-                    tokens.extend(held.iter().map(|&t| (i, t)));
+            supply[n] = Some(Supply {
+                kind,
+                coins: 0,
+                tokens: 0,
+                held_tokens: false,
+            });
+            n += 1;
+        }
+        let supply = &mut supply[..n];
+        for &p in &spec.parties {
+            for (bag, sign) in [(outcome.initial_of(p), 1), (outcome.final_of(p), -1)] {
+                for (kind, amount) in bag.fungible_holdings() {
+                    if let Some(s) = Supply::of(supply, kind) {
+                        s.coins += sign * i128::from(amount);
+                    }
+                }
+                for (kind, held) in bag.non_fungible_holdings() {
+                    if let Some(s) = Supply::of(supply, kind) {
+                        s.tokens += sign * held.len() as i128;
+                        s.held_tokens = true;
+                    }
                 }
             }
         }
-        tokens.sort_unstable();
-        (fungible, tokens)
+        let conserved = supply.iter().flatten().all(|s| {
+            s.coins == 0 && s.tokens == 0 && (!s.held_tokens || same_holders(spec, outcome, s.kind))
+        });
+        if !conserved {
+            return false;
+        }
+    }
+    true
+}
+
+/// One escrowed kind's supply: the parties' coins and token count at the
+/// start minus those at the end, and whether any party held its tokens.
+#[derive(Clone, Copy)]
+struct Supply<'a> {
+    kind: &'a AssetKind,
+    coins: i128,
+    tokens: i128,
+    held_tokens: bool,
+}
+
+impl<'a> Supply<'a> {
+    /// The supply of `kind` in `table`, if the table has it.
+    fn of<'t>(table: &'t mut [Option<Supply<'a>>], kind: &AssetKind) -> Option<&'t mut Self> {
+        let i = table
+            .iter()
+            .flatten()
+            .position(|s| same_kind(s.kind, kind))?;
+        table[i].as_mut()
+    }
+}
+
+/// Whether every token of `kind` a party holds at the end is held by as
+/// many parties at the start. With equal token counts, that makes the two
+/// multisets equal: the final tokens then account for every token held at
+/// the start.
+fn same_holders(spec: &DealSpec, outcome: &DealOutcome, kind: &AssetKind) -> bool {
+    let holders = |holdings: fn(&DealOutcome, PartyId) -> &AssetBag, t: &TokenId| {
+        spec.parties
+            .iter()
+            .filter(|&&p| holdings(outcome, p).tokens(kind).contains(t))
+            .count()
     };
-    supply(DealOutcome::initial_of) == supply(DealOutcome::final_of)
+    spec.parties.iter().all(|&p| {
+        outcome
+            .final_of(p)
+            .tokens(kind)
+            .iter()
+            .all(|t| holders(DealOutcome::final_of, t) == holders(DealOutcome::initial_of, t))
+    })
 }
 
 #[cfg(test)]

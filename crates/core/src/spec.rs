@@ -158,10 +158,11 @@ impl DealSpec {
     /// Validates the specification: parties are distinct and non-empty, every
     /// transfer and escrow references listed parties, the escrowed and
     /// transferred amounts of each fungible kind sum to at most `u64::MAX`,
-    /// and the tentative transfers can actually be ordered so that every
-    /// sender tentatively owns what it sends. This is resolving the spec into
-    /// a [`DealPlan`], so validation and planning are one code path and fail
-    /// with the same [`DealError`].
+    /// the tentative transfers can actually be ordered so that every sender
+    /// tentatively owns what it sends, and a transfer happens on every chain
+    /// an escrow is on. This is resolving the spec into a [`DealPlan`], so
+    /// validation and planning are one code path and fail with the same
+    /// [`DealError`].
     pub fn validate(&self) -> Result<(), DealError> {
         DealPlan::new(self).map(drop)
     }

@@ -53,6 +53,9 @@ use crate::executor;
 /// A labelled set of party behaviour configurations for one sweep cell.
 pub type AdversaryScenario = (String, Vec<PartyConfig>);
 
+/// An [`AdversaryScenario`] whose configurations the cells running it share.
+type SharedScenario = (String, Arc<[PartyConfig]>);
+
 /// Generates the adversary scenarios to run against one specification.
 /// (`Send + Sync` so a configured sweep can be shared with worker threads;
 /// generation itself always happens serially before execution starts.)
@@ -105,10 +108,12 @@ pub struct SweepPoint {
     pub network: String,
     /// Label of the adversary scenario.
     pub adversary: String,
-    /// The specification that ran (for property checks over the point).
-    pub deal: DealSpec,
-    /// The party configurations that were in force.
-    pub configs: Vec<PartyConfig>,
+    /// The specification that ran (for property checks over the point),
+    /// shared by every cell that ran it.
+    pub deal: Arc<DealSpec>,
+    /// The party configurations that were in force, shared by every cell
+    /// of the scenario.
+    pub configs: Arc<[PartyConfig]>,
     /// The seed the cell ran with.
     pub seed: u64,
     /// The unified result.
@@ -139,7 +144,7 @@ impl SweepOutcome {
 /// cells run in parallel on [`Sweep::threads`] workers without changing the
 /// outcome.
 pub struct Sweep {
-    specs: Vec<(String, DealSpec)>,
+    specs: Vec<(String, Arc<DealSpec>)>,
     engines: Vec<(String, EngineFactory)>,
     networks: Vec<(String, NetworkModel)>,
     adversaries: AdversaryGen,
@@ -181,13 +186,16 @@ impl Sweep {
 
     /// Adds one labelled specification.
     pub fn spec(mut self, label: impl Into<String>, spec: DealSpec) -> Self {
-        self.specs.push((label.into(), spec));
+        self.specs.push((label.into(), Arc::new(spec)));
         self
     }
 
     /// Replaces the specifications with the given labelled set.
     pub fn over_specs(mut self, specs: Vec<(String, DealSpec)>) -> Self {
-        self.specs = specs;
+        self.specs = specs
+            .into_iter()
+            .map(|(label, spec)| (label, Arc::new(spec)))
+            .collect();
         self
     }
 
@@ -231,24 +239,29 @@ impl Sweep {
 
     /// Executes the full cross-product and collects every point.
     pub fn run(&self) -> Result<SweepOutcome, DealError> {
-        // Phase 1 (serial): generate scenarios, build each engine once
-        // (hoisted out of the cell loop — cells share them by reference),
-        // open one session per specification and resolve its plan (every
-        // cell running that spec clones the session, so it shares the spec
-        // and the plan), and enumerate the executable cells in declaration
-        // order. This fixes each cell's seed and output slot before any
-        // execution happens.
-        let scenarios: Vec<Vec<AdversaryScenario>> = self
+        // Phase 1 (serial): generate scenarios (each scenario's configs
+        // shared by its cells), build each engine once (hoisted out of the
+        // cell loop — cells share them by reference), open one session per
+        // specification and resolve its plan (every cell running that spec
+        // clones the session, so it shares the spec and the plan), and
+        // enumerate the executable cells in declaration order. This fixes
+        // each cell's seed and output slot before any execution happens.
+        let scenarios: Vec<Vec<SharedScenario>> = self
             .specs
             .iter()
-            .map(|(_, spec)| (self.adversaries)(spec))
+            .map(|(_, spec)| {
+                (self.adversaries)(spec)
+                    .into_iter()
+                    .map(|(label, configs)| (label, Arc::from(configs)))
+                    .collect()
+            })
             .collect();
         let engines: Vec<Box<dyn DealEngine + Send + Sync>> =
             self.engines.iter().map(|(_, make)| make()).collect();
         let sessions: Vec<Deal> = self
             .specs
             .iter()
-            .map(|(_, spec)| Deal::new(spec.clone()))
+            .map(|(_, spec)| Deal::new(Arc::clone(spec)))
             .collect();
         for session in &sessions {
             session.plan()?;
@@ -315,7 +328,7 @@ impl Sweep {
     fn run_cell(
         &self,
         cell: &Cell,
-        scenarios: &[Vec<AdversaryScenario>],
+        scenarios: &[Vec<SharedScenario>],
         engines: &[Box<dyn DealEngine + Send + Sync>],
         sessions: &[Deal],
     ) -> Result<SweepPoint, DealError> {
@@ -334,8 +347,8 @@ impl Sweep {
             engine: engine_label.clone(),
             network: net_label.clone(),
             adversary: adv_label.clone(),
-            deal: spec.clone(),
-            configs: configs.clone(),
+            deal: Arc::clone(spec),
+            configs: Arc::clone(configs),
             seed: cell.seed,
             run,
         })

@@ -2,9 +2,10 @@
 //! deals at n = 9: how many heap allocations one deal call and the four
 //! property checks make, for Fig 4's brokered chain under the timelock
 //! protocol and under CBC with f = 2, and for Fig 7's ring under timelock
-//! with forwarded votes. For plan resolution (`DealPlan::new`, on that
-//! chain and on a 3-party ring) and for one whole small `Deal::run`, which
-//! also resolves its plan and builds its world. A change that puts per-deal
+//! with forwarded votes. For the four checks on small rings (three parties
+//! under timelock and CBC, two under the HTLC swap). For plan resolution
+//! (`DealPlan::new`, on that chain and on a 3-party ring) and for one whole
+//! small `Deal::run`, which also resolves its plan and builds its world. A change that puts per-deal
 //! heap traffic back on these paths (copied kind names, cloned holdings,
 //! cloned path signatures, boxed log payloads, regrown tables) fails here
 //! before it shows up in a benchmark.
@@ -16,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xchain_deals::builders::{brokered_chain_spec, ring_spec};
+use xchain_deals::engine::DealEngine;
 use xchain_deals::plan::DealPlan;
 use xchain_deals::properties::{
     check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
@@ -24,6 +26,8 @@ use xchain_deals::spec::DealSpec;
 use xchain_deals::{CbcOptions, Deal, Protocol};
 use xchain_sim::ids::DealId;
 use xchain_sim::network::NetworkModel;
+use xchain_sim::time::Duration;
+use xchain_swap::SwapEngine;
 
 struct Counting;
 
@@ -77,14 +81,14 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, ALLOCATIONS.with(Cell::get) - before)
 }
 
-/// Allocations of one compliant n = 9 deal of `spec` under `protocol`:
+/// Allocations of one compliant deal of `spec` under `engine`:
 /// `(inside run_planned, inside the four property checks)`.
-fn deal_allocations(spec: DealSpec, protocol: &Protocol) -> (u64, u64) {
+fn deal_allocations<E: DealEngine>(spec: DealSpec, engine: E) -> (u64, u64) {
     let deal = Deal::new(spec)
         .network(NetworkModel::synchronous(100))
         .seed(7);
     let plan = deal.plan().expect("the spec plans");
-    let (run, in_deal) = counted(|| deal.run_planned(&plan, protocol));
+    let (run, in_deal) = counted(|| deal.run_planned(&plan, engine));
     let outcome = run.expect("the deal runs").outcome;
     let spec = deal.spec();
     let (holds, in_checks) = counted(|| {
@@ -99,19 +103,25 @@ fn deal_allocations(spec: DealSpec, protocol: &Protocol) -> (u64, u64) {
 }
 
 /// Budgets about 15% above the counts this code makes under `cargo test`
-/// (timelock deal 233, CBC deal 237, checks 62 each; Fig 7's ring under
-/// forwarded timelock 306, its checks 65). Before shared kind names,
-/// one-scan holdings snapshots, borrowing property checks and pooled path
-/// signatures, the same deals made 875 (timelock) and 584 (CBC)
-/// allocations in the deal call and 716 in the checks; before worlds
-/// stopped regrowing their tables and the deal information was shared
-/// across chains, 339 and 323; before assets were keyed by their names
-/// instead of interned ids, 255 and 247; before timelock forwarding kept a
-/// dense acceptance table instead of a `BTreeSet`, 245 (the ring 320).
+/// (timelock deal 233, CBC deal 237; Fig 7's ring under forwarded timelock
+/// 306). Before shared kind names, one-scan holdings snapshots, borrowing
+/// property checks and pooled path signatures, the same deals made 875
+/// (timelock) and 584 (CBC) allocations in the deal call and 716 in the
+/// checks; before worlds stopped regrowing their tables and the deal
+/// information was shared across chains, 339 and 323; before assets were
+/// keyed by their names instead of interned ids, 255 and 247; before
+/// timelock forwarding kept a dense acceptance table instead of a
+/// `BTreeSet`, 245 (the ring 320).
 const TIMELOCK_DEAL_BUDGET: u64 = 268;
 const RING_TIMELOCK_DEAL_BUDGET: u64 = 352;
 const CBC_DEAL_BUDGET: u64 = 272;
-const CHECKS_BUDGET: u64 = 70;
+
+/// The four property checks of one compliant deal decide every party with
+/// the two exact tests on the stack, so they make no allocation: 0 on each
+/// n = 9 deal above and on the small rings. Before that they made 62 on the
+/// brokered chain (either protocol), 65 on the ring-9, 23 on the 3-party
+/// ring (either protocol) and 16 on the swap's 2-party ring.
+const CHECKS_BUDGET: u64 = 4;
 
 /// Budgets about 15% above the counts of `DealPlan::new` (79 on the n = 9
 /// brokered chain, 28 on a 3-party ring) and of one timelock `Deal::run` of
@@ -160,6 +170,32 @@ fn an_n9_deal_stays_within_its_allocation_budget() {
         assert!(
             checks <= CHECKS_BUDGET,
             "{protocol} property checks: {checks} allocations, budget {CHECKS_BUDGET}"
+        );
+    }
+}
+
+#[test]
+fn small_deal_checks_stay_within_their_allocation_budget() {
+    let timelock = Protocol::timelock();
+    let cbc = Protocol::cbc();
+    let swap = SwapEngine::new(Duration(100));
+    let ring3 = || ring_spec(DealId(3), 3);
+    // Warm up, as above.
+    deal_allocations(ring3(), &timelock);
+    deal_allocations(ring3(), &cbc);
+    deal_allocations(ring_spec(DealId(2), 2), swap);
+
+    for (engine, checks) in [
+        ("ring-3 timelock", deal_allocations(ring3(), &timelock).1),
+        ("ring-3 CBC", deal_allocations(ring3(), &cbc).1),
+        (
+            "ring-2 HTLC swap",
+            deal_allocations(ring_spec(DealId(2), 2), swap).1,
+        ),
+    ] {
+        assert!(
+            checks <= CHECKS_BUDGET,
+            "{engine} property checks: {checks} allocations, budget {CHECKS_BUDGET}"
         );
     }
 }

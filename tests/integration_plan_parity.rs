@@ -76,7 +76,7 @@ fn sweep_with_shared_plans_matches_per_run_resolution() {
         for p in &outcome.points {
             // Re-execute the cell the pre-plan way: a fresh `Deal::run`,
             // which resolves its own plan from the string-kinded spec.
-            let deal = Deal::new(p.deal.clone())
+            let deal = Deal::new((*p.deal).clone())
                 .parties(&p.configs)
                 .seed(p.seed)
                 .network(match p.network.as_str() {
@@ -404,5 +404,55 @@ fn malformed_specs_fail_validation_and_planning_with_the_same_error() {
             Some(expected),
             "{case}: DealPlan::new"
         );
+    }
+}
+
+/// Two specs that pass every structural check but move nothing on a chain
+/// an escrow is on: a two-party ring with a third escrow on a chain of its
+/// own, and a lone escrow with no transfers at all. Nobody votes on such a
+/// chain under the timelock protocol, so timelock used to refund it while
+/// CBC committed it. Validation, planning and every engine now refuse both
+/// with the same `DealError::Config`.
+#[test]
+fn escrows_on_chains_without_transfers_fail_under_every_engine() {
+    let mut idle_chain = ring_spec(DealId(2), 2);
+    idle_chain.escrows.push(EscrowSpec {
+        owner: PartyId(0),
+        chain: ChainId(2),
+        asset: Asset::fungible("idle", 5),
+    });
+    let no_transfers = DealSpec::new(
+        DealId(3),
+        vec![PartyId(0), PartyId(1)],
+        vec![EscrowSpec {
+            owner: PartyId(0),
+            chain: ChainId(0),
+            asset: Asset::fungible("coin", 5),
+        }],
+        vec![],
+    );
+    for (case, spec, msg) in [
+        (
+            "escrow on a chain without transfers",
+            idle_chain,
+            "party-0 escrows on chain-2, where no transfer happens",
+        ),
+        (
+            "escrows without transfers",
+            no_transfers,
+            "party-0 escrows on chain-0, where no transfer happens",
+        ),
+    ] {
+        let expected = DealError::Config(msg.to_string());
+        assert_eq!(spec.validate(), Err(expected.clone()), "{case}: validate");
+        assert_eq!(
+            DealPlan::new(&spec).err(),
+            Some(expected.clone()),
+            "{case}: DealPlan::new"
+        );
+        for (engine, make) in standard_engines(100) {
+            let run = Deal::new(spec.clone()).run(make());
+            assert_eq!(run.err(), Some(expected.clone()), "{case}: {engine}");
+        }
     }
 }

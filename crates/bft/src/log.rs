@@ -7,9 +7,10 @@
 //! deal. The CBC serves to record and order these votes."
 //!
 //! Every appended record forms a block certified by the current validator set
-//! (2f+1 signatures). The log supports validator reconfiguration, censorship
-//! attacks (validators ignoring selected parties, Section 9), and extraction
-//! of the proofs that escrow contracts check.
+//! (2f+1 signatures), which names its epoch so proofs can be checked across
+//! validator reconfigurations. The log supports censorship attacks
+//! (validators ignoring selected parties, Section 9) and extraction of the
+//! proofs that escrow contracts check.
 
 use std::collections::BTreeSet;
 
@@ -196,10 +197,8 @@ pub struct CbcLog {
     /// Validator-set descriptions by epoch, including the current one, so
     /// block proofs spanning reconfigurations can be checked.
     epoch_infos: Vec<ValidatorSetInfo>,
-    epoch_sets: Vec<ValidatorSet>,
     blocks: Vec<CertifiedBlock>,
     censored: BTreeSet<PartyId>,
-    seed: u64,
 }
 
 impl CbcLog {
@@ -208,11 +207,9 @@ impl CbcLog {
         let validators = ValidatorSet::new(0, f, seed);
         CbcLog {
             epoch_infos: vec![validators.info()],
-            epoch_sets: vec![validators.clone()],
             validators,
             blocks: Vec::new(),
             censored: BTreeSet::new(),
-            seed,
         }
     }
 
@@ -226,12 +223,6 @@ impl CbcLog {
     /// The current validator set description.
     pub fn current_validators(&self) -> ValidatorSetInfo {
         self.validators.info()
-    }
-
-    /// Mutable access to the current validator set (to mark members Byzantine
-    /// in attack scenarios).
-    pub fn validators_mut(&mut self) -> &mut ValidatorSet {
-        &mut self.validators
     }
 
     /// The current validator set.
@@ -313,13 +304,6 @@ impl CbcLog {
         Ok((index, h))
     }
 
-    /// The definitive (earliest) startDeal record for a deal, if any.
-    pub fn definitive_start(&self, deal: DealId) -> Option<&CertifiedBlock> {
-        self.blocks
-            .iter()
-            .find(|b| matches!(&b.record, CbcRecord::StartDeal { deal: d, .. } if *d == deal))
-    }
-
     fn plist_of(&self, deal: DealId, start_hash: Hash) -> Result<&[PartyId], CbcError> {
         self.blocks
             .iter()
@@ -376,18 +360,6 @@ impl CbcLog {
                 voter,
             },
         )
-    }
-
-    /// Reconfigures the validator set: the current `2f + 1` quorum certifies
-    /// the election of a fresh `3f + 1` set for the next epoch.
-    pub fn reconfigure(&mut self, time: Time) -> Result<u64, CbcError> {
-        let new_epoch = self.validators.epoch() + 1;
-        let idx = self.append(time, None, CbcRecord::Reconfigure { new_epoch })?;
-        let new_set = ValidatorSet::new(new_epoch, self.validators.f(), self.seed);
-        self.epoch_infos.push(new_set.info());
-        self.epoch_sets.push(new_set.clone());
-        self.validators = new_set;
-        Ok(idx)
     }
 
     /// Computes the deal's status by scanning the ordered log: committed if
@@ -490,6 +462,30 @@ impl std::fmt::Debug for CbcLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Test-only log operations: no deal reconfigures its validators or asks
+    /// for its start record, but the log's certification must hold across
+    /// epochs.
+    impl CbcLog {
+        /// Reconfigures the validator set: the current `2f + 1` quorum
+        /// certifies the election of a fresh `3f + 1` set for the next epoch,
+        /// derived from `seed`.
+        fn reconfigure(&mut self, time: Time, seed: u64) -> Result<u64, CbcError> {
+            let new_epoch = self.validators.epoch() + 1;
+            let idx = self.append(time, None, CbcRecord::Reconfigure { new_epoch })?;
+            let new_set = ValidatorSet::new(new_epoch, self.validators.f(), seed);
+            self.epoch_infos.push(new_set.info());
+            self.validators = new_set;
+            Ok(idx)
+        }
+
+        /// The definitive (earliest) startDeal record for a deal, if any.
+        fn definitive_start(&self, deal: DealId) -> Option<&CertifiedBlock> {
+            self.blocks
+                .iter()
+                .find(|b| matches!(&b.record, CbcRecord::StartDeal { deal: d, .. } if *d == deal))
+        }
+    }
 
     fn parties(n: u32) -> Vec<PartyId> {
         (0..n).map(PartyId).collect()
@@ -605,15 +601,15 @@ mod tests {
             .start_deal(Time(0), PartyId(0), DealId(1), parties(2))
             .unwrap();
         cbc.vote_commit(Time(1), DealId(1), h, PartyId(0)).unwrap();
-        cbc.reconfigure(Time(2)).unwrap();
+        cbc.reconfigure(Time(2), 5).unwrap();
         cbc.vote_commit(Time(3), DealId(1), h, PartyId(1)).unwrap();
         assert_eq!(cbc.blocks()[0].certificate.epoch, 0);
         assert_eq!(cbc.blocks()[3].certificate.epoch, 1);
         assert_eq!(cbc.epoch_infos().len(), 2);
         // certificates verify against their epoch
         let mut dir = xchain_sim::crypto::KeyDirectory::new();
-        for set in &cbc.epoch_sets {
-            set.register_in(&mut dir);
+        for epoch in 0..2 {
+            ValidatorSet::new(epoch, 1, 5).register_in(&mut dir);
         }
         for block in cbc.blocks() {
             let info = &cbc.epoch_infos()[block.certificate.epoch as usize];
@@ -655,7 +651,7 @@ mod tests {
     fn quorum_unavailable_stalls_log() {
         let mut cbc = CbcLog::new(1, 5);
         let ids = cbc.validators().member_ids();
-        cbc.validators_mut().set_byzantine(ids[0..2].to_vec());
+        cbc.validators.set_byzantine(ids[0..2].to_vec());
         assert_eq!(
             cbc.start_deal(Time(0), PartyId(0), DealId(1), parties(2)),
             Err(CbcError::QuorumUnavailable)

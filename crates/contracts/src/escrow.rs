@@ -1,4 +1,5 @@
-//! The generic escrow manager: the paper's Section 4 escrow/transfer semantics.
+//! The escrow state both commit protocols share: the paper's Section 4
+//! escrow/transfer semantics.
 //!
 //! Escrow "plays the role of classical concurrency control, ensuring that a
 //! single asset cannot be transferred to different parties at the same time":
@@ -13,7 +14,6 @@
 //! Both commit protocols (timelock and CBC) embed an [`EscrowCore`] and add
 //! their own resolution rules on top.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use xchain_sim::asset::{Asset, AssetBag};
@@ -228,76 +228,69 @@ pub trait DealEscrow: Contract {
     fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()>;
 }
 
-/// A bare escrow manager exposing only the Section 4 escrow/transfer
-/// semantics plus explicit commit/abort. It has no commit *protocol* of its
-/// own — the timelock and CBC managers wrap [`EscrowCore`] with one — but it
-/// is useful on its own for unit tests, for the Figure 3 gas measurements and
-/// as the building block of the swap baseline.
-#[derive(Debug, Clone)]
-pub struct EscrowManager {
-    core: EscrowCore,
-    plist: Vec<PartyId>,
-}
-
-impl EscrowManager {
-    /// Creates an escrow manager for a deal with the given participant list.
-    pub fn new(deal: DealId, plist: Vec<PartyId>) -> Self {
-        EscrowManager {
-            core: EscrowCore::new(deal),
-            plist,
-        }
-    }
-
-    /// Read access to the shared escrow state.
-    pub fn core(&self) -> &EscrowCore {
-        &self.core
-    }
-
-    /// Escrows an asset (see [`EscrowCore::escrow`]).
-    pub fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, &self.plist, asset)
-    }
-
-    /// Tentatively transfers an escrowed asset (see [`EscrowCore::transfer`]).
-    pub fn transfer(
-        &mut self,
-        ctx: &mut CallCtx<'_>,
-        asset: &Asset,
-        to: PartyId,
-    ) -> ChainResult<()> {
-        self.core.transfer(ctx, &self.plist, asset, to)
-    }
-
-    /// Commits unconditionally (test/measurement hook).
-    pub fn force_commit(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
-        self.core.distribute_commit(ctx)
-    }
-
-    /// Aborts unconditionally (test/measurement hook).
-    pub fn force_abort(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
-        self.core.distribute_abort(ctx)
-    }
-}
-
-impl Contract for EscrowManager {
-    fn type_name(&self) -> &'static str {
-        "escrow-manager"
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::any::Any;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, Owner};
     use xchain_sim::ledger::Blockchain;
     use xchain_sim::time::{Duration, Time};
+
+    /// A bare escrow manager: the Section 4 escrow/transfer semantics plus
+    /// explicit commit/abort, with no commit protocol of its own (the
+    /// timelock and CBC managers wrap [`EscrowCore`] with one).
+    #[derive(Debug, Clone)]
+    struct EscrowManager {
+        core: EscrowCore,
+        plist: Vec<PartyId>,
+    }
+
+    impl EscrowManager {
+        fn new(deal: DealId, plist: Vec<PartyId>) -> Self {
+            EscrowManager {
+                core: EscrowCore::new(deal),
+                plist,
+            }
+        }
+
+        fn core(&self) -> &EscrowCore {
+            &self.core
+        }
+
+        fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
+            self.core.escrow(ctx, &self.plist, asset)
+        }
+
+        fn transfer(
+            &mut self,
+            ctx: &mut CallCtx<'_>,
+            asset: &Asset,
+            to: PartyId,
+        ) -> ChainResult<()> {
+            self.core.transfer(ctx, &self.plist, asset, to)
+        }
+
+        fn force_commit(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
+            self.core.distribute_commit(ctx)
+        }
+
+        fn force_abort(&mut self, ctx: &mut CallCtx<'_>) -> ChainResult<()> {
+            self.core.distribute_abort(ctx)
+        }
+    }
+
+    impl Contract for EscrowManager {
+        fn type_name(&self) -> &'static str {
+            "escrow-manager"
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
 
     fn setup() -> (
         Blockchain,

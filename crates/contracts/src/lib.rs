@@ -3,8 +3,9 @@
 //! The on-chain programs used by cross-chain deals, implemented against the
 //! `xchain-sim` contract runtime:
 //!
-//! * [`escrow`] — the generic escrow manager implementing the Section 4
-//!   escrow / tentative-transfer semantics (the C and A ownership maps).
+//! * [`escrow`] — the escrow state both commit protocols share: the
+//!   Section 4 escrow / tentative-transfer semantics (the C and A ownership
+//!   maps).
 //! * [`timelock`] — the timelock escrow manager of Section 5 / Figure 5:
 //!   path-signature commit votes with `|p| · ∆` timeouts.
 //! * [`cbc_manager`] — the CBC escrow manager of Section 6 / Figure 6:
@@ -18,5 +19,5 @@ pub mod escrow;
 pub mod timelock;
 
 pub use cbc_manager::{CbcDealInfo, CbcManager};
-pub use escrow::{DealEscrow, EscrowCore, EscrowManager, EscrowResolution};
+pub use escrow::{DealEscrow, EscrowCore, EscrowResolution};
 pub use timelock::{TimelockDealInfo, TimelockManager};

@@ -1,7 +1,7 @@
 //! Ready-made deal specifications: the paper's running examples and the
 //! parameterised families used by the tests, examples and benchmark harness.
 
-use xchain_sim::asset::Asset;
+use xchain_sim::asset::{Asset, AssetKind};
 use xchain_sim::ids::{ChainId, DealId, PartyId};
 
 use crate::spec::{DealSpec, EscrowSpec, TransferSpec};
@@ -20,6 +20,8 @@ pub fn broker_spec_with(deal: DealId, wholesale: u64, retail: u64) -> DealSpec {
     let carol = PartyId(2);
     let tickets = ChainId(0);
     let coins = ChainId(1);
+    let ticket = Asset::non_fungible("ticket", [1, 2]);
+    let coin = Asset::fungible("coin", retail);
     DealSpec::new(
         deal,
         vec![alice, bob, carol],
@@ -27,12 +29,12 @@ pub fn broker_spec_with(deal: DealId, wholesale: u64, retail: u64) -> DealSpec {
             EscrowSpec {
                 owner: bob,
                 chain: tickets,
-                asset: Asset::non_fungible("ticket", [1, 2]),
+                asset: ticket.clone(),
             },
             EscrowSpec {
                 owner: carol,
                 chain: coins,
-                asset: Asset::fungible("coin", retail),
+                asset: coin.clone(),
             },
         ],
         vec![
@@ -40,25 +42,25 @@ pub fn broker_spec_with(deal: DealId, wholesale: u64, retail: u64) -> DealSpec {
                 from: bob,
                 to: alice,
                 chain: tickets,
-                asset: Asset::non_fungible("ticket", [1, 2]),
+                asset: ticket.clone(),
             },
             TransferSpec {
                 from: alice,
                 to: carol,
                 chain: tickets,
-                asset: Asset::non_fungible("ticket", [1, 2]),
+                asset: ticket,
             },
             TransferSpec {
                 from: carol,
                 to: alice,
                 chain: coins,
-                asset: Asset::fungible("coin", retail),
+                asset: coin.clone(),
             },
             TransferSpec {
                 from: alice,
                 to: bob,
                 chain: coins,
-                asset: Asset::fungible("coin", wholesale),
+                asset: Asset::fungible(coin.kind().clone(), wholesale),
             },
         ],
     )
@@ -113,22 +115,25 @@ pub fn auction_spec(deal: DealId, bids: &[u64]) -> DealSpec {
         .expect("non-empty");
     let winner = bidders[winner_idx];
 
+    let ticket = Asset::non_fungible("ticket", [1]);
+    let coin = AssetKind::from("coin");
     let mut escrows = vec![EscrowSpec {
         owner: seller,
         chain: ticket_chain,
-        asset: Asset::non_fungible("ticket", [1]),
+        asset: ticket.clone(),
     }];
     let mut transfers = vec![TransferSpec {
         from: seller,
         to: winner,
         chain: ticket_chain,
-        asset: Asset::non_fungible("ticket", [1]),
+        asset: ticket,
     }];
     for (i, (&bidder, &bid)) in bidders.iter().zip(bids.iter()).enumerate() {
+        let bid = Asset::fungible(coin.clone(), bid);
         escrows.push(EscrowSpec {
             owner: bidder,
             chain: coin_chain,
-            asset: Asset::fungible("coin", bid),
+            asset: bid.clone(),
         });
         // Every bidder sends its bid to the seller; the seller returns the
         // losing bids. This keeps the digraph strongly connected and matches
@@ -138,14 +143,14 @@ pub fn auction_spec(deal: DealId, bids: &[u64]) -> DealSpec {
             from: bidder,
             to: seller,
             chain: coin_chain,
-            asset: Asset::fungible("coin", bid),
+            asset: bid.clone(),
         });
         if i != winner_idx {
             transfers.push(TransferSpec {
                 from: seller,
                 to: bidder,
                 chain: coin_chain,
-                asset: Asset::fungible("coin", bid),
+                asset: bid,
             });
         }
     }
@@ -190,7 +195,7 @@ pub fn brokered_chain_spec(deal: DealId, n: u32, amount: u64) -> DealSpec {
             from: broker,
             to: next,
             chain,
-            asset: Asset::fungible(kind.as_str(), amount.saturating_sub(1).max(1)),
+            asset: Asset::fungible(asset.kind().clone(), amount.saturating_sub(1).max(1)),
         });
     }
     DealSpec::new(deal, parties, escrows, transfers)
@@ -248,6 +253,28 @@ mod tests {
             assert_eq!(s.n_parties(), n as usize);
             assert_eq!(s.n_assets(), (n - 1) as usize);
             assert_eq!(s.n_transfers(), 2 * (n - 1) as usize);
+        }
+    }
+
+    #[test]
+    fn each_spec_shares_one_name_per_kind() {
+        let mut specs = vec![broker_spec(), auction_spec(DealId(5), &[30, 55, 42])];
+        for n in 3..9 {
+            specs.push(ring_spec(DealId(n as u64), n));
+            specs.push(brokered_chain_spec(DealId(n as u64), n, 50));
+        }
+        for s in &specs {
+            let kinds: Vec<&AssetKind> = s
+                .escrows
+                .iter()
+                .map(|e| e.asset.kind())
+                .chain(s.transfers.iter().map(|t| t.asset.kind()))
+                .collect();
+            for a in &kinds {
+                for b in kinds.iter().filter(|b| a == *b) {
+                    assert!(std::sync::Arc::ptr_eq(&a.0, &b.0), "{} in {}", a, s.deal);
+                }
+            }
         }
     }
 }

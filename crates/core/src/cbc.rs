@@ -13,14 +13,13 @@
 //! tentative-transfer and validation phases run on the shared
 //! [`DealDriver`].
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xchain_bft::log::CbcLog;
 use xchain_bft::proof::DealStatus;
 use xchain_contracts::cbc_manager::{CbcDealInfo, CbcManager};
 use xchain_contracts::escrow::DealEscrow;
-use xchain_sim::ids::{Owner, PartyId};
+use xchain_sim::ids::PartyId;
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
@@ -112,13 +111,12 @@ pub(crate) fn drive(
         Ok((cbc, info))
     })?;
 
-    let validated = d.shared_phases::<CbcManager>(&info, opts.concurrent_transfers)?;
+    d.shared_phases::<CbcManager>(&info, opts.concurrent_transfers)?;
 
     // Commit: votes on the CBC, then proof presentation to contracts.
-    let status = d.phase(Phase::Commit, |d| {
-        commit(d, &mut cbc, &info, &validated, opts)
-    })?;
+    let status = d.phase(Phase::Commit, |d| commit(d, &mut cbc, &info, opts))?;
 
+    let validated = d.verdicts();
     Ok(d.finish(
         ProtocolKind::Cbc,
         opts.delta,
@@ -138,7 +136,6 @@ fn commit(
     d: &mut DealDriver<'_>,
     cbc: &mut CbcLog,
     info: &CbcDealInfo,
-    validated: &BTreeMap<PartyId, bool>,
     opts: &CbcOptions,
 ) -> Result<DealStatus, DealError> {
     let deal = info.deal;
@@ -146,12 +143,8 @@ fn commit(
 
     // All parties vote in parallel (the CBC orders them).
     for &p in &info.plist {
-        if !d.available(p) {
-            continue;
-        }
-        let verdict = validated.get(&p).copied().unwrap_or(false);
         let now = d.world.now();
-        match d.decide(p, Phase::Commit, Some(verdict), |s, ctx| s.on_vote(ctx)) {
+        match d.decide(p, Phase::Commit, |s, ctx| s.on_vote(ctx)) {
             Vote::Commit => {
                 let _ = cbc.vote_commit(now, deal, start_hash, p);
             }
@@ -188,29 +181,23 @@ fn commit(
     // of the decisive outcome; presentations happen in parallel (≤ ∆).
     if !matches!(status, DealStatus::Active) {
         let epoch_infos = cbc.epoch_infos().to_vec();
-        for &chain in d.plan.chains() {
+        let plan = d.plan;
+        for &chain in plan.chains() {
             let Some(presenter) = d.online_party() else {
                 continue;
             };
-            let contract = d.contracts[&chain];
             if opts.use_block_proofs {
                 let proof = cbc.block_proof(deal, start_hash).map_err(DealError::Cbc)?;
-                let _ = d.world.call(
-                    chain,
-                    Owner::Party(presenter),
-                    contract,
-                    |m: &mut CbcManager, ctx| m.resolve_with_block_proof(ctx, &proof, &epoch_infos),
-                );
+                let _ = d.call(chain, presenter, |m: &mut CbcManager, ctx| {
+                    m.resolve_with_block_proof(ctx, &proof, &epoch_infos)
+                });
             } else {
                 let cert = cbc
                     .status_certificate(d.world.now(), deal, start_hash)
                     .map_err(DealError::Cbc)?;
-                let _ = d.world.call(
-                    chain,
-                    Owner::Party(presenter),
-                    contract,
-                    |m: &mut CbcManager, ctx| m.resolve_with_certificate(ctx, &cert),
-                );
+                let _ = d.call(chain, presenter, |m: &mut CbcManager, ctx| {
+                    m.resolve_with_certificate(ctx, &cert)
+                });
             }
         }
         advance_one_observation(d.world);
@@ -226,6 +213,7 @@ mod tests {
     use crate::engine::Protocol;
     use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
+    use xchain_sim::ids::Owner;
     use xchain_sim::network::NetworkModel;
 
     fn run_broker(

@@ -10,9 +10,11 @@
 //!   [`PhaseMetrics`], and the party configurations (resolved once per deal,
 //!   in plan order);
 //! * per-phase gas and simulated-duration metering ([`DealDriver::phase`]);
-//! * every strategy consultation ([`DealDriver::decide`]);
+//! * every strategy consultation ([`DealDriver::decide`], online parties
+//!   only) and every contract call a party makes ([`DealDriver::call`]);
 //! * the escrow, tentative-transfer and validation phases, generic over the
-//!   protocol's [`DealEscrow`] manager (`DealDriver::shared_phases`);
+//!   protocol's [`DealEscrow`] manager (`DealDriver::shared_phases`), and
+//!   the validation verdicts;
 //! * outcome collection ([`DealDriver::finish`]).
 //!
 //! Each protocol supplies only what differs: its clearing step (which
@@ -24,7 +26,8 @@ use std::collections::BTreeMap;
 
 use xchain_contracts::escrow::DealEscrow;
 use xchain_sim::asset::AssetBag;
-use xchain_sim::contract::Contract;
+use xchain_sim::contract::{CallCtx, Contract};
+use xchain_sim::error::{ChainError, ChainResult};
 use xchain_sim::ids::{ChainId, ContractId, Owner, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
@@ -47,13 +50,17 @@ pub struct DealDriver<'a> {
     pub world: &'a mut World,
     /// The resolved deal.
     pub(crate) plan: &'a DealPlan,
-    /// The contract the clearing step installed on each involved chain.
-    pub(crate) contracts: BTreeMap<ChainId, ContractId>,
+    /// The deal contract the clearing step installed on each of the plan's
+    /// chains, parallel to [`DealPlan::chains`].
+    contracts: Vec<Option<ContractId>>,
     hub: ObservationHub,
     metrics: PhaseMetrics,
     /// One configuration per deal party, in plan order. Cloning keeps each
     /// `Arc` strategy shared, so a coalition stays one value.
     configs: Vec<PartyConfig>,
+    /// Each party's validation verdict, in plan order; empty until
+    /// validation has run, and throughout the swap.
+    verdicts: Vec<bool>,
     initial_holdings: BTreeMap<PartyId, AssetBag>,
 }
 
@@ -73,7 +80,7 @@ impl<'a> DealDriver<'a> {
         Ok(DealDriver {
             world,
             plan,
-            contracts: BTreeMap::new(),
+            contracts: vec![None; plan.chains().len()],
             hub: ObservationHub::new(plan),
             metrics: PhaseMetrics::new(),
             configs: spec
@@ -81,6 +88,7 @@ impl<'a> DealDriver<'a> {
                 .iter()
                 .map(|&p| config_of(configs, p))
                 .collect(),
+            verdicts: Vec::new(),
             initial_holdings,
         })
     }
@@ -97,34 +105,67 @@ impl<'a> DealDriver<'a> {
         result
     }
 
-    /// Asks `party`'s strategy for a decision: builds the party's
-    /// observation context from the shared hub and hands it, with the
-    /// strategy, to `hook`. Gating on [`Strategy::is_online`] is the hook's
-    /// business, so each call site keeps its exact sequence of hook calls.
-    pub fn decide<R>(
+    /// Asks `party`'s strategy for a decision: builds the party's observation
+    /// context, whose `validated` is the party's own verdict once validation
+    /// has run, and hands it to `hook` if the world and the strategy both
+    /// have the party online. An offline party answers `R::default()`
+    /// (`false`, [`crate::strategy::Vote::Withhold`]): it never reaches a call.
+    pub fn decide<R: Default>(
         &mut self,
         party: PartyId,
+        phase: Phase,
+        hook: impl FnOnce(&dyn Strategy, &ObservationCtx<'_>) -> R,
+    ) -> R {
+        let (i, online) = (self.slot(party), self.available(party));
+        let validated = self.verdicts.get(i).copied();
+        self.ask(i, phase, validated, |s, ctx| {
+            if online {
+                hook(s, ctx)
+            } else {
+                R::default()
+            }
+        })
+    }
+
+    /// Builds the `i`-th party's observation context and hands it, with the
+    /// party's strategy, to `hook`.
+    fn ask<R>(
+        &mut self,
+        i: usize,
         phase: Phase,
         validated: Option<bool>,
         hook: impl FnOnce(&dyn Strategy, &ObservationCtx<'_>) -> R,
     ) -> R {
-        let strategy = &*config(&self.configs, party).strategy;
+        let config = &self.configs[i];
         let ctx = self
             .hub
-            .ctx(self.world, self.plan.spec(), party, phase, validated);
-        hook(strategy, &ctx)
+            .ctx(self.world, self.plan.spec(), config.id, phase, validated);
+        hook(&*config.strategy, &ctx)
+    }
+
+    /// Submits `f` as `caller`'s call to the deal contract on `chain`; fails
+    /// with [`ChainError::UnknownChain`] if the deal installed none there.
+    pub fn call<M: Contract, R>(
+        &mut self,
+        chain: ChainId,
+        caller: PartyId,
+        f: impl FnOnce(&mut M, &mut CallCtx<'_>) -> ChainResult<R>,
+    ) -> ChainResult<R> {
+        let contract = self.plan.chain_index(chain).and_then(|c| self.contracts[c]);
+        let contract = contract.ok_or(ChainError::UnknownChain(chain))?;
+        self.world.call(chain, Owner::Party(caller), contract, f)
     }
 
     /// True if `party` follows the protocol exactly.
     pub(crate) fn is_compliant(&self, party: PartyId) -> bool {
-        config(&self.configs, party).is_compliant()
+        self.configs[self.slot(party)].is_compliant()
     }
 
     /// True if `party` can act now: the world has it online and so does its
     /// strategy.
     pub(crate) fn available(&self, party: PartyId) -> bool {
         let now = self.world.now();
-        !self.world.is_offline(party, now) && config(&self.configs, party).strategy.is_online(now)
+        !self.world.is_offline(party, now) && self.configs[self.slot(party)].strategy.is_online(now)
     }
 
     /// A party to submit housekeeping calls (timeout claims, proof
@@ -139,19 +180,29 @@ impl<'a> DealDriver<'a> {
             .or_else(|| parties.iter().copied().find(|&p| self.available(p)))
     }
 
+    /// The position of `party` in plan order.
+    fn slot(&self, party: PartyId) -> usize {
+        self.configs
+            .iter()
+            .position(|c| c.id == party)
+            .expect("configs are resolved for every deal party")
+    }
+
     /// Installs `contract` on `chain` and records it as that chain's deal
-    /// contract.
+    /// contract; `chain` must be one of the plan's.
     pub fn install<M: Contract>(
         &mut self,
         chain: ChainId,
         contract: M,
     ) -> Result<ContractId, DealError> {
+        let slot = self.plan.chain_index(chain);
+        let slot = slot.ok_or(DealError::Chain(ChainError::UnknownChain(chain)))?;
         let id = self
             .world
             .chain_mut(chain)
             .map_err(DealError::Chain)?
             .install(contract);
-        self.contracts.insert(chain, id);
+        self.contracts[slot] = Some(id);
         Ok(id)
     }
 
@@ -166,38 +217,47 @@ impl<'a> DealDriver<'a> {
         Ok(())
     }
 
-    /// Reads the deal contract on `chain`; `None` if it cannot be viewed.
-    fn view<M: Contract, R>(&self, chain: ChainId, read: impl FnOnce(&M) -> R) -> Option<R> {
-        let contract = *self.contracts.get(&chain)?;
-        self.world.chain(chain).ok()?.view(contract, read).ok()
+    /// Reads the deal contract on the `c`-th chain of the plan; `None` if
+    /// there is none or it cannot be viewed.
+    fn view<M: Contract, R>(&self, c: usize, read: impl FnOnce(&M) -> R) -> Option<R> {
+        let contract = self.contracts[c]?;
+        let chain = self.world.chain(self.plan.chains()[c]).ok()?;
+        chain.view(contract, read).ok()
     }
 
-    /// Whether the escrow on `chain` has resolved; `None` if it cannot be
-    /// viewed.
-    pub(crate) fn resolved<M: DealEscrow>(&self, chain: ChainId) -> Option<bool> {
-        self.view(chain, |m: &M| m.resolution().is_some())
+    /// Whether the escrow on the `c`-th chain of the plan has resolved;
+    /// `None` if it cannot be viewed.
+    pub(crate) fn resolved<M: DealEscrow>(&self, c: usize) -> Option<bool> {
+        self.view(c, |m: &M| m.resolution().is_some())
     }
 
     /// True if every deal escrow has resolved (committed or refunded).
     pub(crate) fn all_resolved<M: DealEscrow>(&self) -> bool {
-        self.contracts
-            .keys()
-            .all(|&chain| self.resolved::<M>(chain) == Some(true))
+        (0..self.contracts.len())
+            .all(|c| self.contracts[c].is_none() || self.resolved::<M>(c) == Some(true))
+    }
+
+    /// Each party's validation verdict, by party.
+    pub(crate) fn verdicts(&self) -> BTreeMap<PartyId, bool> {
+        let parties = self.configs.iter().map(|c| c.id);
+        parties.zip(self.verdicts.iter().copied()).collect()
     }
 
     /// The escrow, tentative-transfer and validation phases both commit
     /// protocols share (Section 4.1), against the `M` managers the clearing
-    /// step installed. Returns each party's validation verdict.
+    /// step installed. Leaves each party's validation verdict with the
+    /// driver.
     pub(crate) fn shared_phases<M: DealEscrow>(
         &mut self,
         info: &M::Info,
         concurrent_transfers: bool,
-    ) -> Result<BTreeMap<PartyId, bool>, DealError> {
+    ) -> Result<(), DealError> {
         self.phase(Phase::Escrow, |d| d.escrow_all::<M>())?;
         self.phase(Phase::Transfer, |d| {
             d.transfer_all::<M>(concurrent_transfers)
         });
-        Ok(self.phase(Phase::Validation, |d| d.validate_all::<M>(info)))
+        self.phase(Phase::Validation, |d| d.validate_all::<M>(info));
+        Ok(())
     }
 
     /// Escrow: every willing party escrows its outgoing assets in parallel;
@@ -205,21 +265,15 @@ impl<'a> DealDriver<'a> {
     fn escrow_all<M: DealEscrow>(&mut self) -> Result<(), DealError> {
         let plan = self.plan;
         for e in &plan.spec().escrows {
-            let willing = self.decide(e.owner, Phase::Escrow, None, |s, ctx| {
-                s.is_online(ctx.now) && s.on_escrow(ctx)
-            });
-            if !willing {
+            if !self.decide(e.owner, Phase::Escrow, |s, ctx| s.on_escrow(ctx)) {
                 continue;
             }
-            let result = self.world.call(
-                e.chain,
-                Owner::Party(e.owner),
-                self.contracts[&e.chain],
-                |m: &mut M, ctx| m.escrow(ctx, e.asset.clone()),
-            );
-            // Deviating or offline parties simply fail to escrow.
+            let result = self.call(e.chain, e.owner, |m: &mut M, ctx| {
+                m.escrow(ctx, e.asset.clone())
+            });
+            // Deviating parties simply fail to escrow.
             if let Err(err) = result {
-                if self.is_compliant(e.owner) && !self.world.is_offline(e.owner, self.world.now()) {
+                if self.is_compliant(e.owner) {
                     return Err(DealError::Chain(err));
                 }
             }
@@ -234,16 +288,10 @@ impl<'a> DealDriver<'a> {
         let order = plan.transfer_order();
         for (step, &idx) in order.iter().enumerate() {
             let t = &plan.spec().transfers[idx];
-            let willing = self.decide(t.from, Phase::Transfer, None, |s, ctx| {
-                s.is_online(ctx.now) && s.on_transfer(ctx)
-            });
-            if willing {
-                let _ = self.world.call(
-                    t.chain,
-                    Owner::Party(t.from),
-                    self.contracts[&t.chain],
-                    |m: &mut M, ctx| m.transfer(ctx, &t.asset, t.to),
-                );
+            if self.decide(t.from, Phase::Transfer, |s, ctx| s.on_transfer(ctx)) {
+                let _ = self.call(t.chain, t.from, |m: &mut M, ctx| {
+                    m.transfer(ctx, &t.asset, t.to)
+                });
             }
             // Sequential transfers: the next sender must observe this one first.
             if !concurrent && step + 1 < order.len() {
@@ -255,19 +303,19 @@ impl<'a> DealDriver<'a> {
 
     /// Validation: each party inspects its escrowed incoming assets. The
     /// mechanical verdict rides in the context; the strategy decides whether
-    /// to accept it.
-    fn validate_all<M: DealEscrow>(&mut self, info: &M::Info) -> BTreeMap<PartyId, bool> {
+    /// to accept it. Every party is asked, online or not: validation reads
+    /// the escrows and sends nothing.
+    fn validate_all<M: DealEscrow>(&mut self, info: &M::Info) {
         let plan = self.plan;
-        let mut validated = BTreeMap::new();
-        for pp in plan.parties() {
-            let mechanical = validation::validate_plan::<M>(self.world, pp, info, &self.contracts);
-            let ok = self.decide(pp.id, Phase::Validation, Some(mechanical), |s, ctx| {
+        let verdict = |(i, pp): (usize, _)| {
+            let mechanical =
+                validation::validate_plan::<M>(self.world, plan, &self.contracts, pp, info);
+            self.ask(i, Phase::Validation, Some(mechanical), |s, ctx| {
                 s.on_validate(ctx)
-            });
-            validated.insert(pp.id, ok);
-        }
+            })
+        };
+        self.verdicts = plan.parties().iter().enumerate().map(verdict).collect();
         advance_one_observation(self.world);
-        validated
     }
 
     /// Collects the outcome: every party's final holdings, each chain's
@@ -281,14 +329,14 @@ impl<'a> DealDriver<'a> {
         ext: ProtocolExt,
     ) -> EngineRun {
         let final_holdings = holdings(self.world, &self.plan.spec().parties);
-        let resolutions = self
-            .contracts
-            .keys()
-            .map(|&chain| {
-                let resolution = self.view(chain, &read);
-                (chain, resolution.unwrap_or(ChainResolution::Unresolved))
-            })
-            .collect();
+        let mut contracts = BTreeMap::new();
+        let mut resolutions = BTreeMap::new();
+        for (c, (&chain, id)) in self.plan.chains().iter().zip(&self.contracts).enumerate() {
+            let Some(id) = *id else { continue };
+            contracts.insert(chain, id);
+            let resolution = self.view(c, &read);
+            resolutions.insert(chain, resolution.unwrap_or(ChainResolution::Unresolved));
+        }
         EngineRun {
             outcome: DealOutcome {
                 protocol,
@@ -298,18 +346,10 @@ impl<'a> DealDriver<'a> {
                 metrics: self.metrics,
                 delta,
             },
-            contracts: self.contracts,
+            contracts,
             ext,
         }
     }
-}
-
-/// The resolved configuration of a deal party.
-fn config(configs: &[PartyConfig], party: PartyId) -> &PartyConfig {
-    configs
-        .iter()
-        .find(|c| c.id == party)
-        .expect("configs are resolved for every deal party")
 }
 
 /// Snapshot of each party's holdings across all chains.

@@ -3,7 +3,7 @@
 //! references and mint the assets that parties are supposed to own at the
 //! start.
 
-use xchain_sim::ids::{ChainId, Owner, PartyId};
+use xchain_sim::ids::Owner;
 use xchain_sim::network::NetworkModel;
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
@@ -81,18 +81,6 @@ pub fn apply_offline_windows(world: &mut World, configs: &[crate::party::PartyCo
     }
 }
 
-/// Returns the chains a party must interact with under the timelock protocol
-/// when it behaves compliantly: the chains of its incoming assets (votes) and
-/// outgoing assets (monitoring) only. Used to verify the decentralization
-/// claim of Section 5.1.
-pub fn chains_touched_by(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
-    let mut chains = spec.incoming_chains_of(party);
-    chains.extend(spec.outgoing_chains_of(party));
-    chains.sort();
-    chains.dedup();
-    chains
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +89,7 @@ mod tests {
     use crate::spec::{EscrowSpec, TransferSpec};
     use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
-    use xchain_sim::ids::DealId;
+    use xchain_sim::ids::{ChainId, DealId, PartyId};
     use xchain_sim::time::Time;
 
     fn tiny_spec() -> DealSpec {
@@ -173,16 +161,5 @@ mod tests {
         // If everyone is offline, no one can be picked.
         driver.world.set_offline(PartyId(1), Time(0), Time(100));
         assert_eq!(driver.online_party(), None);
-    }
-
-    #[test]
-    fn decentralization_chain_sets() {
-        let spec = tiny_spec();
-        assert_eq!(
-            chains_touched_by(&spec, PartyId(0)),
-            vec![ChainId(0), ChainId(1)]
-        );
-        let missing = check_parties_exist(&World::new(0), &spec);
-        assert!(missing.is_err());
     }
 }

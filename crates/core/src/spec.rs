@@ -124,37 +124,6 @@ impl DealSpec {
         self.escrows.iter().filter(|e| e.owner == party).collect()
     }
 
-    /// Chains on which `party` has incoming assets (where it sends its commit
-    /// votes in the timelock protocol). The engines read the plan's
-    /// [`crate::plan::PartyPlan::incoming_chains`] instead; tests compare it
-    /// against this.
-    pub fn incoming_chains_of(&self, party: PartyId) -> Vec<ChainId> {
-        let mut chains: Vec<ChainId> = self
-            .transfers
-            .iter()
-            .filter(|t| t.to == party)
-            .map(|t| t.chain)
-            .collect();
-        chains.sort();
-        chains.dedup();
-        chains
-    }
-
-    /// Chains on which `party` has outgoing assets (which it monitors for
-    /// other parties' votes). The name-keyed reference for
-    /// [`crate::plan::PartyPlan::outgoing_chains`].
-    pub fn outgoing_chains_of(&self, party: PartyId) -> Vec<ChainId> {
-        let mut chains: Vec<ChainId> = self
-            .transfers
-            .iter()
-            .filter(|t| t.from == party)
-            .map(|t| t.chain)
-            .collect();
-        chains.sort();
-        chains.dedup();
-        chains
-    }
-
     /// Validates the specification: parties are distinct and non-empty, every
     /// transfer and escrow references listed parties, the escrowed and
     /// transferred amounts of each fungible kind sum to at most `u64::MAX`,
@@ -165,53 +134,6 @@ impl DealSpec {
     /// [`DealError`].
     pub fn validate(&self) -> Result<(), DealError> {
         DealPlan::new(self).map(drop)
-    }
-
-    /// Computes an order in which the tentative transfers can be performed
-    /// such that each sender tentatively owns the asset at that point,
-    /// starting from the escrowed state. Returns indices into
-    /// [`Self::transfers`]. Fails if no such order exists (e.g. a party is
-    /// supposed to forward assets it never receives).
-    ///
-    /// This name-keyed version is the reference that tests compare
-    /// [`DealPlan::transfer_order`] against; planning computes the same
-    /// order once, keeping its bags in a scanned `Vec` instead of a map.
-    pub fn transfer_order(&self) -> Result<Vec<usize>, DealError> {
-        // Tentative ownership per (chain, party), starting from the escrows.
-        let mut owned: BTreeMap<(ChainId, PartyId), AssetBag> = BTreeMap::new();
-        for e in &self.escrows {
-            owned.entry((e.chain, e.owner)).or_default().add(&e.asset);
-        }
-        let mut remaining: Vec<usize> = (0..self.transfers.len()).collect();
-        let mut order = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < remaining.len() {
-                let idx = remaining[i];
-                let t = &self.transfers[idx];
-                let sender_has = owned
-                    .get(&(t.chain, t.from))
-                    .map(|b| b.contains(&t.asset))
-                    .unwrap_or(false);
-                if sender_has {
-                    let bag = owned.entry((t.chain, t.from)).or_default();
-                    bag.remove(&t.asset);
-                    owned.entry((t.chain, t.to)).or_default().add(&t.asset);
-                    order.push(idx);
-                    remaining.remove(i);
-                    progressed = true;
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                return Err(DealError::InvalidSpec(
-                    "transfers cannot be ordered: some sender never owns what it sends".into(),
-                ));
-            }
-        }
-        Ok(order)
     }
 
     /// Renders the deal as the matrix of Figure 1 (rows = outgoing, columns =
@@ -318,7 +240,8 @@ mod tests {
     fn broker_deal_validates_and_orders() {
         let spec = broker_spec();
         spec.validate().unwrap();
-        let order = spec.transfer_order().unwrap();
+        let plan = DealPlan::new(&spec).unwrap();
+        let order = plan.transfer_order();
         assert_eq!(order.len(), 4);
         // Bob's ticket transfer must precede Alice's forward of the tickets.
         let pos = |idx: usize| order.iter().position(|i| *i == idx).unwrap();
@@ -358,10 +281,12 @@ mod tests {
         let alice = PartyId(0);
         let bob = PartyId(1);
         assert_eq!(spec.chains(), vec![ChainId(0), ChainId(1)]);
-        assert_eq!(spec.incoming_chains_of(bob), vec![ChainId(1)]);
-        assert_eq!(spec.outgoing_chains_of(bob), vec![ChainId(0)]);
-        assert_eq!(spec.incoming_chains_of(alice), vec![ChainId(0), ChainId(1)]);
-        assert_eq!(spec.outgoing_chains_of(alice), vec![ChainId(0), ChainId(1)]);
+        let plan = DealPlan::new(&spec).unwrap();
+        let (bob, alice) = (plan.party(bob).unwrap(), plan.party(alice).unwrap());
+        assert_eq!(bob.incoming_chains, vec![ChainId(1)]);
+        assert_eq!(bob.outgoing_chains, vec![ChainId(0)]);
+        assert_eq!(alice.incoming_chains, vec![ChainId(0), ChainId(1)]);
+        assert_eq!(alice.outgoing_chains, vec![ChainId(0), ChainId(1)]);
     }
 
     #[test]
@@ -403,7 +328,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            spec.transfer_order(),
+            DealPlan::new(&spec),
             Err(DealError::InvalidSpec(_))
         ));
         assert!(spec.validate().is_err());

@@ -48,8 +48,9 @@ use crate::phases::Phase;
 use crate::plan::DealPlan;
 use crate::spec::DealSpec;
 
-/// A party's answer at a commit decision point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A party's answer at a commit decision point. An offline party sends
+/// nothing, so the default is [`Vote::Withhold`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Vote {
     /// Vote to commit the deal.
     Commit,
@@ -57,6 +58,7 @@ pub enum Vote {
     /// protocol there is no abort vote, so this behaves like withholding).
     Abort,
     /// Send no vote at all (walk away / free-ride on timeouts).
+    #[default]
     Withhold,
 }
 

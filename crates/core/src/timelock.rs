@@ -11,13 +11,12 @@
 //! Theorem 5.3 and arbitrary adversarial executions (Theorem 5.1) are
 //! produced by the same engine.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xchain_contracts::escrow::DealEscrow;
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_sim::crypto::{KeyPair, PathSignature};
-use xchain_sim::ids::{ChainId, Owner, PartyId};
+use xchain_sim::ids::{ChainId, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
@@ -108,13 +107,10 @@ impl Votes {
         voter: usize,
         path: usize,
     ) -> bool {
-        let chain_id = d.plan.chains()[chain];
         let accepted = d
-            .world
             .call(
-                chain_id,
-                Owner::Party(caller),
-                d.contracts[&chain_id],
+                d.plan.chains()[chain],
+                caller,
                 |m: &mut TimelockManager, ctx| m.commit(ctx, &self.paths[path]),
             )
             .is_ok();
@@ -150,7 +146,9 @@ impl Votes {
         let mut forwarded: Option<usize> = None;
         let mut refused = false;
         for &target in &forwarder.incoming_chains {
-            let t = chain_index(plan, target);
+            let t = plan
+                .chain_index(target)
+                .expect("a party's chains are the plan's");
             if t == seen.chain || self.accepted[t * self.parties + seen.voter] {
                 continue;
             }
@@ -173,13 +171,6 @@ impl Votes {
 struct Forwarder {
     cursor: usize,
     retry: Vec<usize>,
-}
-
-/// The index of `chain` in the plan's sorted chain list.
-fn chain_index(plan: &DealPlan, chain: ChainId) -> usize {
-    plan.chains()
-        .binary_search(&chain)
-        .expect("a party's chains are the plan's chains")
 }
 
 /// The timelock protocol driver behind [`crate::Protocol::Timelock`]:
@@ -210,12 +201,13 @@ pub(crate) fn drive(
             .map(|()| info)
     })?;
 
-    let validated = d.shared_phases::<TimelockManager>(&info, opts.concurrent_transfers)?;
+    d.shared_phases::<TimelockManager>(&info, opts.concurrent_transfers)?;
 
     // Commit: direct votes at t0, then forwarding rounds, then timeout.
     d.world.advance_to(info.t0);
-    d.phase(Phase::Commit, |d| commit(d, &info, &validated, opts))?;
+    d.phase(Phase::Commit, |d| commit(d, &info, opts))?;
 
+    let validated = d.verdicts();
     Ok(d.finish(
         ProtocolKind::Timelock,
         opts.delta,
@@ -228,7 +220,6 @@ pub(crate) fn drive(
 fn commit(
     d: &mut DealDriver<'_>,
     info: &TimelockDealInfo,
-    validated: &BTreeMap<PartyId, bool>,
     opts: &TimelockOptions,
 ) -> Result<(), DealError> {
     let plan = d.plan;
@@ -238,11 +229,7 @@ fn commit(
     // (or on every chain when broadcasting altruistically).
     for (voter, pp) in plan.parties().iter().enumerate() {
         let p = pp.id;
-        let verdict = validated.get(&p).copied().unwrap_or(false);
-        let votes_commit = d.decide(p, Phase::Commit, Some(verdict), |s, ctx| {
-            s.is_online(ctx.now) && s.on_vote(ctx) == Vote::Commit
-        });
-        if !votes_commit {
+        if !d.decide(p, Phase::Commit, |s, ctx| s.on_vote(ctx) == Vote::Commit) {
             continue;
         }
         let target_chains: &[ChainId] = if opts.altruistic_broadcast {
@@ -256,7 +243,10 @@ fn commit(
             .paths
             .push(PathSignature::direct(p, &key, &info.vote_message(p)));
         for &chain in target_chains {
-            votes.submit(d, p, chain_index(plan, chain), voter, path);
+            let c = plan
+                .chain_index(chain)
+                .expect("a party's chains are the plan's");
+            votes.submit(d, p, c, voter, path);
         }
     }
 
@@ -285,11 +275,7 @@ fn commit(
         let visible = votes.published.len();
         for (pp, f) in plan.parties().iter().zip(&mut forwarders) {
             let p = pp.id;
-            let verdict = validated.get(&p).copied().unwrap_or(false);
-            let forwards = d.decide(p, Phase::Commit, Some(verdict), |s, ctx| {
-                s.is_online(ctx.now) && s.on_forward(ctx)
-            });
-            if !forwards {
+            if !d.decide(p, Phase::Commit, |s, ctx| s.on_forward(ctx)) {
                 continue;
             }
             let key = *d.world.key_pair(p).map_err(DealError::Chain)?;
@@ -306,17 +292,14 @@ fn commit(
     // Timeout: refund any unresolved escrow once t0 + N·∆ has passed.
     if !d.all_resolved::<TimelockManager>() {
         d.world.advance_to(info.refund_time() + Duration(1));
-        for &chain in plan.chains() {
-            if d.resolved::<TimelockManager>(chain) != Some(false) {
+        for (c, &chain) in plan.chains().iter().enumerate() {
+            if d.resolved::<TimelockManager>(c) != Some(false) {
                 continue;
             }
             if let Some(caller) = d.online_party() {
-                let _ = d.world.call(
-                    chain,
-                    Owner::Party(caller),
-                    d.contracts[&chain],
-                    |m: &mut TimelockManager, ctx| m.claim_timeout(ctx),
-                );
+                let _ = d.call(chain, caller, |m: &mut TimelockManager, ctx| {
+                    m.claim_timeout(ctx)
+                });
             }
         }
     }
@@ -331,6 +314,7 @@ mod tests {
     use crate::engine::Protocol;
     use crate::strategy::strategies;
     use xchain_sim::asset::Asset;
+    use xchain_sim::ids::Owner;
     use xchain_sim::network::NetworkModel;
 
     fn run_broker(

@@ -84,7 +84,7 @@ pub fn random_well_formed_deal(deal: DealId, params: &RandomDealParams, seed: u6
             from: recipient,
             to: target,
             chain: ChainId(i),
-            asset: Asset::fungible(format!("asset-{i}").as_str(), slice),
+            asset: Asset::fungible(escrows[i as usize].asset.kind().clone(), slice),
         });
     }
     DealSpec::new(deal, parties, escrows, transfers)
@@ -123,5 +123,24 @@ mod tests {
             random_well_formed_deal(DealId(1), &p, 9),
             random_well_formed_deal(DealId(1), &p, 9)
         );
+    }
+
+    #[test]
+    fn random_deals_share_one_name_per_kind() {
+        let p = RandomDealParams {
+            extra_transfers: 6,
+            ..RandomDealParams::default()
+        };
+        for seed in 0..50 {
+            let spec = random_well_formed_deal(DealId(seed), &p, seed);
+            for t in &spec.transfers {
+                let e = spec
+                    .escrows
+                    .iter()
+                    .find(|e| e.asset.kind() == t.asset.kind());
+                let e = e.expect("every transferred kind is escrowed");
+                assert!(std::sync::Arc::ptr_eq(&e.asset.kind().0, &t.asset.kind().0));
+            }
+        }
     }
 }

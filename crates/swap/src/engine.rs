@@ -27,7 +27,7 @@ use xchain_deals::plan::DealPlan;
 use xchain_deals::setup::advance_one_observation;
 use xchain_deals::spec::DealSpec;
 use xchain_sim::asset::Asset;
-use xchain_sim::ids::{ChainId, Owner, PartyId};
+use xchain_sim::ids::{ChainId, PartyId};
 use xchain_sim::time::Duration;
 use xchain_sim::world::World;
 
@@ -148,46 +148,37 @@ impl DealEngine for SwapEngine {
         // follower can always claim after the reveal.
         let leader_timeout = d.world.now() + self.delta.times(6);
         let follower_timeout = d.world.now() + self.delta.times(3);
-        let (leader_htlc, follower_htlc) = d.phase(Phase::Clearing, |d| {
+        d.phase(Phase::Clearing, |d| {
             let hashlock = HtlcContract::hash_secret(secret);
-            let leader_htlc = d.install(
+            d.install(
                 swap.leader_chain,
                 HtlcContract::new(swap.leader, swap.follower, hashlock, leader_timeout),
             )?;
-            let follower_htlc = d.install(
+            d.install(
                 swap.follower_chain,
                 HtlcContract::new(swap.follower, swap.leader, hashlock, follower_timeout),
-            )?;
-            Ok::<_, DealError>((leader_htlc, follower_htlc))
+            )
         })?;
 
         // Escrow: the leader funds first; the follower funds only after
         // observing the leader's escrow (one observation delay).
         let (leader_funded, follower_funded) = d.phase(Phase::Escrow, |d| {
-            let leader_funded = d.decide(swap.leader, Phase::Escrow, None, |s, ctx| {
-                s.is_online(ctx.now) && s.on_escrow(ctx)
-            }) && d
-                .world
-                .call(
+            let leader_funded = d.decide(swap.leader, Phase::Escrow, |s, ctx| s.on_escrow(ctx))
+                && d.call(
                     swap.leader_chain,
-                    Owner::Party(swap.leader),
-                    leader_htlc,
+                    swap.leader,
                     |h: &mut HtlcContract, ctx| h.fund(ctx, swap.leader_asset.clone()),
                 )
                 .is_ok();
             advance_one_observation(d.world);
             let follower_funded = leader_funded
-                && d.decide(swap.follower, Phase::Escrow, None, |s, ctx| {
-                    s.is_online(ctx.now) && s.on_escrow(ctx)
-                })
-                && d.world
-                    .call(
-                        swap.follower_chain,
-                        Owner::Party(swap.follower),
-                        follower_htlc,
-                        |h: &mut HtlcContract, ctx| h.fund(ctx, swap.follower_asset.clone()),
-                    )
-                    .is_ok();
+                && d.decide(swap.follower, Phase::Escrow, |s, ctx| s.on_escrow(ctx))
+                && d.call(
+                    swap.follower_chain,
+                    swap.follower,
+                    |h: &mut HtlcContract, ctx| h.fund(ctx, swap.follower_asset.clone()),
+                )
+                .is_ok();
             advance_one_observation(d.world);
             (leader_funded, follower_funded)
         });
@@ -199,30 +190,22 @@ impl DealEngine for SwapEngine {
         let swapped = d.phase(Phase::Commit, |d| {
             let leader_claimed = leader_funded
                 && follower_funded
-                && d.decide(swap.leader, Phase::Commit, None, |s, ctx| {
-                    s.is_online(ctx.now) && s.on_claim(ctx)
-                })
-                && d.world
-                    .call(
-                        swap.follower_chain,
-                        Owner::Party(swap.leader),
-                        follower_htlc,
-                        |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
-                    )
-                    .is_ok();
+                && d.decide(swap.leader, Phase::Commit, |s, ctx| s.on_claim(ctx))
+                && d.call(
+                    swap.follower_chain,
+                    swap.leader,
+                    |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
+                )
+                .is_ok();
             advance_one_observation(d.world);
             let follower_claimed = leader_claimed
-                && d.decide(swap.follower, Phase::Commit, None, |s, ctx| {
-                    s.is_online(ctx.now) && s.on_claim(ctx)
-                })
-                && d.world
-                    .call(
-                        swap.leader_chain,
-                        Owner::Party(swap.follower),
-                        leader_htlc,
-                        |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
-                    )
-                    .is_ok();
+                && d.decide(swap.follower, Phase::Commit, |s, ctx| s.on_claim(ctx))
+                && d.call(
+                    swap.leader_chain,
+                    swap.follower,
+                    |h: &mut HtlcContract, ctx| h.claim(ctx, secret),
+                )
+                .is_ok();
 
             // Timeouts: whatever is still locked refunds to its depositor
             // once the longer (leader) timeout has passed.
@@ -231,18 +214,16 @@ impl DealEngine for SwapEngine {
             if leader_locked || follower_locked {
                 d.world.advance_to(leader_timeout + Duration(1));
                 if leader_locked {
-                    let _ = d.world.call(
+                    let _ = d.call(
                         swap.leader_chain,
-                        Owner::Party(swap.leader),
-                        leader_htlc,
+                        swap.leader,
                         |h: &mut HtlcContract, ctx| h.refund(ctx),
                     );
                 }
                 if follower_locked {
-                    let _ = d.world.call(
+                    let _ = d.call(
                         swap.follower_chain,
-                        Owner::Party(swap.follower),
-                        follower_htlc,
+                        swap.follower,
                         |h: &mut HtlcContract, ctx| h.refund(ctx),
                     );
                 }
@@ -272,7 +253,7 @@ mod tests {
     use xchain_deals::properties::{check_conservation, check_safety};
     use xchain_deals::strategy::{strategies, DealView, ObservationHub};
     use xchain_deals::{Deal, DealRun};
-    use xchain_sim::ids::DealId;
+    use xchain_sim::ids::{DealId, Owner};
     use xchain_sim::network::NetworkModel;
 
     fn two_party() -> DealSpec {

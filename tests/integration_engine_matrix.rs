@@ -4,18 +4,22 @@
 //! configurations, and the paper's safety and conservation properties must
 //! hold at every point.
 
+use std::sync::{Arc, Mutex};
+
 use xchain_deals::builders::{auction_spec, broker_spec, brokered_chain_spec, ring_spec};
 use xchain_deals::engine::DealEngine;
 use xchain_deals::party::PartyConfig;
+use xchain_deals::phases::Phase;
 use xchain_deals::properties::{check_conservation, check_safety, check_weak_liveness};
 use xchain_deals::spec::{DealSpec, EscrowSpec, TransferSpec};
-use xchain_deals::strategy::strategies;
+use xchain_deals::strategy::{strategies, ObservationCtx, ObservationHub, Strategy, Vote};
 use xchain_deals::DealError;
 use xchain_deals::{Deal, Protocol};
 use xchain_harness::sweep::{standard_engines, Sweep};
 use xchain_sim::asset::Asset;
 use xchain_sim::ids::{ChainId, DealId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
+use xchain_sim::time::Time;
 use xchain_swap::SwapEngine;
 
 const DELTA: u64 = 100;
@@ -268,5 +272,122 @@ fn a_payout_that_would_overflow_the_receiver_is_refused_for_every_engine() {
         assert_eq!(chain.assets().balance(bob, &asset0), u64::MAX - 5, "{name}");
         assert_eq!(chain.assets().balance(alice, &asset0), 0, "{name}");
         assert_eq!(chain.assets().balance(escrow, &asset0), 10, "{name}");
+    }
+}
+
+/// Chain ids are names, not positions: the two-party ring on chains 3 and 7
+/// runs exactly as it does on chains 0 and 1, under every engine.
+#[test]
+fn sparse_chain_ids_run_like_dense_ones() {
+    let dense = ring_spec(DealId(40), 2);
+    let mut sparse = dense.clone();
+    let rename = |c: ChainId| ChainId([3, 7][c.0 as usize]);
+    for e in &mut sparse.escrows {
+        e.chain = rename(e.chain);
+    }
+    for t in &mut sparse.transfers {
+        t.chain = rename(t.chain);
+    }
+    for (name, engine) in &all_engines() {
+        let run = |spec: &DealSpec| {
+            Deal::new(spec.clone())
+                .network(NetworkModel::synchronous(DELTA))
+                .seed(11)
+                .run(engine)
+                .unwrap()
+        };
+        let (d, s) = (run(&dense), run(&sparse));
+        assert!(d.outcome.committed_everywhere(), "{name}: dense");
+        assert!(s.outcome.committed_everywhere(), "{name}: sparse");
+        for phase in Phase::ALL {
+            let (dm, sm) = (&d.outcome.metrics, &s.outcome.metrics);
+            assert_eq!(dm.gas(phase), sm.gas(phase), "{name}: {phase:?} gas");
+            assert_eq!(
+                dm.duration(phase),
+                sm.duration(phase),
+                "{name}: {phase:?} duration"
+            );
+        }
+        let chains: Vec<ChainId> = s.contracts.keys().copied().collect();
+        assert_eq!(chains, [ChainId(3), ChainId(7)], "{name}");
+    }
+}
+
+/// A strategy that answers every hook compliantly, records which hooks it
+/// was asked, and is offline for the whole run. The world's schedule keeps
+/// the party online, so nothing but the driver's availability rule stands
+/// between it and a call.
+struct OfflineRecorder {
+    asked: Mutex<Vec<&'static str>>,
+}
+
+impl OfflineRecorder {
+    fn ask<T>(&self, hook: &'static str, answer: T) -> T {
+        self.asked.lock().unwrap().push(hook);
+        answer
+    }
+}
+
+impl Strategy for OfflineRecorder {
+    fn name(&self) -> String {
+        "offline recorder".into()
+    }
+    fn is_online(&self, _t: Time) -> bool {
+        false
+    }
+    fn on_escrow(&self, _ctx: &ObservationCtx<'_>) -> bool {
+        self.ask("on_escrow", true)
+    }
+    fn on_transfer(&self, _ctx: &ObservationCtx<'_>) -> bool {
+        self.ask("on_transfer", true)
+    }
+    fn on_validate(&self, ctx: &ObservationCtx<'_>) -> bool {
+        self.ask("on_validate", ctx.validated.unwrap_or(true))
+    }
+    fn on_vote(&self, _ctx: &ObservationCtx<'_>) -> Vote {
+        self.ask("on_vote", Vote::Commit)
+    }
+    fn on_forward(&self, _ctx: &ObservationCtx<'_>) -> bool {
+        self.ask("on_forward", true)
+    }
+    fn on_claim(&self, _ctx: &ObservationCtx<'_>) -> bool {
+        self.ask("on_claim", true)
+    }
+}
+
+/// An offline party is asked to validate (validation reads escrows and
+/// sends nothing) and nothing else, and submits no call: every hook that
+/// could lead to one goes unasked, and no chain logs an escrow, transfer or
+/// vote of it. The other party's escrow refunds.
+#[test]
+fn an_offline_party_only_validates_and_submits_no_call() {
+    let spec = ring_spec(DealId(41), 2);
+    let bob = PartyId(1);
+    for (name, engine) in &all_engines() {
+        let recorder = Arc::new(OfflineRecorder {
+            asked: Mutex::new(Vec::new()),
+        });
+        let deal = Deal::new(spec.clone())
+            .network(NetworkModel::synchronous(DELTA))
+            .party(PartyConfig::with_strategy(bob, recorder.clone()))
+            .seed(12);
+        let run = deal.run(engine).unwrap();
+        let expected: &[&str] = match *name {
+            "HTLC swap" => &[],
+            _ => &["on_validate"],
+        };
+        assert_eq!(*recorder.asked.lock().unwrap(), expected, "{name}");
+        let plan = deal.plan().unwrap();
+        let mut hub = ObservationHub::new(&plan);
+        let ctx = hub.ctx(&run.world, deal.spec(), PartyId(0), Phase::Commit, None);
+        assert!(ctx.view.escrows.iter().all(|&(_, p)| p != bob), "{name}");
+        assert!(ctx.view.transfers.iter().all(|&(_, p)| p != bob), "{name}");
+        assert!(!ctx.view.commit_votes.contains(&bob), "{name}");
+        let outcome = &run.outcome;
+        assert_eq!(
+            outcome.initial_holdings[&bob], outcome.final_holdings[&bob],
+            "{name}"
+        );
+        assert!(outcome.aborted_everywhere(), "{name}");
     }
 }

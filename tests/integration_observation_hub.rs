@@ -11,7 +11,7 @@
 
 use std::any::Any;
 
-use xchain_contracts::escrow::EscrowManager;
+use xchain_contracts::escrow::EscrowCore;
 use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
 use xchain_contracts::DealEscrow;
 use xchain_deals::builders::broker_spec;
@@ -21,8 +21,9 @@ use xchain_deals::setup::world_for_plan;
 use xchain_deals::spec::DealSpec;
 use xchain_deals::strategy::{DealView, ObservationHub};
 use xchain_sim::asset::Asset;
-use xchain_sim::contract::Contract;
+use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::PathSignature;
+use xchain_sim::error::ChainResult;
 use xchain_sim::ids::{ChainId, Owner, PartyId};
 use xchain_sim::ledger::EventTag;
 use xchain_sim::network::NetworkModel;
@@ -83,7 +84,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
     let esc = world
         .chain_mut(COINS)
         .unwrap()
-        .install(EscrowManager::new(spec.deal, spec.parties.clone()));
+        .install(BareEscrow::new(&spec));
     let tickets = Asset::non_fungible("ticket", [1, 2]);
     let coins = Asset::fungible("coin", 101);
     let one_coin = Asset::fungible("coin", 1);
@@ -111,12 +112,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
         only_bob,
     );
     world
-        .call(
-            COINS,
-            Owner::Party(CAROL),
-            esc,
-            |m: &mut EscrowManager, c| m.escrow(c, coins.clone()),
-        )
+        .call(COINS, Owner::Party(CAROL), esc, |m: &mut BareEscrow, c| {
+            m.escrow(c, coins.clone())
+        })
         .unwrap();
     let both = view(&escrowed, &[], &[], &[]);
     check(
@@ -143,7 +141,7 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
             COINS,
             Owner::Party(PartyId(9)),
             esc,
-            |m: &mut EscrowManager, c| m.escrow(c, one_coin),
+            |m: &mut BareEscrow, c| m.escrow(c, one_coin),
         )
         .is_err());
     check(&world, &mut hub, &spec, ALICE, "after failed escrow", both);
@@ -151,12 +149,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
     // --- Tentative transfers interleaved across chains: coins first so the
     // --- later chain-ordered fold differs from arrival order.
     world
-        .call(
-            COINS,
-            Owner::Party(CAROL),
-            esc,
-            |m: &mut EscrowManager, c| m.transfer(c, &coins, ALICE),
-        )
+        .call(COINS, Owner::Party(CAROL), esc, |m: &mut BareEscrow, c| {
+            m.transfer(c, &coins, ALICE)
+        })
         .unwrap();
     world
         .call(
@@ -226,12 +221,9 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
 
     // --- The coin escrow aborts: a refund on the other chain.
     world
-        .call(
-            COINS,
-            Owner::Party(CAROL),
-            esc,
-            |m: &mut EscrowManager, c| m.force_abort(c),
-        )
+        .call(COINS, Owner::Party(CAROL), esc, |m: &mut BareEscrow, c| {
+            m.core.distribute_abort(c)
+        })
         .unwrap();
 
     // --- Final catch-up for everyone, including carol's single big batch.
@@ -246,6 +238,42 @@ fn hub_views_match_per_party_cursor_views_on_an_adversarial_trace() {
     }
     let ctx = hub.ctx(&world, &spec, CAROL, Phase::Commit, None);
     assert!(ctx.view.counterparty_escrows_locked(&spec, ALICE));
+}
+
+/// An escrow with no commit protocol: [`EscrowCore`]'s escrow and tentative
+/// transfers, resolved by hand.
+struct BareEscrow {
+    core: EscrowCore,
+    plist: Vec<PartyId>,
+}
+
+impl BareEscrow {
+    fn new(spec: &DealSpec) -> Self {
+        BareEscrow {
+            core: EscrowCore::new(spec.deal),
+            plist: spec.parties.clone(),
+        }
+    }
+
+    fn escrow(&mut self, c: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
+        self.core.escrow(c, &self.plist, asset)
+    }
+
+    fn transfer(&mut self, c: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()> {
+        self.core.transfer(c, &self.plist, asset, to)
+    }
+}
+
+impl Contract for BareEscrow {
+    fn type_name(&self) -> &'static str {
+        "bare-escrow"
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
 }
 
 /// A contract outside the deal vocabulary: each call appends one
@@ -289,15 +317,12 @@ fn foreign_entries_are_skipped_identically() {
     let esc = world
         .chain_mut(TICKETS)
         .unwrap()
-        .install(EscrowManager::new(spec.deal, spec.parties.clone()));
+        .install(BareEscrow::new(&spec));
     let tickets = Asset::non_fungible("ticket", [1, 2]);
     world
-        .call(
-            TICKETS,
-            Owner::Party(BOB),
-            esc,
-            |m: &mut EscrowManager, c| m.escrow(c, tickets),
-        )
+        .call(TICKETS, Owner::Party(BOB), esc, |m: &mut BareEscrow, c| {
+            m.escrow(c, tickets)
+        })
         .unwrap();
 
     let mut hub = ObservationHub::new(&plan);

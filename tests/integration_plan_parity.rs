@@ -9,7 +9,6 @@ use xchain_deals::builders::{
 };
 use xchain_deals::plan::DealPlan;
 use xchain_deals::spec::{DealSpec, EscrowSpec, TransferSpec};
-use xchain_deals::validation::expected_on_chain;
 use xchain_deals::{Deal, DealError, DealRun, Protocol};
 use xchain_harness::adversary::single_deviator_configs;
 use xchain_harness::sweep::{standard_engines, Sweep, SweepOutcome};
@@ -234,7 +233,7 @@ fn invalid_specs_fail_at_plan_time() {
 }
 
 /// Asserts that the one-pass plan of `spec` equals what the name-keyed
-/// references on [`DealSpec`] derive: the transfer order, the chain sets and
+/// references in [`reference`] derive: the transfer order, the chain sets and
 /// the expected net incoming bags.
 fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
     spec.validate()
@@ -242,7 +241,7 @@ fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
     let plan = DealPlan::new(spec).unwrap_or_else(|e| panic!("{case}: plan: {e}"));
     assert_eq!(
         plan.transfer_order(),
-        &spec.transfer_order().unwrap()[..],
+        &reference::transfer_order(spec).unwrap()[..],
         "{case}: transfer order"
     );
     assert_eq!(plan.chains(), &spec.chains()[..], "{case}: chains");
@@ -251,19 +250,19 @@ fn assert_plan_matches_references(case: &str, spec: &DealSpec) {
         assert_eq!(pp.id, p, "{case}");
         assert_eq!(
             pp.incoming_chains,
-            spec.incoming_chains_of(p),
+            reference::incoming_chains_of(spec, p),
             "{case}: {p} incoming chains"
         );
         assert_eq!(
             pp.outgoing_chains,
-            spec.outgoing_chains_of(p),
+            reference::outgoing_chains_of(spec, p),
             "{case}: {p} outgoing chains"
         );
         assert_eq!(pp.expected.len(), pp.incoming_chains.len(), "{case}: {p}");
         for (&chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
             assert_eq!(
                 expected,
-                &expected_on_chain(spec, p, chain),
+                &reference::expected_on_chain(spec, p, chain),
                 "{case}: {p} expected on {chain}"
             );
         }
@@ -454,5 +453,144 @@ fn escrows_on_chains_without_transfers_fail_under_every_engine() {
             let run = Deal::new(spec.clone()).run(make());
             assert_eq!(run.err(), Some(expected.clone()), "{case}: {engine}");
         }
+    }
+}
+
+/// The plan's expected bags equal the reference's on the builders' specs.
+#[test]
+fn expected_bags_mirror_validation_expected_on_chain() {
+    for spec in [
+        broker_spec(),
+        auction_spec(DealId(2), &[30, 50, 40]),
+        ring_spec(DealId(3), 5),
+        brokered_chain_spec(DealId(4), 9, 100),
+    ] {
+        let plan = DealPlan::new(&spec).unwrap();
+        for pp in plan.parties() {
+            for (chain, expected) in pp.incoming_chains.iter().zip(&pp.expected) {
+                assert_eq!(
+                    expected,
+                    &reference::expected_on_chain(&spec, pp.id, *chain),
+                    "deal {} party {} chain {}",
+                    spec.deal,
+                    pp.id,
+                    chain
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn expected_on_chain_accounts_for_onward_transfers() {
+    let spec = broker_spec();
+    let alice = PartyId(0);
+    // On the coin chain Alice receives 101 and sends 100 onward: net 1.
+    let bag = reference::expected_on_chain(&spec, alice, ChainId(1));
+    assert_eq!(bag.balance(&"coin".into()), 1);
+    // On the ticket chain Alice receives the tickets but forwards them all.
+    let bag = reference::expected_on_chain(&spec, alice, ChainId(0));
+    assert!(bag.is_empty());
+    // Carol expects the two tickets on the ticket chain.
+    let bag = reference::expected_on_chain(&spec, PartyId(2), ChainId(0));
+    assert!(bag.contains(&Asset::non_fungible("ticket", [1, 2])));
+}
+
+/// Name-keyed derivations straight from the transfer matrix, written for
+/// clarity rather than speed: the references a [`DealPlan`] is compared
+/// against.
+mod reference {
+    use std::collections::BTreeMap;
+
+    use xchain_deals::spec::DealSpec;
+    use xchain_deals::DealError;
+    use xchain_sim::asset::AssetBag;
+    use xchain_sim::ids::{ChainId, PartyId};
+
+    /// An order in which the tentative transfers can be performed such that
+    /// each sender tentatively owns the asset at that point, starting from
+    /// the escrowed state: indices into [`DealSpec::transfers`]. Fails if no
+    /// such order exists.
+    pub fn transfer_order(spec: &DealSpec) -> Result<Vec<usize>, DealError> {
+        let mut owned: BTreeMap<(ChainId, PartyId), AssetBag> = BTreeMap::new();
+        for e in &spec.escrows {
+            owned.entry((e.chain, e.owner)).or_default().add(&e.asset);
+        }
+        let mut remaining: Vec<usize> = (0..spec.transfers.len()).collect();
+        let mut order = Vec::with_capacity(remaining.len());
+        while !remaining.is_empty() {
+            let mut progressed = false;
+            let mut i = 0;
+            while i < remaining.len() {
+                let idx = remaining[i];
+                let t = &spec.transfers[idx];
+                let sender_has = owned
+                    .get(&(t.chain, t.from))
+                    .map(|b| b.contains(&t.asset))
+                    .unwrap_or(false);
+                if sender_has {
+                    let bag = owned.entry((t.chain, t.from)).or_default();
+                    bag.remove(&t.asset);
+                    owned.entry((t.chain, t.to)).or_default().add(&t.asset);
+                    order.push(idx);
+                    remaining.remove(i);
+                    progressed = true;
+                } else {
+                    i += 1;
+                }
+            }
+            if !progressed {
+                return Err(DealError::InvalidSpec(
+                    "transfers cannot be ordered: some sender never owns what it sends".into(),
+                ));
+            }
+        }
+        Ok(order)
+    }
+
+    /// Chains on which `party` has incoming assets, sorted.
+    pub fn incoming_chains_of(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
+        chains_where(spec, |t| t.to == party)
+    }
+
+    /// Chains on which `party` has outgoing assets, sorted.
+    pub fn outgoing_chains_of(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
+        chains_where(spec, |t| t.from == party)
+    }
+
+    fn chains_where(
+        spec: &DealSpec,
+        keep: impl Fn(&xchain_deals::spec::TransferSpec) -> bool,
+    ) -> Vec<ChainId> {
+        let mut chains: Vec<ChainId> = spec
+            .transfers
+            .iter()
+            .filter(|t| keep(t))
+            .map(|t| t.chain)
+            .collect();
+        chains.sort();
+        chains.dedup();
+        chains
+    }
+
+    /// The assets `party` expects to receive on `chain`, minus what it sends
+    /// onward on the same chain: its net incoming position there.
+    pub fn expected_on_chain(spec: &DealSpec, party: PartyId, chain: ChainId) -> AssetBag {
+        let mut bag = AssetBag::new();
+        for t in spec
+            .transfers
+            .iter()
+            .filter(|t| t.to == party && t.chain == chain)
+        {
+            bag.add(&t.asset);
+        }
+        for t in spec
+            .transfers
+            .iter()
+            .filter(|t| t.from == party && t.chain == chain)
+        {
+            bag.remove(&t.asset);
+        }
+        bag
     }
 }

@@ -1,10 +1,28 @@
 //! Integration tests over the experiment harness: the regenerated tables must
 //! exhibit the qualitative shapes the paper reports.
 
+use xchain_deals::spec::DealSpec;
 use xchain_harness::experiments::{
     crossover_experiment, fig3_escrow_costs, fig4_gas, fig7_delays, liveness_experiment,
     protocol_matrix_experiment, safety_sweep, swap_baseline_experiment,
 };
+use xchain_sim::ids::{ChainId, PartyId};
+
+/// The chains a party must interact with under the timelock protocol when it
+/// behaves compliantly: the chains of its incoming assets (votes) and
+/// outgoing assets (monitoring) only. Used to verify the decentralization
+/// claim of Section 5.1.
+fn chains_touched_by(spec: &DealSpec, party: PartyId) -> Vec<ChainId> {
+    let mut chains: Vec<ChainId> = spec
+        .transfers
+        .iter()
+        .filter(|t| t.from == party || t.to == party)
+        .map(|t| t.chain)
+        .collect();
+    chains.sort();
+    chains.dedup();
+    chains
+}
 
 #[test]
 fn fig4_commit_costs_scale_as_the_paper_says() {
@@ -171,8 +189,7 @@ fn timelock_protocol_is_decentralized_per_section_5_1() {
     // only the chains of its own incoming and outgoing assets, which is a
     // strict subset of the deal's chains.
     use xchain_deals::builders::brokered_chain_spec;
-    use xchain_deals::setup::chains_touched_by;
-    use xchain_sim::ids::{DealId, PartyId};
+    use xchain_sim::ids::DealId;
     let spec = brokered_chain_spec(DealId(31), 6, 60);
     let all_chains = spec.chains();
     for p in 1..6u32 {
@@ -190,4 +207,19 @@ fn timelock_protocol_is_decentralized_per_section_5_1() {
             .all(|p| chains_touched_by(&spec, *p).contains(chain));
         assert!(!touching_everyone, "{chain:?} is touched by every party");
     }
+}
+
+#[test]
+fn decentralization_chain_sets() {
+    use xchain_deals::builders::ring_spec;
+    use xchain_deals::setup::check_parties_exist;
+    use xchain_sim::ids::DealId;
+    use xchain_sim::world::World;
+    let spec = ring_spec(DealId(1), 2);
+    assert_eq!(
+        chains_touched_by(&spec, PartyId(0)),
+        vec![ChainId(0), ChainId(1)]
+    );
+    let missing = check_parties_exist(&World::new(0), &spec);
+    assert!(missing.is_err());
 }

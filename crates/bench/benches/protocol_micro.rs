@@ -75,7 +75,7 @@ fn main() {
             500,
             || {
                 let cert = cbc.status_certificate(Time(10), DealId(1), h).unwrap();
-                assert!(cert.verify(&cbc.current_validators(), &dir));
+                assert!(cert.verify(&cbc.validators().info(), &dir));
             },
         );
     }

@@ -1,36 +1,61 @@
 //! Quorum certificates: the externally-checkable evidence produced by the CBC.
 //!
 //! A certificate over some payload carries at least `2f + 1` validator
-//! signatures of that payload's hash. A certificate is *final*: unlike a
+//! signatures of that payload's digest. A certificate is *final*: unlike a
 //! proof-of-work proof, it cannot be contradicted later (Section 6.2).
+//! [`Certificate::verify`] is Figure 6's check, written once: the CBC
+//! manager contract runs it on status certificates and charges what it
+//! reports, and block proofs run it on every block.
 
-use xchain_sim::crypto::{hash_words, Hash, KeyDirectory, Signature};
+use std::fmt;
+
+use xchain_sim::crypto::{Hash, KeyDirectory, Signature};
 use xchain_sim::ids::ValidatorId;
 
 use crate::validator::{validator_party_id, ValidatorSetInfo};
 
-/// A quorum certificate: validator signatures over a payload hash.
+/// A quorum certificate: validator signatures over a payload digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// The epoch of the validator set that produced the certificate.
     pub epoch: u64,
-    /// The hash of the certified payload.
+    /// The digest the validators signed, as issued. [`Certificate::verify`]
+    /// checks the signatures against the digest of the payload it is shown,
+    /// never against this field.
     pub payload_hash: Hash,
-    /// Validator signatures over the payload words.
+    /// Validator signatures over the payload digest.
     pub signatures: Vec<(ValidatorId, Signature)>,
 }
 
-/// The result of verifying a certificate, including how many signature
-/// verifications were performed (the dominant gas cost in the CBC commit
-/// phase, Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The result of verifying a certificate: what failed, if anything, and the
+/// work done to find out, which a contract charges as gas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CertCheck {
-    /// Whether the certificate is valid.
-    pub valid: bool,
-    /// Number of individual signature verifications performed.
+    /// Number of individual signature verifications performed (the dominant
+    /// gas cost in the CBC commit phase, Figure 4).
     pub sig_verifications: u64,
+    /// Number of Figure 6 `require`s evaluated, the failing one included:
+    /// a contract pays one compute step for each.
+    pub requires: u64,
     /// Why verification failed, if it did.
     pub failure: Option<CertFailure>,
+}
+
+impl CertCheck {
+    /// Whether the certificate is valid.
+    pub fn is_valid(&self) -> bool {
+        self.failure.is_none()
+    }
+
+    /// One `require`: counts it, and fails with `failure` unless `cond`.
+    fn require(&mut self, cond: bool, failure: CertFailure) -> Result<(), CertFailure> {
+        self.requires += 1;
+        if cond {
+            Ok(())
+        } else {
+            Err(failure)
+        }
+    }
 }
 
 /// Reasons a certificate can fail verification (Figure 6's `require` checks).
@@ -44,21 +69,29 @@ pub enum CertFailure {
     InsufficientQuorum,
     /// The epoch does not match the expected validator set.
     WrongEpoch,
-    /// At least one signature failed cryptographic verification.
+    /// A signer's key is not the one registered for it, or its signature
+    /// does not verify.
     BadSignature,
 }
 
-impl Certificate {
-    /// Builds a certificate from validator signatures over `payload`.
-    pub fn new(epoch: u64, payload: &[u64], signatures: Vec<(ValidatorId, Signature)>) -> Self {
-        Certificate::issue(epoch, hash_words(payload), signatures)
+impl fmt::Display for CertFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            CertFailure::DuplicateSigner => "duplicate validator signature",
+            CertFailure::UnknownValidator => "signer is not a configured validator",
+            CertFailure::InsufficientQuorum => "fewer than 2f+1 validator signatures",
+            CertFailure::WrongEpoch => {
+                "certificate epoch does not match the configured validator set"
+            }
+            CertFailure::BadSignature => "invalid validator signature",
+        })
     }
+}
 
-    /// Builds a certificate from signatures over a pre-computed payload
-    /// digest: the streaming issuance path used by the CBC log, which feeds
-    /// each record through an `FnvHasher` instead of materializing the
-    /// payload words. Equivalent to [`Certificate::new`] whenever
-    /// `payload_hash == hash_words(payload)`.
+impl Certificate {
+    /// Builds a certificate from signatures over a payload digest: the CBC
+    /// log streams each payload through an `FnvHasher` and has its quorum
+    /// sign the digest.
     pub fn issue(
         epoch: u64,
         payload_hash: Hash,
@@ -71,69 +104,61 @@ impl Certificate {
         }
     }
 
-    /// Verifies the certificate against an expected validator set and the
-    /// payload it is supposed to certify. Mirrors the checks of Figure 6:
-    /// unique signers, signers are validators, at least `2f + 1` of them, and
-    /// each signature verifies. Returns the number of signature verifications
-    /// actually performed so callers can charge gas accordingly.
+    /// Figure 6's check against an expected validator set and the digest of
+    /// the payload the certificate should vouch for: the epoch matches,
+    /// signers are unique (compared in place, with no allocation), every
+    /// signer is a validator, there are at least `2f + 1` of them, and each
+    /// of the first `2f + 1` signatures is by the key registered for its
+    /// signer and verifies (verifying more than the quorum buys nothing).
+    /// Stops at the first failed `require`, reporting how many `require`s
+    /// and signature verifications it evaluated so callers can charge gas.
     pub fn verify(
         &self,
         expected: &ValidatorSetInfo,
-        payload: &[u64],
+        digest: Hash,
         keys: &KeyDirectory,
     ) -> CertCheck {
-        let fail = |failure, sig_verifications| CertCheck {
-            valid: false,
-            sig_verifications,
-            failure: Some(failure),
-        };
-        if self.epoch != expected.epoch {
-            return fail(CertFailure::WrongEpoch, 0);
+        let mut check = CertCheck::default();
+        check.failure = self.figure6(expected, digest, keys, &mut check).err();
+        check
+    }
+
+    fn figure6(
+        &self,
+        expected: &ValidatorSetInfo,
+        digest: Hash,
+        keys: &KeyDirectory,
+        check: &mut CertCheck,
+    ) -> Result<(), CertFailure> {
+        check.require(self.epoch == expected.epoch, CertFailure::WrongEpoch)?;
+        // line 6: no duplicate signers.
+        for (i, (vid, _)) in self.signatures.iter().enumerate() {
+            let duplicate = self.signatures[..i].iter().any(|(seen, _)| seen == vid);
+            check.require(!duplicate, CertFailure::DuplicateSigner)?;
         }
-        if hash_words(payload) != self.payload_hash {
-            return fail(CertFailure::BadSignature, 0);
-        }
-        // no duplicate signers (Figure 6 line 6)
-        let mut seen: Vec<ValidatorId> = Vec::with_capacity(self.signatures.len());
-        for (vid, _) in &self.signatures {
-            if seen.contains(vid) {
-                return fail(CertFailure::DuplicateSigner, 0);
-            }
-            seen.push(*vid);
-        }
-        // only validators vote (line 7)
-        if !self
+        // line 7: only validators vote.
+        let members = self
             .signatures
             .iter()
-            .all(|(vid, _)| expected.contains(*vid))
-        {
-            return fail(CertFailure::UnknownValidator, 0);
+            .all(|(vid, _)| expected.contains(*vid));
+        check.require(members, CertFailure::UnknownValidator)?;
+        // line 8: enough validators vote.
+        let quorum = expected.quorum();
+        check.require(
+            self.signatures.len() >= quorum,
+            CertFailure::InsufficientQuorum,
+        )?;
+        // lines 9-11: verify 2f+1 signatures (expensive). Validator keys are
+        // registered under synthetic party ids.
+        for (vid, sig) in self.signatures.iter().take(quorum) {
+            let pk = expected.public_key_of(*vid);
+            let registered = keys.public_key_of(validator_party_id(*vid));
+            check.require(pk.is_some() && registered == pk, CertFailure::BadSignature)?;
+            check.sig_verifications += 1;
+            let valid = pk == Some(sig.signer) && keys.verify_digest(sig, digest);
+            check.require(valid, CertFailure::BadSignature)?;
         }
-        // enough validators vote (line 8)
-        if self.signatures.len() < expected.quorum() {
-            return fail(CertFailure::InsufficientQuorum, 0);
-        }
-        // verify exactly 2f+1 signatures (line 9-11): verifying more than the
-        // quorum buys nothing, so a careful contract stops at the quorum.
-        let mut verifications = 0;
-        for (vid, sig) in self.signatures.iter().take(expected.quorum()) {
-            verifications += 1;
-            let Some(pk) = expected.public_key_of(*vid) else {
-                return fail(CertFailure::UnknownValidator, verifications);
-            };
-            if sig.signer != pk {
-                return fail(CertFailure::BadSignature, verifications);
-            }
-            let registered = keys.public_key_of(validator_party_id(*vid)) == Some(pk);
-            if !registered || !keys.verify_digest(sig, self.payload_hash) {
-                return fail(CertFailure::BadSignature, verifications);
-            }
-        }
-        CertCheck {
-            valid: true,
-            sig_verifications: verifications,
-            failure: None,
-        }
+        Ok(())
     }
 }
 
@@ -141,6 +166,7 @@ impl Certificate {
 mod tests {
     use super::*;
     use crate::validator::ValidatorSet;
+    use xchain_sim::crypto::hash_words;
 
     fn setup(f: usize) -> (ValidatorSet, KeyDirectory) {
         let set = ValidatorSet::new(0, f, 99);
@@ -150,7 +176,8 @@ mod tests {
     }
 
     fn certify(set: &ValidatorSet, payload: &[u64]) -> Certificate {
-        Certificate::new(set.epoch(), payload, set.quorum_sign(payload).unwrap())
+        let digest = hash_words(payload);
+        Certificate::issue(set.epoch(), digest, set.quorum_sign_digest(digest).unwrap())
     }
 
     #[test]
@@ -158,9 +185,12 @@ mod tests {
         let (set, dir) = setup(2);
         let payload = [1, 2, 3];
         let cert = certify(&set, &payload);
-        let check = cert.verify(&set.info(), &payload, &dir);
-        assert!(check.valid);
-        assert_eq!(check.sig_verifications, 5); // 2f+1 with f = 2
+        let check = cert.verify(&set.info(), hash_words(&payload), &dir);
+        assert!(check.is_valid());
+        // 2f+1 signatures with f = 2; the epoch, 5 distinct signers, the
+        // members, the quorum and 2 per signature
+        assert_eq!(check.sig_verifications, 5);
+        assert_eq!(check.requires, 18);
         assert_eq!(check.failure, None);
     }
 
@@ -168,8 +198,8 @@ mod tests {
     fn wrong_payload_rejected() {
         let (set, dir) = setup(1);
         let cert = certify(&set, &[1, 2, 3]);
-        let check = cert.verify(&set.info(), &[1, 2, 4], &dir);
-        assert!(!check.valid);
+        let check = cert.verify(&set.info(), hash_words(&[1, 2, 4]), &dir);
+        assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::BadSignature));
     }
 
@@ -177,11 +207,11 @@ mod tests {
     fn insufficient_quorum_rejected() {
         let (set, dir) = setup(1);
         let payload = [7];
-        let mut sigs = set.quorum_sign(&payload).unwrap();
+        let mut sigs = set.quorum_sign_digest(hash_words(&payload)).unwrap();
         sigs.truncate(set.quorum() - 1);
-        let cert = Certificate::new(0, &payload, sigs);
-        let check = cert.verify(&set.info(), &payload, &dir);
-        assert!(!check.valid);
+        let cert = Certificate::issue(0, hash_words(&payload), sigs);
+        let check = cert.verify(&set.info(), hash_words(&payload), &dir);
+        assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::InsufficientQuorum));
         assert_eq!(check.sig_verifications, 0);
     }
@@ -190,12 +220,12 @@ mod tests {
     fn duplicate_signers_rejected() {
         let (set, dir) = setup(1);
         let payload = [7];
-        let mut sigs = set.quorum_sign(&payload).unwrap();
+        let mut sigs = set.quorum_sign_digest(hash_words(&payload)).unwrap();
         let dup = sigs[0];
         sigs.push(dup);
-        let cert = Certificate::new(0, &payload, sigs);
-        let check = cert.verify(&set.info(), &payload, &dir);
-        assert!(!check.valid);
+        let cert = Certificate::issue(0, hash_words(&payload), sigs);
+        let check = cert.verify(&set.info(), hash_words(&payload), &dir);
+        assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::DuplicateSigner));
     }
 
@@ -205,10 +235,10 @@ mod tests {
         let other = ValidatorSet::new(1, 1, 99);
         other.register_in(&mut dir);
         let payload = [7];
-        let sigs = other.quorum_sign(&payload).unwrap();
-        let cert = Certificate::new(0, &payload, sigs);
-        let check = cert.verify(&set.info(), &payload, &dir);
-        assert!(!check.valid);
+        let sigs = other.quorum_sign_digest(hash_words(&payload)).unwrap();
+        let cert = Certificate::issue(0, hash_words(&payload), sigs);
+        let check = cert.verify(&set.info(), hash_words(&payload), &dir);
+        assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::UnknownValidator));
     }
 
@@ -216,9 +246,10 @@ mod tests {
     fn wrong_epoch_rejected() {
         let (set, dir) = setup(1);
         let payload = [7];
-        let cert = Certificate::new(3, &payload, set.quorum_sign(&payload).unwrap());
-        let check = cert.verify(&set.info(), &payload, &dir);
-        assert!(!check.valid);
+        let mut cert = certify(&set, &payload);
+        cert.epoch = 3;
+        let check = cert.verify(&set.info(), hash_words(&payload), &dir);
+        assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::WrongEpoch));
     }
 
@@ -228,10 +259,10 @@ mod tests {
         let ids = set.member_ids();
         set.set_byzantine(vec![ids[0]]);
         let forged_payload = [666];
-        let sigs = set.byzantine_sign(&forged_payload);
-        let cert = Certificate::new(0, &forged_payload, sigs);
-        let check = cert.verify(&set.info(), &forged_payload, &dir);
-        assert!(!check.valid);
+        let digest = hash_words(&forged_payload);
+        let cert = Certificate::issue(0, digest, set.byzantine_sign(digest));
+        let check = cert.verify(&set.info(), digest, &dir);
+        assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::InsufficientQuorum));
     }
 }

@@ -7,14 +7,20 @@
 //! coordinator with a shared, totally-ordered, certified log. This crate
 //! provides two realizations:
 //!
-//! * [`log::CbcLog`] — a BFT-style certified log: `3f + 1` validators, blocks
-//!   vouched for by `2f + 1`-signature [`certificate::Certificate`]s,
-//!   validator reconfiguration, censorship modelling, and extraction of
-//!   [`proof::StatusCertificate`] / [`proof::BlockProof`] evidence that escrow
-//!   contracts on asset chains can check.
+//! * [`log::CbcLog`] — a BFT-style certified log over a single epoch: one
+//!   set of `3f + 1` validators vouches for every block with a
+//!   `2f + 1`-signature [`certificate::Certificate`]. It models Byzantine
+//!   validators and censorship, and extracts [`proof::StatusCertificate`] /
+//!   [`proof::BlockProof`] evidence that escrow contracts on asset chains can
+//!   check.
 //! * [`pow`] — a Nakamoto-style proof-of-work chain used to reproduce the
 //!   Section 6.2 discussion: PoW proofs lack finality, the private-abort-block
 //!   attack, and the confirmation-depth mitigation.
+//!
+//! Each CBC rule is written once here: Figure 6's certificate check is
+//! [`certificate::Certificate::verify`], the commit rule is
+//! [`proof::DealStatus::replay`], and a record has one encoding, streamed
+//! into a hash by [`log::CbcRecord::write_into`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

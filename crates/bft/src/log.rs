@@ -6,11 +6,13 @@
 //! protocol, each party votes on the CBC whether to commit or abort the entire
 //! deal. The CBC serves to record and order these votes."
 //!
-//! Every appended record forms a block certified by the current validator set
-//! (2f+1 signatures), which names its epoch so proofs can be checked across
-//! validator reconfigurations. The log supports censorship attacks
-//! (validators ignoring selected parties, Section 9) and extraction of the
-//! proofs that escrow contracts check.
+//! Every appended record forms a block certified by the log's one validator
+//! set (2f+1 signatures over a digest streamed from the record). The log
+//! runs a single epoch; its certificates still name it. The log supports
+//! censorship attacks (validators ignoring selected parties, Section 9) and
+//! extraction of the proofs that escrow contracts check. A deal's status on
+//! the log is [`DealStatus::replay`] of its records, the same commit rule an
+//! escrow contract applies to a block proof.
 
 use std::collections::BTreeSet;
 
@@ -20,7 +22,7 @@ use xchain_sim::time::Time;
 
 use crate::certificate::Certificate;
 use crate::proof::{BlockProof, DealStatus, StatusCertificate};
-use crate::validator::{ValidatorSet, ValidatorSetInfo};
+use crate::validator::ValidatorSet;
 
 /// One record published on the CBC.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,39 +53,12 @@ pub enum CbcRecord {
         /// The voting party.
         voter: PartyId,
     },
-    /// A validator reconfiguration: the current set elects the set for
-    /// `new_epoch` (whose membership is published alongside).
-    Reconfigure {
-        /// The epoch being installed.
-        new_epoch: u64,
-    },
 }
 
 impl CbcRecord {
-    /// Canonical word encoding used for hashing and certification.
-    pub fn to_words(&self) -> Vec<u64> {
-        match self {
-            CbcRecord::StartDeal { deal, plist } => {
-                let mut w = vec![1u64, deal.0];
-                w.extend(plist.iter().map(|p| p.0 as u64));
-                w
-            }
-            CbcRecord::CommitVote {
-                deal,
-                start_hash,
-                voter,
-            } => vec![2u64, deal.0, start_hash.0, voter.0 as u64],
-            CbcRecord::AbortVote {
-                deal,
-                start_hash,
-                voter,
-            } => vec![3u64, deal.0, start_hash.0, voter.0 as u64],
-            CbcRecord::Reconfigure { new_epoch } => vec![4u64, *new_epoch],
-        }
-    }
-
-    /// Streams the canonical word encoding into a hasher without
-    /// materializing it (block hashing runs once per appended record).
+    /// Streams the record's canonical encoding into a hasher, word by word:
+    /// a kind tag (1 start, 2 commit, 3 abort), the deal, then the plist, or
+    /// the start hash and the voter. It is the record's only encoding.
     pub fn write_into(&self, h: &mut FnvHasher) {
         match self {
             CbcRecord::StartDeal { deal, plist } => {
@@ -113,15 +88,10 @@ impl CbcRecord {
                 h.write_u64(start_hash.0);
                 h.write_u64(voter.0 as u64);
             }
-            CbcRecord::Reconfigure { new_epoch } => {
-                h.write_u64(4);
-                h.write_u64(*new_epoch);
-            }
         }
     }
 
-    /// Hash of the record (used as `h`, the startDeal hash). Streamed —
-    /// equal to hashing [`CbcRecord::to_words`] but allocation-free.
+    /// Hash of the record (used as `h`, the startDeal hash).
     pub fn hash(&self) -> Hash {
         let mut h = FnvHasher::new();
         self.write_into(&mut h);
@@ -138,24 +108,14 @@ pub struct CertifiedBlock {
     pub time: Time,
     /// The record itself.
     pub record: CbcRecord,
-    /// The certificate over `(index, record)` produced by the epoch's quorum.
+    /// The certificate over `(index, record)` produced by the quorum.
     pub certificate: Certificate,
 }
 
 impl CertifiedBlock {
-    /// The words the certificate signs: the index followed by the record words.
-    /// Verification sites use this to rebuild the signed payload; issuance
-    /// streams the same encoding through [`CertifiedBlock::certified_digest`].
-    pub fn certified_words(index: u64, record: &CbcRecord) -> Vec<u64> {
-        let mut w = vec![index];
-        w.extend(record.to_words());
-        w
-    }
-
-    /// The digest of [`CertifiedBlock::certified_words`], computed by
-    /// streaming the index and record through an [`FnvHasher`] — the
-    /// allocation-free certification path (no per-certification scratch
-    /// `Vec`).
+    /// The digest the certificate signs: the index followed by the record's
+    /// encoding, streamed through an [`FnvHasher`]. Issuance and every
+    /// verification compute it the same way.
     pub fn certified_digest(index: u64, record: &CbcRecord) -> Hash {
         let mut h = FnvHasher::new();
         h.write_u64(index);
@@ -194,9 +154,6 @@ impl std::error::Error for CbcError {}
 /// The certified blockchain.
 pub struct CbcLog {
     validators: ValidatorSet,
-    /// Validator-set descriptions by epoch, including the current one, so
-    /// block proofs spanning reconfigurations can be checked.
-    epoch_infos: Vec<ValidatorSetInfo>,
     blocks: Vec<CertifiedBlock>,
     censored: BTreeSet<PartyId>,
 }
@@ -204,35 +161,17 @@ pub struct CbcLog {
 impl CbcLog {
     /// Creates a CBC with fault tolerance `f` (so `3f + 1` validators).
     pub fn new(f: usize, seed: u64) -> Self {
-        let validators = ValidatorSet::new(0, f, seed);
         CbcLog {
-            epoch_infos: vec![validators.info()],
-            validators,
+            validators: ValidatorSet::new(0, f, seed),
             blocks: Vec::new(),
             censored: BTreeSet::new(),
         }
     }
 
-    /// The validator set of the initial epoch: what parties pass to escrow
-    /// contracts when escrowing ("passing the 3f+1 validators of the initial
-    /// block as an extra argument to each of the deal's escrow contracts").
-    pub fn initial_validators(&self) -> ValidatorSetInfo {
-        self.epoch_infos[0].clone()
-    }
-
-    /// The current validator set description.
-    pub fn current_validators(&self) -> ValidatorSetInfo {
-        self.validators.info()
-    }
-
-    /// The current validator set.
+    /// The validator set; its [`ValidatorSet::info`] is what escrow
+    /// contracts are configured with.
     pub fn validators(&self) -> &ValidatorSet {
         &self.validators
-    }
-
-    /// All epoch descriptions in order.
-    pub fn epoch_infos(&self) -> &[ValidatorSetInfo] {
-        &self.epoch_infos
     }
 
     /// Configures the validators to censor (ignore) entries submitted by a
@@ -259,13 +198,11 @@ impl CbcLog {
     fn append(
         &mut self,
         time: Time,
-        submitter: Option<PartyId>,
+        submitter: PartyId,
         record: CbcRecord,
     ) -> Result<u64, CbcError> {
-        if let Some(p) = submitter {
-            if self.censored.contains(&p) {
-                return Err(CbcError::Censored(p));
-            }
+        if self.censored.contains(&submitter) {
+            return Err(CbcError::Censored(submitter));
         }
         let index = self.blocks.len() as u64;
         // Streaming issuance: hash the certified payload once, sign the
@@ -300,7 +237,7 @@ impl CbcLog {
         }
         let record = CbcRecord::StartDeal { deal, plist };
         let h = record.hash();
-        let index = self.append(time, Some(caller), record)?;
+        let index = self.append(time, caller, record)?;
         Ok((index, h))
     }
 
@@ -326,18 +263,7 @@ impl CbcLog {
         start_hash: Hash,
         voter: PartyId,
     ) -> Result<u64, CbcError> {
-        if !self.plist_of(deal, start_hash)?.contains(&voter) {
-            return Err(CbcError::VoterNotInPlist(voter));
-        }
-        self.append(
-            time,
-            Some(voter),
-            CbcRecord::CommitVote {
-                deal,
-                start_hash,
-                voter,
-            },
-        )
+        self.vote(time, deal, start_hash, voter, true)
     }
 
     /// Publishes an abort vote `abort(D, h, X)`.
@@ -348,54 +274,41 @@ impl CbcLog {
         start_hash: Hash,
         voter: PartyId,
     ) -> Result<u64, CbcError> {
+        self.vote(time, deal, start_hash, voter, false)
+    }
+
+    /// Publishes a vote of a plist member on the deal started at `start_hash`.
+    fn vote(
+        &mut self,
+        time: Time,
+        deal: DealId,
+        start_hash: Hash,
+        voter: PartyId,
+        commit: bool,
+    ) -> Result<u64, CbcError> {
         if !self.plist_of(deal, start_hash)?.contains(&voter) {
             return Err(CbcError::VoterNotInPlist(voter));
         }
-        self.append(
-            time,
-            Some(voter),
+        let record = if commit {
+            CbcRecord::CommitVote {
+                deal,
+                start_hash,
+                voter,
+            }
+        } else {
             CbcRecord::AbortVote {
                 deal,
                 start_hash,
                 voter,
-            },
-        )
+            }
+        };
+        self.append(time, voter, record)
     }
 
-    /// Computes the deal's status by scanning the ordered log: committed if
-    /// every party in the plist voted commit before any abort vote was
-    /// recorded; aborted if some abort vote was recorded before every party
-    /// had voted commit; active otherwise.
+    /// The deal's status: the commit rule, [`DealStatus::replay`], over the
+    /// ordered log.
     pub fn deal_status(&self, deal: DealId, start_hash: Hash) -> Result<DealStatus, CbcError> {
-        let plist = self.plist_of(deal, start_hash)?;
-        let mut committed: BTreeSet<PartyId> = BTreeSet::new();
-        for block in &self.blocks {
-            match &block.record {
-                CbcRecord::CommitVote {
-                    deal: d,
-                    start_hash: h,
-                    voter,
-                } if *d == deal && *h == start_hash => {
-                    committed.insert(*voter);
-                    if plist.iter().all(|p| committed.contains(p)) {
-                        return Ok(DealStatus::Committed {
-                            decisive_index: block.index,
-                        });
-                    }
-                }
-                CbcRecord::AbortVote {
-                    deal: d,
-                    start_hash: h,
-                    ..
-                } if *d == deal && *h == start_hash => {
-                    return Ok(DealStatus::Aborted {
-                        decisive_index: block.index,
-                    });
-                }
-                _ => {}
-            }
-        }
-        Ok(DealStatus::Active)
+        DealStatus::replay(deal, start_hash, &self.blocks).ok_or(CbcError::UnknownDeal(deal))
     }
 
     /// Requests a status certificate from the validators: the optimization of
@@ -408,12 +321,12 @@ impl CbcLog {
         start_hash: Hash,
     ) -> Result<StatusCertificate, CbcError> {
         let status = self.deal_status(deal, start_hash)?;
-        let payload = StatusCertificate::payload_words(deal, start_hash, &status);
+        let digest = StatusCertificate::payload_digest(deal, start_hash, &status);
         let sigs = self
             .validators
-            .quorum_sign(&payload)
+            .quorum_sign_digest(digest)
             .ok_or(CbcError::QuorumUnavailable)?;
-        let certificate = Certificate::new(self.validators.epoch(), &payload, sigs);
+        let certificate = Certificate::issue(self.validators.epoch(), digest, sigs);
         Ok(StatusCertificate {
             deal,
             start_hash,
@@ -424,23 +337,22 @@ impl CbcLog {
     }
 
     /// Extracts the block-range proof for a deal: every certified block that
-    /// mentions the deal (plus reconfiguration records), in log order. This is
-    /// the "straightforward approach" of Section 6.2 whose verification cost
-    /// the status-certificate optimization avoids.
+    /// mentions the deal, in log order. This is the "straightforward
+    /// approach" of Section 6.2 whose verification cost the
+    /// status-certificate optimization avoids.
     pub fn block_proof(&self, deal: DealId, start_hash: Hash) -> Result<BlockProof, CbcError> {
         // Ensure the deal exists.
         let _ = self.plist_of(deal, start_hash)?;
-        let blocks =
-            self.blocks
-                .iter()
-                .filter(|b| match &b.record {
-                    CbcRecord::StartDeal { deal: d, .. } => *d == deal,
-                    CbcRecord::CommitVote { deal: d, .. }
-                    | CbcRecord::AbortVote { deal: d, .. } => *d == deal,
-                    CbcRecord::Reconfigure { .. } => true,
-                })
-                .cloned()
-                .collect();
+        let blocks = self
+            .blocks
+            .iter()
+            .filter(|b| match &b.record {
+                CbcRecord::StartDeal { deal: d, .. }
+                | CbcRecord::CommitVote { deal: d, .. }
+                | CbcRecord::AbortVote { deal: d, .. } => *d == deal,
+            })
+            .cloned()
+            .collect();
         Ok(BlockProof {
             deal,
             start_hash,
@@ -463,22 +375,8 @@ impl std::fmt::Debug for CbcLog {
 mod tests {
     use super::*;
 
-    /// Test-only log operations: no deal reconfigures its validators or asks
-    /// for its start record, but the log's certification must hold across
-    /// epochs.
+    /// Test-only log operations: no deal asks for its start record.
     impl CbcLog {
-        /// Reconfigures the validator set: the current `2f + 1` quorum
-        /// certifies the election of a fresh `3f + 1` set for the next epoch,
-        /// derived from `seed`.
-        fn reconfigure(&mut self, time: Time, seed: u64) -> Result<u64, CbcError> {
-            let new_epoch = self.validators.epoch() + 1;
-            let idx = self.append(time, None, CbcRecord::Reconfigure { new_epoch })?;
-            let new_set = ValidatorSet::new(new_epoch, self.validators.f(), seed);
-            self.epoch_infos.push(new_set.info());
-            self.validators = new_set;
-            Ok(idx)
-        }
-
         /// The definitive (earliest) startDeal record for a deal, if any.
         fn definitive_start(&self, deal: DealId) -> Option<&CertifiedBlock> {
             self.blocks
@@ -595,32 +493,7 @@ mod tests {
     }
 
     #[test]
-    fn every_block_is_certified_by_current_epoch() {
-        let mut cbc = CbcLog::new(1, 5);
-        let (_, h) = cbc
-            .start_deal(Time(0), PartyId(0), DealId(1), parties(2))
-            .unwrap();
-        cbc.vote_commit(Time(1), DealId(1), h, PartyId(0)).unwrap();
-        cbc.reconfigure(Time(2), 5).unwrap();
-        cbc.vote_commit(Time(3), DealId(1), h, PartyId(1)).unwrap();
-        assert_eq!(cbc.blocks()[0].certificate.epoch, 0);
-        assert_eq!(cbc.blocks()[3].certificate.epoch, 1);
-        assert_eq!(cbc.epoch_infos().len(), 2);
-        // certificates verify against their epoch
-        let mut dir = xchain_sim::crypto::KeyDirectory::new();
-        for epoch in 0..2 {
-            ValidatorSet::new(epoch, 1, 5).register_in(&mut dir);
-        }
-        for block in cbc.blocks() {
-            let info = &cbc.epoch_infos()[block.certificate.epoch as usize];
-            let words = CertifiedBlock::certified_words(block.index, &block.record);
-            assert!(block.certificate.verify(info, &words, &dir).valid);
-        }
-    }
-
-    #[test]
-    fn streamed_certified_digest_matches_buffered_words() {
-        use xchain_sim::crypto::hash_words;
+    fn certified_digests_are_pinned() {
         let records = [
             CbcRecord::StartDeal {
                 deal: DealId(7),
@@ -636,14 +509,14 @@ mod tests {
                 start_hash: Hash(99),
                 voter: PartyId(2),
             },
-            CbcRecord::Reconfigure { new_epoch: 4 },
         ];
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(
-                CertifiedBlock::certified_digest(i as u64, r),
-                hash_words(&CertifiedBlock::certified_words(i as u64, r)),
-                "{r:?}"
-            );
+        let pinned = [
+            0xfae8_08c1_7774_2098,
+            0x5af7_e1e7_44ec_0ca4,
+            0xdb0d_747b_1ea0_4e23,
+        ];
+        for (i, (r, digest)) in records.iter().zip(pinned).enumerate() {
+            assert_eq!(CertifiedBlock::certified_digest(i as u64, r), Hash(digest));
         }
     }
 

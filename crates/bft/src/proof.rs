@@ -1,4 +1,5 @@
-//! Cross-chain proofs of commit and abort (Section 6.2).
+//! Cross-chain proofs of commit and abort (Section 6.2), and the commit rule
+//! both are judged by.
 //!
 //! Escrow contracts on asset blockchains cannot read the CBC; a party claiming
 //! an asset (or a refund) must present evidence that the deal committed (or
@@ -8,11 +9,15 @@
 //!   signs the deal's current status, so the contract verifies `2f + 1`
 //!   signatures.
 //! * [`BlockProof`] — the straightforward form: the certified blocks
-//!   mentioning the deal (plus reconfigurations), which the contract replays
-//!   to determine the decisive vote. Much more expensive to verify, which is
-//!   exactly the trade-off the paper describes.
+//!   mentioning the deal, which the contract replays to determine the
+//!   decisive vote. Much more expensive to verify, which is exactly the
+//!   trade-off the paper describes.
+//!
+//! The CBC runs a single epoch, so one validator set checks every block.
+//! [`DealStatus::replay`] is the commit rule, written once: the log computes
+//! a deal's status with it and a block proof's replay applies it.
 
-use xchain_sim::crypto::{Hash, KeyDirectory};
+use xchain_sim::crypto::{hash_words, Hash, KeyDirectory};
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::time::Time;
 
@@ -57,6 +62,60 @@ impl DealStatus {
             DealStatus::Aborted { .. } => 2,
         }
     }
+
+    /// The commit rule of Section 6, over certified blocks in log order.
+    /// The first `StartDeal` of `deal` whose hash is `start_hash` fixes the
+    /// plist. After it, the deal commits at the vote that completes every
+    /// plist member's commit vote, and aborts at an abort vote that comes
+    /// first. Votes before the start, for another start hash or by a party
+    /// outside the plist count for nothing, nor does anything after the
+    /// decision. `None` if no such start is among the blocks.
+    pub fn replay(deal: DealId, start_hash: Hash, blocks: &[CertifiedBlock]) -> Option<DealStatus> {
+        let mut plist: Option<&[PartyId]> = None;
+        // Which plist slots have voted commit, and how many have not.
+        let mut voted = Vec::new();
+        let mut missing = 0;
+        for CertifiedBlock { index, record, .. } in blocks {
+            match record {
+                CbcRecord::StartDeal { deal: d, plist: p }
+                    if plist.is_none() && *d == deal && record.hash() == start_hash =>
+                {
+                    plist = Some(p);
+                    voted = vec![false; p.len()];
+                    missing = p.len();
+                }
+                CbcRecord::CommitVote {
+                    deal: d,
+                    start_hash: h,
+                    voter,
+                } if *d == deal && *h == start_hash => {
+                    let Some(p) = plist else { continue };
+                    for (slot, member) in voted.iter_mut().zip(p) {
+                        if member == voter && !*slot {
+                            *slot = true;
+                            missing -= 1;
+                            if missing == 0 {
+                                return Some(DealStatus::Committed {
+                                    decisive_index: *index,
+                                });
+                            }
+                        }
+                    }
+                }
+                CbcRecord::AbortVote {
+                    deal: d,
+                    start_hash: h,
+                    ..
+                } if *d == deal && *h == start_hash && plist.is_some() => {
+                    return Some(DealStatus::Aborted {
+                        decisive_index: *index,
+                    });
+                }
+                _ => {}
+            }
+        }
+        plist.map(|_| DealStatus::Active)
+    }
 }
 
 /// A validator-quorum certificate over the deal's status — the proof form the
@@ -71,25 +130,27 @@ pub struct StatusCertificate {
     pub status: DealStatus,
     /// When the certificate was issued (CBC time).
     pub issued_at: Time,
-    /// The quorum certificate over [`Self::payload_words`].
+    /// The quorum certificate over [`Self::payload_digest`].
     pub certificate: Certificate,
 }
 
 impl StatusCertificate {
-    /// The canonical payload the validators sign.
-    pub fn payload_words(deal: DealId, start_hash: Hash, status: &DealStatus) -> [u64; 5] {
+    /// The digest the validators sign: of the canonical payload `[0xCE27,
+    /// deal, start hash, status tag, decisive index]`.
+    pub fn payload_digest(deal: DealId, start_hash: Hash, status: &DealStatus) -> Hash {
         let decisive = match status {
             DealStatus::Active => 0,
             DealStatus::Committed { decisive_index } | DealStatus::Aborted { decisive_index } => {
                 *decisive_index
             }
         };
-        [0xCE27u64, deal.0, start_hash.0, status.tag(), decisive]
+        hash_words(&[0xCE27u64, deal.0, start_hash.0, status.tag(), decisive])
     }
 
-    /// The payload of *this* certificate.
-    pub fn payload(&self) -> [u64; 5] {
-        Self::payload_words(self.deal, self.start_hash, &self.status)
+    /// The digest of *this* certificate's payload: what its signatures must
+    /// be over.
+    pub fn digest(&self) -> Hash {
+        Self::payload_digest(self.deal, self.start_hash, &self.status)
     }
 
     /// Verifies the certificate against a validator set (gas-free helper used
@@ -97,13 +158,13 @@ impl StatusCertificate {
     /// each signature verification is charged).
     pub fn verify(&self, validators: &ValidatorSetInfo, keys: &KeyDirectory) -> bool {
         self.certificate
-            .verify(validators, &self.payload(), keys)
-            .valid
+            .verify(validators, self.digest(), keys)
+            .is_valid()
     }
 }
 
-/// The straightforward proof: all certified blocks mentioning the deal, plus
-/// reconfiguration blocks, in log order.
+/// The straightforward proof: all certified blocks mentioning the deal, in
+/// log order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockProof {
     /// The deal.
@@ -115,7 +176,7 @@ pub struct BlockProof {
 }
 
 /// Result of verifying a [`BlockProof`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BlockProofCheck {
     /// The status implied by the proof, if the proof verified.
     pub status: Option<DealStatus>,
@@ -124,110 +185,30 @@ pub struct BlockProofCheck {
 }
 
 impl BlockProof {
-    /// Replays the proof: verifies every block's certificate against the
-    /// epoch in force (starting from `initial_validators` and advancing at
-    /// each Reconfigure record whose new set is provided in `epoch_infos`),
-    /// then computes the deal status from the ordered votes.
+    /// Replays the proof: checks that block indices strictly increase and
+    /// verifies every block's certificate against `validators`, stopping at
+    /// the first failure, then applies the commit rule
+    /// ([`DealStatus::replay`]) to the ordered records.
     ///
     /// Returns the implied status and the number of signature verifications
     /// performed; `status == None` means the proof is invalid.
-    pub fn verify(
-        &self,
-        initial_validators: &ValidatorSetInfo,
-        epoch_infos: &[ValidatorSetInfo],
-        keys: &KeyDirectory,
-    ) -> BlockProofCheck {
-        let mut current = initial_validators.clone();
-        let mut sig_verifications = 0u64;
-        let mut plist: Option<Vec<PartyId>> = None;
-        let mut committed: Vec<PartyId> = Vec::new();
-        let mut status = DealStatus::Active;
-        let mut last_index: Option<u64> = None;
-
+    pub fn verify(&self, validators: &ValidatorSetInfo, keys: &KeyDirectory) -> BlockProofCheck {
+        let mut check = BlockProofCheck::default();
+        let mut last_index = None;
         for block in &self.blocks {
-            // indices must be strictly increasing (log order).
-            if let Some(prev) = last_index {
-                if block.index <= prev {
-                    return BlockProofCheck {
-                        status: None,
-                        sig_verifications,
-                    };
-                }
+            if last_index.is_some_and(|prev| block.index <= prev) {
+                return check;
             }
             last_index = Some(block.index);
-
-            let words = CertifiedBlock::certified_words(block.index, &block.record);
-            let check = block.certificate.verify(&current, &words, keys);
-            sig_verifications += check.sig_verifications;
-            if !check.valid {
-                return BlockProofCheck {
-                    status: None,
-                    sig_verifications,
-                };
-            }
-
-            match &block.record {
-                CbcRecord::StartDeal { deal, plist: p }
-                    if *deal == self.deal
-                        && plist.is_none()
-                        && block.record.hash() == self.start_hash =>
-                {
-                    plist = Some(p.clone());
-                }
-                CbcRecord::CommitVote {
-                    deal,
-                    start_hash,
-                    voter,
-                } if *deal == self.deal && *start_hash == self.start_hash => {
-                    if let Some(pl) = &plist {
-                        if status == DealStatus::Active && pl.contains(voter) {
-                            if !committed.contains(voter) {
-                                committed.push(*voter);
-                            }
-                            if pl.iter().all(|p| committed.contains(p)) {
-                                status = DealStatus::Committed {
-                                    decisive_index: block.index,
-                                };
-                            }
-                        }
-                    }
-                }
-                CbcRecord::AbortVote {
-                    deal, start_hash, ..
-                } if *deal == self.deal
-                    && *start_hash == self.start_hash
-                    && plist.is_some()
-                    && status == DealStatus::Active =>
-                {
-                    status = DealStatus::Aborted {
-                        decisive_index: block.index,
-                    };
-                }
-                CbcRecord::Reconfigure { new_epoch } => {
-                    match epoch_infos.iter().find(|i| i.epoch == *new_epoch) {
-                        Some(next) => current = next.clone(),
-                        None => {
-                            return BlockProofCheck {
-                                status: None,
-                                sig_verifications,
-                            }
-                        }
-                    }
-                }
-                _ => {}
+            let digest = CertifiedBlock::certified_digest(block.index, &block.record);
+            let cert = block.certificate.verify(validators, digest, keys);
+            check.sig_verifications += cert.sig_verifications;
+            if !cert.is_valid() {
+                return check;
             }
         }
-
-        if plist.is_none() {
-            return BlockProofCheck {
-                status: None,
-                sig_verifications,
-            };
-        }
-        BlockProofCheck {
-            status: Some(status),
-            sig_verifications,
-        }
+        check.status = DealStatus::replay(self.deal, self.start_hash, &self.blocks);
+        check
     }
 }
 
@@ -243,10 +224,6 @@ mod tests {
 
     fn directory(cbc: &CbcLog) -> KeyDirectory {
         let mut dir = KeyDirectory::new();
-        // register all epochs' validators
-        for _info in cbc.epoch_infos() {
-            // epoch sets are not public; re-register via current + initial sets
-        }
         cbc.validators().register_in(&mut dir);
         dir
     }
@@ -264,13 +241,12 @@ mod tests {
         let cert = cbc.status_certificate(Time(5), DealId(4), h).unwrap();
         assert!(cert.status.is_committed());
         let dir = directory(&cbc);
-        assert!(cert.verify(&cbc.current_validators(), &dir));
-        assert!(cert.verify(&cbc.initial_validators(), &dir));
+        assert!(cert.verify(&cbc.validators().info(), &dir));
 
         // Tampering with the status breaks verification.
         let mut forged = cert.clone();
         forged.status = DealStatus::Aborted { decisive_index: 0 };
-        assert!(!forged.verify(&cbc.current_validators(), &dir));
+        assert!(!forged.verify(&cbc.validators().info(), &dir));
     }
 
     #[test]
@@ -283,7 +259,7 @@ mod tests {
         cbc.vote_commit(Time(2), DealId(1), h, PartyId(1)).unwrap();
         let proof = cbc.block_proof(DealId(1), h).unwrap();
         let dir = directory(&cbc);
-        let check = proof.verify(&cbc.initial_validators(), cbc.epoch_infos(), &dir);
+        let check = proof.verify(&cbc.validators().info(), &dir);
         assert!(matches!(check.status, Some(DealStatus::Committed { .. })));
         // one certificate of 2f+1 = 3 signatures per block, 3 blocks
         assert_eq!(check.sig_verifications, 9);
@@ -295,7 +271,7 @@ mod tests {
         cbc2.vote_abort(Time(1), DealId(2), h2, PartyId(1)).unwrap();
         let proof2 = cbc2.block_proof(DealId(2), h2).unwrap();
         let dir2 = directory(&cbc2);
-        let check2 = proof2.verify(&cbc2.initial_validators(), cbc2.epoch_infos(), &dir2);
+        let check2 = proof2.verify(&cbc2.validators().info(), &dir2);
         assert!(matches!(check2.status, Some(DealStatus::Aborted { .. })));
     }
 
@@ -310,7 +286,7 @@ mod tests {
         let mut proof = cbc.block_proof(DealId(1), h).unwrap();
         proof.blocks.swap(1, 2);
         let dir = directory(&cbc);
-        let check = proof.verify(&cbc.initial_validators(), cbc.epoch_infos(), &dir);
+        let check = proof.verify(&cbc.validators().info(), &dir);
         assert_eq!(check.status, None);
     }
 
@@ -331,8 +307,97 @@ mod tests {
         cbc.vote_commit(Time(3), DealId(1), h, PartyId(1)).unwrap();
         let proof = cbc.block_proof(DealId(1), h).unwrap();
         let dir = directory(&cbc);
-        let check = proof.verify(&cbc.initial_validators(), cbc.epoch_infos(), &dir);
+        let check = proof.verify(&cbc.validators().info(), &dir);
         assert!(matches!(check.status, Some(DealStatus::Aborted { .. })));
+    }
+
+    /// A block certified by `cbc`'s validators at `index`, whatever the log
+    /// itself would accept there: the quorum signs any record it is shown.
+    fn certified(cbc: &CbcLog, index: u64, record: CbcRecord) -> CertifiedBlock {
+        let digest = CertifiedBlock::certified_digest(index, &record);
+        let sigs = cbc.validators().quorum_sign_digest(digest).unwrap();
+        CertifiedBlock {
+            index,
+            time: Time(index),
+            record,
+            certificate: Certificate::issue(0, digest, sigs),
+        }
+    }
+
+    #[test]
+    fn forged_block_proofs_replay_to_the_pinned_status() {
+        let deal = DealId(1);
+        let mut cbc = CbcLog::new(1, 9);
+        let (_, h) = cbc
+            .start_deal(Time(0), PartyId(0), deal, parties(2))
+            .unwrap();
+        let start = CbcRecord::StartDeal {
+            deal,
+            plist: parties(2),
+        };
+        let commit = |voter: u32, start_hash: Hash| CbcRecord::CommitVote {
+            deal,
+            start_hash,
+            voter: PartyId(voter),
+        };
+        let abort = |voter: u32| CbcRecord::AbortVote {
+            deal,
+            start_hash: h,
+            voter: PartyId(voter),
+        };
+        let forge = |start_hash, records: Vec<CbcRecord>| BlockProof {
+            deal,
+            start_hash,
+            blocks: (0u64..)
+                .zip(records)
+                .map(|(i, r)| certified(&cbc, i, r))
+                .collect(),
+        };
+        let expect = |status, sig_verifications| BlockProofCheck {
+            status,
+            sig_verifications,
+        };
+        let active = Some(DealStatus::Active);
+        let committed = |decisive_index| Some(DealStatus::Committed { decisive_index });
+        let rows: [(&str, BlockProof, BlockProofCheck); 6] = [
+            (
+                "a vote before StartDeal is ignored",
+                forge(h, vec![commit(0, h), start.clone(), commit(1, h)]),
+                expect(active, 9),
+            ),
+            (
+                "a voter not in the plist is ignored",
+                forge(h, vec![start.clone(), commit(0, h), commit(9, h)]),
+                expect(active, 9),
+            ),
+            (
+                "a duplicated commit vote counts once",
+                forge(h, vec![start.clone(), commit(0, h), commit(0, h)]),
+                expect(active, 9),
+            ),
+            (
+                "an abort after the decisive commit is ignored",
+                forge(h, vec![start.clone(), commit(0, h), commit(1, h), abort(0)]),
+                expect(committed(2), 12),
+            ),
+            (
+                "a vote for another start hash is ignored",
+                forge(
+                    h,
+                    vec![start.clone(), commit(0, h), commit(1, Hash(h.0 ^ 1))],
+                ),
+                expect(active, 9),
+            ),
+            (
+                "a wrong start hash names no deal",
+                forge(Hash(h.0 ^ 1), vec![start, commit(0, h), commit(1, h)]),
+                expect(None, 9),
+            ),
+        ];
+        let (dir, validators) = (directory(&cbc), cbc.validators().info());
+        for (name, proof, check) in rows {
+            assert_eq!(proof.verify(&validators, &dir), check, "{name}");
+        }
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! Section 6.2: "Blocks are approved by a known set of 3f+1 validators, of
 //! which at most f can deviate from the protocol. … Each block in a BFT
 //! blockchain is vouched for by a certificate containing at least 2f+1
-//! validator signatures of that block's hash. … the blockchain can be
-//! reconfigured periodically by having at least 2f+1 current validators elect
-//! a new set of validators."
+//! validator signatures of that block's hash."
 //!
-//! Consensus internals are abstracted (exactly as the paper does); what the
-//! deal protocols rely on is the externally-checkable certificate structure,
-//! which this module provides.
+//! The CBC here runs a single epoch: one validator set certifies the whole
+//! log, and escrow contracts are configured with its public description.
+//! (The paper's periodic reconfiguration, where 2f+1 current validators
+//! elect a new set, is not modelled: no deal spans one.) Consensus internals
+//! are abstracted exactly as the paper does; what the deal protocols rely on
+//! is the externally-checkable certificate structure, which this module
+//! provides. Validators sign digests only.
 
-use xchain_sim::crypto::{KeyDirectory, KeyPair, PublicKey, Signature};
+use xchain_sim::crypto::{Hash, KeyDirectory, KeyPair, PublicKey, Signature};
 use xchain_sim::ids::{PartyId, ValidatorId};
 use xchain_sim::ledger::Blockchain;
 
@@ -42,7 +44,8 @@ pub struct ValidatorSet {
 /// paper passes to escrow contracts "in place of the ellipses" at escrow time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidatorSetInfo {
-    /// The epoch (0 for the initial set; incremented by reconfiguration).
+    /// The epoch the set certifies in (the CBC's single epoch is 0).
+    /// Certificates name it, and contracts check it.
     pub epoch: u64,
     /// The fault-tolerance parameter `f`.
     pub f: usize,
@@ -54,11 +57,6 @@ impl ValidatorSetInfo {
     /// The quorum size `2f + 1`.
     pub fn quorum(&self) -> usize {
         2 * self.f + 1
-    }
-
-    /// Total size `3f + 1`.
-    pub fn size(&self) -> usize {
-        self.members.len()
     }
 
     /// Looks up a validator's public key.
@@ -105,11 +103,6 @@ impl ValidatorSet {
         self.f
     }
 
-    /// Total membership `3f + 1`.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
     /// Quorum size `2f + 1`.
     pub fn quorum(&self) -> usize {
         2 * self.f + 1
@@ -123,12 +116,9 @@ impl ValidatorSet {
         self.byzantine = ids;
     }
 
-    /// The validators currently marked Byzantine.
-    pub fn byzantine(&self) -> &[ValidatorId] {
-        &self.byzantine
-    }
-
-    /// The public description handed to escrow contracts.
+    /// The public description of the set: what parties pass to escrow
+    /// contracts when escrowing ("passing the 3f+1 validators of the initial
+    /// block as an extra argument to each of the deal's escrow contracts").
     pub fn info(&self) -> ValidatorSetInfo {
         ValidatorSetInfo {
             epoch: self.epoch,
@@ -160,20 +150,12 @@ impl ValidatorSet {
     }
 
     /// Produces quorum signatures (from the first `2f + 1` non-Byzantine
-    /// validators) over a message. Returns `None` if fewer than `2f + 1`
-    /// validators are willing to sign — i.e. the honest quorum cannot be
-    /// formed, which stalls the CBC (a liveness, never a safety, failure).
-    pub fn quorum_sign(&self, message: &[u64]) -> Option<Vec<(ValidatorId, Signature)>> {
-        self.quorum_sign_digest(xchain_sim::crypto::hash_words(message))
-    }
-
-    /// [`ValidatorSet::quorum_sign`] over a pre-computed digest: the streaming
-    /// issuance path — each signer signs the digest directly, so certifying a
-    /// record costs one streamed hash and no scratch allocations.
-    pub fn quorum_sign_digest(
-        &self,
-        digest: xchain_sim::crypto::Hash,
-    ) -> Option<Vec<(ValidatorId, Signature)>> {
+    /// validators) over a payload digest, so certifying a record costs one
+    /// streamed hash and no scratch allocations. Returns `None` if fewer
+    /// than `2f + 1` validators are willing to sign — i.e. the honest quorum
+    /// cannot be formed, which stalls the CBC (a liveness, never a safety,
+    /// failure).
+    pub fn quorum_sign_digest(&self, digest: Hash) -> Option<Vec<(ValidatorId, Signature)>> {
         let willing = self
             .members
             .iter()
@@ -190,14 +172,14 @@ impl ValidatorSet {
     }
 
     /// Produces signatures from *Byzantine* validators only, over an arbitrary
-    /// message. Used by attack scenarios to attempt forged certificates; the
+    /// digest. Used by attack scenarios to attempt forged certificates; the
     /// certificate checker must reject these because there are at most `f`
     /// such signatures, below quorum.
-    pub fn byzantine_sign(&self, message: &[u64]) -> Vec<(ValidatorId, Signature)> {
+    pub fn byzantine_sign(&self, digest: Hash) -> Vec<(ValidatorId, Signature)> {
         self.members
             .iter()
             .filter(|(id, _)| self.byzantine.contains(id))
-            .map(|(id, kp)| (*id, kp.sign_words(message)))
+            .map(|(id, kp)| (*id, kp.sign_digest(digest)))
             .collect()
     }
 
@@ -210,14 +192,15 @@ impl ValidatorSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xchain_sim::crypto::hash_words;
 
     #[test]
     fn sizes_follow_3f_plus_1() {
         for f in 1..=5 {
             let set = ValidatorSet::new(0, f, 1);
-            assert_eq!(set.size(), 3 * f + 1);
+            assert_eq!(set.member_ids().len(), 3 * f + 1);
             assert_eq!(set.quorum(), 2 * f + 1);
-            assert_eq!(set.info().size(), 3 * f + 1);
+            assert_eq!(set.info().members.len(), 3 * f + 1);
             assert_eq!(set.info().quorum(), 2 * f + 1);
         }
     }
@@ -225,7 +208,7 @@ mod tests {
     #[test]
     fn quorum_sign_produces_exactly_quorum_signatures() {
         let set = ValidatorSet::new(0, 2, 7);
-        let sigs = set.quorum_sign(&[1, 2, 3]).unwrap();
+        let sigs = set.quorum_sign_digest(hash_words(&[1, 2, 3])).unwrap();
         assert_eq!(sigs.len(), 5);
         let mut dir = KeyDirectory::new();
         set.register_in(&mut dir);
@@ -244,11 +227,11 @@ mod tests {
         let mut set = ValidatorSet::new(0, 1, 3);
         let ids = set.member_ids();
         set.set_byzantine(vec![ids[0]]);
-        let forged = set.byzantine_sign(&[9, 9]);
+        let forged = set.byzantine_sign(hash_words(&[9, 9]));
         assert_eq!(forged.len(), 1);
         assert!(forged.len() < set.quorum());
         // honest quorum still available
-        assert!(set.quorum_sign(&[1]).is_some());
+        assert!(set.quorum_sign_digest(hash_words(&[1])).is_some());
     }
 
     #[test]
@@ -256,7 +239,7 @@ mod tests {
         let mut set = ValidatorSet::new(0, 1, 3);
         let ids = set.member_ids();
         set.set_byzantine(ids[0..2].to_vec()); // 2 > f = 1
-        assert!(set.quorum_sign(&[1]).is_none());
+        assert!(set.quorum_sign_digest(hash_words(&[1])).is_none());
     }
 
     #[test]

@@ -12,18 +12,17 @@ use std::any::Any;
 use std::sync::Arc;
 
 use xchain_bft::proof::{BlockProof, DealStatus, StatusCertificate};
-use xchain_bft::validator::{validator_party_id, ValidatorSetInfo};
-use xchain_sim::asset::Asset;
+use xchain_bft::validator::ValidatorSetInfo;
 use xchain_sim::contract::{CallCtx, Contract};
-use xchain_sim::crypto::{hash_words, Hash};
-use xchain_sim::error::ChainResult;
+use xchain_sim::crypto::Hash;
+use xchain_sim::error::{ChainError, ChainResult};
 use xchain_sim::ids::{DealId, PartyId};
 
-use crate::escrow::{DealEscrow, EscrowCore, EscrowResolution};
+use crate::escrow::{DealEscrow, EscrowCore};
 
 /// Deal information the CBC protocol passes to each escrow contract at escrow
 /// time: the deal id, plist, the hash `h` of the definitive startDeal record,
-/// and the CBC's initial validator set (Section 6.2: "passing the 3f+1
+/// and the CBC's validator set (Section 6.2: "passing the 3f+1
 /// validators of the initial block as an extra argument to each of the deal's
 /// escrow contracts").
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +33,7 @@ pub struct CbcDealInfo {
     pub plist: Vec<PartyId>,
     /// Hash of the definitive startDeal record on the CBC.
     pub start_hash: Hash,
-    /// The CBC's initial validator set.
+    /// The CBC's validator set (of its single epoch).
     pub validators: ValidatorSetInfo,
 }
 
@@ -58,101 +57,68 @@ impl CbcManager {
         }
     }
 
-    /// Verifies a status certificate following Figure 6: unique signers, all
-    /// signers are validators, at least `2f + 1` of them, each signature
-    /// valid (3000 gas each). On success, resolves the escrow according to the
-    /// certified status.
+    /// Verifies a status certificate following Figure 6
+    /// ([`xchain_bft::Certificate::verify`]: the epoch, unique signers, all
+    /// signers validators, at least `2f + 1` of them, each signature valid)
+    /// and charges what the check evaluated: one compute step per `require`
+    /// and 3000 gas per signature verification. On success, resolves the
+    /// escrow according to the certified status.
     pub fn resolve_with_certificate(
         &mut self,
         ctx: &mut CallCtx<'_>,
         cert: &StatusCertificate,
     ) -> ChainResult<()> {
-        ctx.require(self.core.is_active(), "deal already resolved")?;
-        ctx.require(
-            cert.deal == self.info.deal,
-            "certificate is for another deal",
-        )?;
-        ctx.require(
-            cert.start_hash == self.info.start_hash,
-            "certificate references a different startDeal",
-        )?;
-        ctx.require(
-            cert.certificate.epoch == self.info.validators.epoch,
-            "certificate epoch does not match the configured validator set",
-        )?;
-        // Figure 6 line 6: no duplicate signers.
-        let signatures = &cert.certificate.signatures;
-        for (i, (vid, _)) in signatures.iter().enumerate() {
-            let duplicate = signatures[..i].iter().any(|(seen, _)| seen == vid);
-            ctx.require(!duplicate, "duplicate validator signature")?;
-        }
-        // line 7: only validators vote.
-        ctx.require(
-            cert.certificate
-                .signatures
-                .iter()
-                .all(|(vid, _)| self.info.validators.contains(*vid)),
-            "signer is not a configured validator",
-        )?;
-        // line 8: enough validators vote.
-        let quorum = self.info.validators.quorum();
-        ctx.require(
-            cert.certificate.signatures.len() >= quorum,
-            "fewer than 2f+1 validator signatures",
-        )?;
-        // lines 9-11: verify 2f+1 signatures (expensive).
-        let digest = hash_words(&cert.payload());
-        for (vid, sig) in cert.certificate.signatures.iter().take(quorum) {
-            let Some(pk) = self.info.validators.public_key_of(*vid) else {
-                return ctx.require(false, "validator key missing").map(|_| ());
-            };
-            // Validator keys are registered on the chain under synthetic ids.
-            let registered = ctx.keys().public_key_of(validator_party_id(*vid));
-            ctx.require(
-                registered == Some(pk),
-                "validator key not registered on chain",
-            )?;
-            let ok = ctx.verify_signature(sig, pk, digest);
-            ctx.require(ok, "invalid validator signature")?;
+        self.check_subject(ctx, cert.deal, cert.start_hash)?;
+        let check = cert
+            .certificate
+            .verify(&self.info.validators, cert.digest(), ctx.keys());
+        ctx.charge_compute(check.requires);
+        ctx.charge_sig_verifications(check.sig_verifications);
+        if let Some(failure) = check.failure {
+            return Err(ChainError::require(failure.to_string()));
         }
         // line 12: record and act on the outcome.
-        match cert.status {
-            DealStatus::Committed { .. } => self.core.distribute_commit(ctx),
-            DealStatus::Aborted { .. } => self.core.distribute_abort(ctx),
-            DealStatus::Active => ctx.require(false, "certificate does not decide the deal"),
-        }
+        self.settle(ctx, cert.status)
     }
 
     /// Verifies a full block-range proof: every block certificate is checked
-    /// against the validator set in force (advancing at reconfiguration
-    /// records whose successor sets the caller supplies), then the deal status
-    /// is recomputed from the ordered votes. Far more signature verifications
-    /// than the certificate path — the cost the Section 6.2 optimization avoids.
+    /// against the validator set, then the deal status is recomputed from
+    /// the ordered votes. Far more signature verifications than the
+    /// certificate path — the cost the Section 6.2 optimization avoids.
     pub fn resolve_with_block_proof(
         &mut self,
         ctx: &mut CallCtx<'_>,
         proof: &BlockProof,
-        epoch_infos: &[ValidatorSetInfo],
     ) -> ChainResult<()> {
-        ctx.require(self.core.is_active(), "deal already resolved")?;
-        ctx.require(proof.deal == self.info.deal, "proof is for another deal")?;
-        ctx.require(
-            proof.start_hash == self.info.start_hash,
-            "proof references a different startDeal",
-        )?;
+        self.check_subject(ctx, proof.deal, proof.start_hash)?;
         // Charge one signature verification per signature the off-chain
         // checker examines; then validate the proof's conclusion.
-        let check = proof.verify(&self.info.validators, epoch_infos, ctx.keys());
-        for _ in 0..check.sig_verifications {
-            ctx.charge_sig_verification();
-        }
+        let check = proof.verify(&self.info.validators, ctx.keys());
+        ctx.charge_sig_verifications(check.sig_verifications);
         let Some(status) = check.status else {
             return ctx.require(false, "block proof failed verification");
         };
+        self.settle(ctx, status)
+    }
+
+    /// The checks both proof forms begin with: the escrow is unresolved and
+    /// the proof is about this deal's definitive startDeal.
+    fn check_subject(&self, ctx: &mut CallCtx<'_>, deal: DealId, start: Hash) -> ChainResult<()> {
+        ctx.require(self.core.is_active(), "deal already resolved")?;
+        ctx.require(deal == self.info.deal, "proof is for another deal")?;
+        ctx.require(
+            start == self.info.start_hash,
+            "proof references a different startDeal",
+        )
+    }
+
+    /// Pays out by a proven status: the C map if the deal committed, the A
+    /// map if it aborted.
+    fn settle(&mut self, ctx: &mut CallCtx<'_>, status: DealStatus) -> ChainResult<()> {
         match status {
             DealStatus::Committed { .. } => self.core.distribute_commit(ctx),
             DealStatus::Aborted { .. } => self.core.distribute_abort(ctx),
-            DealStatus::Active => ctx.require(false, "proof does not decide the deal"),
+            DealStatus::Active => ctx.require(false, "the proof does not decide the deal"),
         }
     }
 }
@@ -168,16 +134,8 @@ impl DealEscrow for CbcManager {
         &self.core
     }
 
-    fn resolution(&self) -> Option<EscrowResolution> {
-        self.core.resolution()
-    }
-
-    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, &self.info.plist, asset)
-    }
-
-    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()> {
-        self.core.transfer(ctx, &self.info.plist, asset, to)
+    fn parts(&mut self) -> (&mut EscrowCore, &[PartyId]) {
+        (&mut self.core, &self.info.plist)
     }
 }
 
@@ -196,8 +154,9 @@ impl Contract for CbcManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escrow::EscrowResolution;
     use xchain_bft::log::CbcLog;
-    use xchain_sim::error::ChainError;
+    use xchain_sim::asset::Asset;
     use xchain_sim::ids::{ChainId, ContractId, Owner};
     use xchain_sim::ledger::Blockchain;
     use xchain_sim::time::{Duration, Time};
@@ -223,7 +182,7 @@ mod tests {
             deal: DealId(9),
             plist: plist.clone(),
             start_hash,
-            validators: cbc.initial_validators(),
+            validators: cbc.validators().info(),
         };
         let contract = chain.install(CbcManager::new(info.clone()));
         Fixture {
@@ -440,14 +399,13 @@ mod tests {
                 .unwrap();
         }
         let proof = fx.cbc.block_proof(DealId(9), fx.info.start_hash).unwrap();
-        let epoch_infos = fx.cbc.epoch_infos().to_vec();
         let before = fx.chain.gas_usage();
         fx.chain
             .call(
                 Time(30),
                 Owner::Party(fx.info.plist[1]),
                 fx.contract,
-                |m: &mut CbcManager, ctx| m.resolve_with_block_proof(ctx, &proof, &epoch_infos),
+                |m: &mut CbcManager, ctx| m.resolve_with_block_proof(ctx, &proof),
             )
             .unwrap();
         let delta = before.delta_to(&fx.chain.gas_usage());
@@ -463,6 +421,81 @@ mod tests {
                 .balance(Owner::Party(fx.info.plist[1]), &"coin".into()),
             100
         );
+    }
+
+    fn present(fx: &mut Fixture, cert: &StatusCertificate) -> (u64, u64, bool) {
+        let before = fx.chain.gas_usage();
+        let ok = fx
+            .chain
+            .call(
+                Time(30),
+                Owner::Party(fx.info.plist[1]),
+                fx.contract,
+                |m: &mut CbcManager, ctx| m.resolve_with_certificate(ctx, cert),
+            )
+            .is_ok();
+        let delta = before.delta_to(&fx.chain.gas_usage());
+        (delta.compute_steps, delta.sig_verifications, ok)
+    }
+
+    #[test]
+    fn figure6_charges_each_require_it_evaluates() {
+        let mut fx = fixture(1);
+        escrow_and_route_coins(&mut fx);
+        for p in 0..3 {
+            fx.cbc
+                .vote_commit(Time(10), DealId(9), fx.info.start_hash, PartyId(p))
+                .unwrap();
+        }
+        let cert = fx
+            .cbc
+            .status_certificate(Time(20), DealId(9), fx.info.start_hash)
+            .unwrap();
+        let forge = |edit: fn(&mut StatusCertificate)| {
+            let mut forged = cert.clone();
+            edit(&mut forged);
+            forged
+        };
+        let rows: [(&str, StatusCertificate, (u64, u64, bool)); 6] = [
+            (
+                "wrong epoch",
+                forge(|c| c.certificate.epoch = 1),
+                (4, 0, false),
+            ),
+            (
+                "duplicate signer",
+                forge(|c| c.certificate.signatures.push(c.certificate.signatures[0])),
+                (8, 0, false),
+            ),
+            (
+                "foreign signer",
+                forge(|c| c.certificate.signatures[2].0 = xchain_sim::ids::ValidatorId(999_999)),
+                (8, 0, false),
+            ),
+            (
+                "too few signers",
+                forge(|c| c.certificate.signatures.truncate(2)),
+                (8, 0, false),
+            ),
+            (
+                "signature by another validator",
+                forge(|c| c.certificate.signatures[1].1 = c.certificate.signatures[0].1),
+                (13, 2, false),
+            ),
+            (
+                "tampered status",
+                forge(|c| c.status = DealStatus::Aborted { decisive_index: 0 }),
+                (11, 1, false),
+            ),
+        ];
+        // Each failure is charged up to and including its failing require:
+        // the 3 deal checks, the epoch, one per signer checked for
+        // duplicates, membership, the quorum, then 2 per signature checked.
+        for (name, forged, charged) in rows {
+            assert_eq!(present(&mut fx, &forged), charged, "{name}");
+        }
+        // The genuine certificate passes all 15 and the payout's own require.
+        assert_eq!(present(&mut fx, &cert), (16, 3, true));
     }
 
     #[test]

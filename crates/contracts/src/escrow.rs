@@ -205,7 +205,9 @@ impl EscrowCore {
 /// parties check at validation, implemented by both commit protocols'
 /// managers ([`crate::TimelockManager`], [`crate::CbcManager`]). The deal
 /// engines run the shared escrow, tentative-transfer and validation phases
-/// and read resolutions through this trait, generic over the protocol.
+/// and read resolutions through this trait, generic over the protocol. A
+/// manager supplies its deal information and its escrow state; the shared
+/// entry points are written once, here.
 pub trait DealEscrow: Contract {
     /// The deal information the contract is configured with (`Dinfo`).
     type Info: PartialEq;
@@ -217,15 +219,27 @@ pub trait DealEscrow: Contract {
     /// Read access to the escrow state.
     fn core(&self) -> &EscrowCore;
 
+    /// The escrow state to update and the deal's participant list, borrowed
+    /// together.
+    fn parts(&mut self) -> (&mut EscrowCore, &[PartyId]);
+
     /// How the escrow resolved, if it has.
-    fn resolution(&self) -> Option<EscrowResolution>;
+    fn resolution(&self) -> Option<EscrowResolution> {
+        self.core().resolution()
+    }
 
     /// Escrow phase: escrows an asset (see [`EscrowCore::escrow`]).
-    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()>;
+    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
+        let (core, plist) = self.parts();
+        core.escrow(ctx, plist, asset)
+    }
 
     /// Transfer phase: tentatively transfers an escrowed asset (see
     /// [`EscrowCore::transfer`]).
-    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()>;
+    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()> {
+        let (core, plist) = self.parts();
+        core.transfer(ctx, plist, asset, to)
+    }
 }
 
 #[cfg(test)]

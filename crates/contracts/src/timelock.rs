@@ -12,7 +12,6 @@ use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use xchain_sim::asset::Asset;
 use xchain_sim::contract::{CallCtx, Contract};
 use xchain_sim::crypto::{hash_words, PathSignature};
 use xchain_sim::error::ChainResult;
@@ -20,7 +19,7 @@ use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::ledger::EventTag;
 use xchain_sim::time::{Duration, Time};
 
-use crate::escrow::{DealEscrow, EscrowCore, EscrowResolution};
+use crate::escrow::{DealEscrow, EscrowCore};
 
 /// Deal information broadcast by the market-clearing service and checked by
 /// every escrow contract in the timelock protocol: `Dinfo` in the paper.
@@ -172,16 +171,8 @@ impl DealEscrow for TimelockManager {
         &self.core
     }
 
-    fn resolution(&self) -> Option<EscrowResolution> {
-        self.core.resolution()
-    }
-
-    fn escrow(&mut self, ctx: &mut CallCtx<'_>, asset: Asset) -> ChainResult<()> {
-        self.core.escrow(ctx, &self.info.plist, asset)
-    }
-
-    fn transfer(&mut self, ctx: &mut CallCtx<'_>, asset: &Asset, to: PartyId) -> ChainResult<()> {
-        self.core.transfer(ctx, &self.info.plist, asset, to)
+    fn parts(&mut self) -> (&mut EscrowCore, &[PartyId]) {
+        (&mut self.core, &self.info.plist)
     }
 }
 
@@ -200,6 +191,8 @@ impl Contract for TimelockManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escrow::EscrowResolution;
+    use xchain_sim::asset::Asset;
     use xchain_sim::crypto::KeyPair;
     use xchain_sim::error::ChainError;
     use xchain_sim::ids::{ChainId, ContractId, Owner};

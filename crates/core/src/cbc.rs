@@ -105,7 +105,7 @@ pub(crate) fn drive(
             deal: spec.deal,
             plist: spec.parties.clone(),
             start_hash,
-            validators: cbc.initial_validators(),
+            validators: cbc.validators().info(),
         });
         d.install_everywhere(|| CbcManager::new(Arc::clone(&info)))?;
         Ok((cbc, info))
@@ -177,27 +177,26 @@ fn commit(
         status = cbc.deal_status(deal, start_hash).map_err(DealError::Cbc)?;
     }
 
-    // Proof presentation: for each chain, an online party presents the proof
-    // of the decisive outcome; presentations happen in parallel (≤ ∆).
+    // Proof presentation: an online party presents the proof of the decisive
+    // outcome to every escrow contract; presentations happen in parallel
+    // (≤ ∆), so the proof is extracted once and shown to every chain.
     if !matches!(status, DealStatus::Active) {
-        let epoch_infos = cbc.epoch_infos().to_vec();
-        let plan = d.plan;
-        for &chain in plan.chains() {
-            let Some(presenter) = d.online_party() else {
-                continue;
-            };
+        if let Some(presenter) = d.online_party() {
+            let plan = d.plan;
             if opts.use_block_proofs {
-                let proof = cbc.block_proof(deal, start_hash).map_err(DealError::Cbc)?;
-                let _ = d.call(chain, presenter, |m: &mut CbcManager, ctx| {
-                    m.resolve_with_block_proof(ctx, &proof, &epoch_infos)
-                });
+                let proof = cbc.block_proof(deal, start_hash)?;
+                for &chain in plan.chains() {
+                    let _ = d.call(chain, presenter, |m: &mut CbcManager, ctx| {
+                        m.resolve_with_block_proof(ctx, &proof)
+                    });
+                }
             } else {
-                let cert = cbc
-                    .status_certificate(d.world.now(), deal, start_hash)
-                    .map_err(DealError::Cbc)?;
-                let _ = d.call(chain, presenter, |m: &mut CbcManager, ctx| {
-                    m.resolve_with_certificate(ctx, &cert)
-                });
+                let cert = cbc.status_certificate(d.world.now(), deal, start_hash)?;
+                for &chain in plan.chains() {
+                    let _ = d.call(chain, presenter, |m: &mut CbcManager, ctx| {
+                        m.resolve_with_certificate(ctx, &cert)
+                    });
+                }
             }
         }
         advance_one_observation(d.world);

@@ -108,11 +108,11 @@ impl<'a> CallCtx<'a> {
         self.gas.compute_steps += n;
     }
 
-    /// Charges the 3000-gas cost of one signature verification without
-    /// performing it. Used by contracts that verify signatures against key
+    /// Charges the 3000-gas cost of `n` signature verifications without
+    /// performing them. Used by contracts that verify signatures against key
     /// material they store themselves (e.g. CBC validator certificates).
-    pub fn charge_sig_verification(&mut self) {
-        self.gas.sig_verifications += 1;
+    pub fn charge_sig_verifications(&mut self, n: u64) {
+        self.gas.sig_verifications += n;
     }
 
     /// Verifies a signature over a message digest, charging the 3000-gas
@@ -127,7 +127,7 @@ impl<'a> CallCtx<'a> {
         expected_signer: PublicKey,
         digest: Hash,
     ) -> bool {
-        self.charge_sig_verification();
+        self.charge_sig_verifications(1);
         sig.signer == expected_signer && self.keys.verify_digest(sig, digest)
     }
 

@@ -1,12 +1,15 @@
 //! A deal executed over the certified blockchain (CBC) while the network is
 //! still asynchronous (before the global stabilization time), including the
 //! block-proof resolution path and a censorship scenario — all through the
-//! unified `Deal` builder.
+//! unified `Deal` builder. It asserts what it prints: the pre-GST deal
+//! commits, block proofs commit it too at a higher signature cost, and the
+//! censored deal aborts safely.
 //!
 //! Run with: `cargo run -p xchain-harness --example cbc_deal`
 
 use xchain_deals::builders::ring_spec;
 use xchain_deals::cbc::CbcOptions;
+use xchain_deals::phases::Phase;
 use xchain_deals::properties::{check_safety, check_weak_liveness};
 use xchain_deals::{Deal, Protocol};
 use xchain_sim::ids::{DealId, PartyId};
@@ -24,8 +27,9 @@ fn main() {
             ..CbcOptions::default()
         }))
         .unwrap();
+    let cert_sigs = run.outcome.metrics.gas(Phase::Commit).sig_verifications;
     println!(
-        "pre-GST run:   status={:?} committed={}",
+        "pre-GST run:   status={:?} committed={} commit-phase signature verifications={cert_sigs}",
         run.ext.cbc_status().unwrap(),
         run.outcome.committed_everywhere()
     );
@@ -33,23 +37,36 @@ fn main() {
         "  CBC log has {} certified blocks (f = 2, validators = 7)",
         run.ext.cbc_log().unwrap().len()
     );
+    assert!(
+        run.outcome.committed_everywhere(),
+        "the pre-GST deal commits"
+    );
 
-    // Same deal, resolved with full block-range proofs instead of status
-    // certificates: same outcome, more signature verifications.
+    // The same deal, resolved with full block-range proofs instead of status
+    // certificates: same outcome, more signature verifications (every block
+    // of the proof costs 2f + 1 of them).
     let opts = CbcOptions {
         f: 2,
         use_block_proofs: true,
         ..CbcOptions::default()
     };
-    let run_proofs = deal.seed(6).run(Protocol::Cbc(opts)).unwrap();
+    let run_proofs = deal.run(Protocol::Cbc(opts)).unwrap();
+    let proof_sigs = run_proofs
+        .outcome
+        .metrics
+        .gas(Phase::Commit)
+        .sig_verifications;
     println!(
-        "block proofs:  committed={} commit-phase signature verifications={}",
+        "block proofs:  committed={} commit-phase signature verifications={proof_sigs}",
         run_proofs.outcome.committed_everywhere(),
-        run_proofs
-            .outcome
-            .metrics
-            .gas(xchain_deals::phases::Phase::Commit)
-            .sig_verifications
+    );
+    assert!(
+        run_proofs.outcome.committed_everywhere(),
+        "the block-proof run commits"
+    );
+    assert!(
+        proof_sigs > cert_sigs,
+        "block proofs cost more signature verifications than certificates"
     );
 
     // Censorship: the validators ignore party 3's submissions. The deal can no
@@ -66,5 +83,13 @@ fn main() {
         censored.outcome.aborted_everywhere(),
         check_safety(deal.spec(), &[], &censored.outcome).holds(),
         check_weak_liveness(deal.spec(), &[], &censored.outcome),
+    );
+    assert!(
+        censored.outcome.aborted_everywhere(),
+        "the censored deal aborts"
+    );
+    assert!(
+        check_safety(deal.spec(), &[], &censored.outcome).holds(),
+        "the censored deal aborts safely"
     );
 }

@@ -1,13 +1,14 @@
 //! Integration tests: the CBC commit protocol end-to-end, driven through the
 //! unified `Deal` builder API.
 
-use xchain_deals::builders::{auction_spec, broker_spec, ring_spec};
+use xchain_deals::builders::{auction_spec, broker_spec, brokered_chain_spec, ring_spec};
 use xchain_deals::cbc::CbcOptions;
 use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
 use xchain_deals::properties::{check_safety, check_strong_liveness, check_weak_liveness};
 use xchain_deals::strategy::strategies;
-use xchain_deals::{Deal, Protocol};
+use xchain_deals::{ChainResolution, Deal, Protocol};
+use xchain_sim::gas::GasUsage;
 use xchain_sim::ids::{DealId, Owner, PartyId};
 use xchain_sim::network::NetworkModel;
 
@@ -165,4 +166,106 @@ fn higher_f_costs_more_commit_gas() {
     // Exactly m * (2f+1): 2 assets.
     assert_eq!(sigs[0], 2 * 3);
     assert_eq!(sigs[2], 2 * 11);
+}
+
+/// One side of a commit-phase pin: the full commit-phase gas, the commit
+/// duration in ticks and each chain's resolution, in chain order.
+type CommitPin = (GasUsage, u64, Vec<ChainResolution>);
+
+fn commit_pin(deal: &Deal, opts: CbcOptions) -> CommitPin {
+    let run = deal.run(Protocol::Cbc(opts)).unwrap();
+    let metrics = &run.outcome.metrics;
+    (
+        metrics.gas(Phase::Commit),
+        metrics.duration(Phase::Commit).0,
+        run.outcome.resolutions.values().copied().collect(),
+    )
+}
+
+/// Commit-phase gas with no storage reads (no contract charges one).
+fn gas(storage_writes: u64, sigs: u64, log_entries: u64, steps: u64, calls: u64) -> GasUsage {
+    GasUsage {
+        storage_writes,
+        storage_reads: 0,
+        sig_verifications: sigs,
+        log_entries,
+        compute_steps: steps,
+        calls,
+    }
+}
+
+/// The commit phase of five deals, resolved once with status certificates
+/// and once with block proofs. No golden sweep or benchmark workload runs
+/// the block-proof path, so this table is what pins its gas: each block of
+/// the proof costs its 2f + 1 signature checks, while a certificate costs
+/// 2f + 1 checks and Figure 6's `require`s per chain.
+#[test]
+fn commit_phase_gas_is_pinned_on_both_proof_paths() {
+    use ChainResolution::{Aborted, Committed};
+    let sync = NetworkModel::synchronous(100);
+    let broker = Deal::new(broker_spec()).network(sync).seed(1);
+    let withholding = [PartyConfig::with_strategy(
+        PartyId(1),
+        strategies::withhold_vote(),
+    )];
+    let f2 = CbcOptions {
+        f: 2,
+        ..CbcOptions::default()
+    };
+    let cases: [(&str, Deal, CbcOptions, CommitPin, CommitPin); 5] = [
+        (
+            "broker, f = 1",
+            broker.clone(),
+            CbcOptions::default(),
+            (gas(8, 6, 2, 32, 2), 70, vec![Committed; 2]),
+            (gas(8, 24, 2, 8, 2), 70, vec![Committed; 2]),
+        ),
+        (
+            "brokered chain, n = 9, f = 2",
+            Deal::new(brokered_chain_spec(DealId(9_001), 9, 100))
+                .network(sync)
+                .seed(2),
+            f2.clone(),
+            (gas(40, 40, 8, 176, 8), 117, vec![Committed; 8]),
+            (gas(40, 400, 8, 32, 8), 117, vec![Committed; 8]),
+        ),
+        (
+            "pre-GST ring-5, f = 2",
+            Deal::new(ring_spec(DealId(21), 5))
+                .network(NetworkModel::eventually_synchronous(1_000_000, 100, 3_000))
+                .seed(5),
+            f2,
+            (gas(15, 25, 5, 110, 5), 4910, vec![Committed; 5]),
+            (gas(15, 150, 5, 20, 5), 4910, vec![Committed; 5]),
+        ),
+        (
+            "broker, withheld vote",
+            broker.clone().parties(&withholding),
+            CbcOptions::default(),
+            (gas(6, 6, 2, 32, 2), 370, vec![Aborted; 2]),
+            (gas(6, 24, 2, 8, 2), 370, vec![Aborted; 2]),
+        ),
+        (
+            "broker, censored party",
+            broker,
+            CbcOptions {
+                censored_parties: vec![PartyId(1)],
+                ..CbcOptions::default()
+            },
+            (gas(6, 6, 2, 32, 2), 370, vec![Aborted; 2]),
+            (gas(6, 24, 2, 8, 2), 370, vec![Aborted; 2]),
+        ),
+    ];
+    for (name, deal, opts, cert, proof) in cases {
+        assert_eq!(
+            commit_pin(&deal, opts.clone()),
+            cert,
+            "{name}, certificates"
+        );
+        let proofs = CbcOptions {
+            use_block_proofs: true,
+            ..opts
+        };
+        assert_eq!(commit_pin(&deal, proofs), proof, "{name}, block proofs");
+    }
 }

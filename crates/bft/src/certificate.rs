@@ -19,11 +19,9 @@ use crate::validator::{validator_party_id, ValidatorSetInfo};
 pub struct Certificate {
     /// The epoch of the validator set that produced the certificate.
     pub epoch: u64,
-    /// The digest the validators signed, as issued. [`Certificate::verify`]
-    /// checks the signatures against the digest of the payload it is shown,
-    /// never against this field.
-    pub payload_hash: Hash,
-    /// Validator signatures over the payload digest.
+    /// Validator signatures over the payload digest. The certificate does
+    /// not carry the digest: [`Certificate::verify`] checks the signatures
+    /// against the digest of the payload it is shown.
     pub signatures: Vec<(ValidatorId, Signature)>,
 }
 
@@ -92,16 +90,8 @@ impl Certificate {
     /// Builds a certificate from signatures over a payload digest: the CBC
     /// log streams each payload through an `FnvHasher` and has its quorum
     /// sign the digest.
-    pub fn issue(
-        epoch: u64,
-        payload_hash: Hash,
-        signatures: Vec<(ValidatorId, Signature)>,
-    ) -> Self {
-        Certificate {
-            epoch,
-            payload_hash,
-            signatures,
-        }
+    pub fn issue(epoch: u64, signatures: Vec<(ValidatorId, Signature)>) -> Self {
+        Certificate { epoch, signatures }
     }
 
     /// Figure 6's check against an expected validator set and the digest of
@@ -177,7 +167,7 @@ mod tests {
 
     fn certify(set: &ValidatorSet, payload: &[u64]) -> Certificate {
         let digest = hash_words(payload);
-        Certificate::issue(set.epoch(), digest, set.quorum_sign_digest(digest).unwrap())
+        Certificate::issue(set.epoch(), set.quorum_sign_digest(digest).unwrap())
     }
 
     #[test]
@@ -209,7 +199,7 @@ mod tests {
         let payload = [7];
         let mut sigs = set.quorum_sign_digest(hash_words(&payload)).unwrap();
         sigs.truncate(set.quorum() - 1);
-        let cert = Certificate::issue(0, hash_words(&payload), sigs);
+        let cert = Certificate::issue(0, sigs);
         let check = cert.verify(&set.info(), hash_words(&payload), &dir);
         assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::InsufficientQuorum));
@@ -223,7 +213,7 @@ mod tests {
         let mut sigs = set.quorum_sign_digest(hash_words(&payload)).unwrap();
         let dup = sigs[0];
         sigs.push(dup);
-        let cert = Certificate::issue(0, hash_words(&payload), sigs);
+        let cert = Certificate::issue(0, sigs);
         let check = cert.verify(&set.info(), hash_words(&payload), &dir);
         assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::DuplicateSigner));
@@ -236,7 +226,7 @@ mod tests {
         other.register_in(&mut dir);
         let payload = [7];
         let sigs = other.quorum_sign_digest(hash_words(&payload)).unwrap();
-        let cert = Certificate::issue(0, hash_words(&payload), sigs);
+        let cert = Certificate::issue(0, sigs);
         let check = cert.verify(&set.info(), hash_words(&payload), &dir);
         assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::UnknownValidator));
@@ -260,7 +250,7 @@ mod tests {
         set.set_byzantine(vec![ids[0]]);
         let forged_payload = [666];
         let digest = hash_words(&forged_payload);
-        let cert = Certificate::issue(0, digest, set.byzantine_sign(digest));
+        let cert = Certificate::issue(0, set.byzantine_sign(digest));
         let check = cert.verify(&set.info(), digest, &dir);
         assert!(!check.is_valid());
         assert_eq!(check.failure, Some(CertFailure::InsufficientQuorum));

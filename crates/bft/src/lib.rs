@@ -13,9 +13,10 @@
 //!   validators and censorship, and extracts [`proof::StatusCertificate`] /
 //!   [`proof::BlockProof`] evidence that escrow contracts on asset chains can
 //!   check.
-//! * [`pow`] — a Nakamoto-style proof-of-work chain used to reproduce the
-//!   Section 6.2 discussion: PoW proofs lack finality, the private-abort-block
-//!   attack, and the confirmation-depth mitigation.
+//! * [`pow`] — the Section 6.2 private-abort-block attack on a proof-of-work
+//!   CBC, whose proofs lack finality: a race between the attacker's private
+//!   fork and the `k` confirmations that mitigate it, simulated and in exact
+//!   closed form.
 //!
 //! Each CBC rule is written once here: Figure 6's certificate check is
 //! [`certificate::Certificate::verify`], the commit rule is
@@ -33,9 +34,6 @@ pub mod validator;
 
 pub use certificate::{CertCheck, CertFailure, Certificate};
 pub use log::{CbcError, CbcLog, CbcRecord, CertifiedBlock};
-pub use pow::{
-    analytic_success_probability, attack_success_rate, simulate_attack_trial, Miner,
-    PowAttackParams, PowAttackTrial, PowBlock, PowFork,
-};
+pub use pow::{analytic_success_probability, attack_success_rate, simulate_attack_trial};
 pub use proof::{BlockProof, BlockProofCheck, DealStatus, StatusCertificate};
 pub use validator::{validator_party_id, ValidatorSet, ValidatorSetInfo, VALIDATOR_PARTY_OFFSET};

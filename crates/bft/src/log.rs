@@ -205,14 +205,14 @@ impl CbcLog {
             return Err(CbcError::Censored(submitter));
         }
         let index = self.blocks.len() as u64;
-        // Streaming issuance: hash the certified payload once, sign the
-        // digest, and stamp it on the certificate — no scratch words `Vec`.
+        // Streaming issuance: hash the certified payload once and sign the
+        // digest — no scratch words `Vec`.
         let digest = CertifiedBlock::certified_digest(index, &record);
         let sigs = self
             .validators
             .quorum_sign_digest(digest)
             .ok_or(CbcError::QuorumUnavailable)?;
-        let certificate = Certificate::issue(self.validators.epoch(), digest, sigs);
+        let certificate = Certificate::issue(self.validators.epoch(), sigs);
         self.blocks.push(CertifiedBlock {
             index,
             time,
@@ -326,7 +326,7 @@ impl CbcLog {
             .validators
             .quorum_sign_digest(digest)
             .ok_or(CbcError::QuorumUnavailable)?;
-        let certificate = Certificate::issue(self.validators.epoch(), digest, sigs);
+        let certificate = Certificate::issue(self.validators.epoch(), sigs);
         Ok(StatusCertificate {
             deal,
             start_hash,

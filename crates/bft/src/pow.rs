@@ -1,5 +1,4 @@
-//! A proof-of-work (Nakamoto) certified blockchain and the private-abort-block
-//! attack of Section 6.2.
+//! The private-abort-block attack on a proof-of-work CBC (Section 6.2).
 //!
 //! The paper observes that a CBC can be built over proof-of-work consensus,
 //! but such chains "lack finality: any proof might be contradicted by a later
@@ -11,353 +10,123 @@
 //! mitigation is to require `k` confirmation blocks beyond the decisive vote,
 //! with `k` scaled to the deal's value.
 //!
-//! This module provides a lightweight PoW chain model plus Monte-Carlo and
-//! analytic estimates of the attack's success probability as a function of the
-//! attacker's hash-power share `alpha` and the confirmation depth `k`.
+//! The attack is a race between two block counters: each block is the
+//! attacker's with probability `alpha` (its share of the hash power), and
+//! the attacker wins if it mines its abort block and `k` confirmations,
+//! `k + 1` blocks, before the honest chain mines the `k` confirmations of
+//! the commit vote. This module simulates the race and gives its exact
+//! success probability.
 
 use rand::Rng;
-use xchain_sim::crypto::{hash_words, Hash};
 
-/// Who mined a block in the simulated race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Miner {
-    /// The honest majority of the network.
-    Honest,
-    /// The attacker (Alice and her "partners in crime").
-    Attacker,
-}
-
-/// A block in the simulated proof-of-work chain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PowBlock {
-    /// Height above genesis.
-    pub height: u64,
-    /// This block's hash.
-    pub hash: Hash,
-    /// The parent block's hash.
-    pub parent: Hash,
-    /// Who mined it.
-    pub miner: Miner,
-    /// Opaque payload (e.g. an encoded vote record).
-    pub payload: Vec<u64>,
-}
-
-/// A fork of the proof-of-work chain (public or private).
-#[derive(Debug, Clone, Default)]
-pub struct PowFork {
-    blocks: Vec<PowBlock>,
-}
-
-impl PowFork {
-    /// A fork starting from genesis.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a block mined by `miner` carrying `payload`.
-    pub fn mine(&mut self, miner: Miner, payload: Vec<u64>) -> &PowBlock {
-        let height = self.blocks.len() as u64 + 1;
-        let parent = self.tip_hash();
-        let mut words = vec![
-            height,
-            parent.0,
-            match miner {
-                Miner::Honest => 0,
-                Miner::Attacker => 1,
-            },
-        ];
-        words.extend_from_slice(&payload);
-        let hash = hash_words(&words);
-        self.blocks.push(PowBlock {
-            height,
-            hash,
-            parent,
-            miner,
-            payload,
-        });
-        self.blocks.last().expect("just pushed")
-    }
-
-    /// The hash of the tip (or a genesis constant for the empty fork).
-    pub fn tip_hash(&self) -> Hash {
-        self.blocks
-            .last()
-            .map(|b| b.hash)
-            .unwrap_or(Hash(0x6e0e_5150))
-    }
-
-    /// Chain length in blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// True if no blocks have been mined.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Number of blocks above (not counting) height `h` — the number of
-    /// confirmations a block at height `h` has accumulated.
-    pub fn confirmations_of(&self, height: u64) -> u64 {
-        (self.blocks.len() as u64).saturating_sub(height)
-    }
-
-    /// The blocks.
-    pub fn blocks(&self) -> &[PowBlock] {
-        &self.blocks
-    }
-
-    /// Nakamoto fork choice between two forks: the longer chain wins; ties go
-    /// to `self` (the first-seen chain).
-    pub fn wins_against(&self, other: &PowFork) -> bool {
-        self.len() >= other.len()
-    }
-}
-
-/// Parameters of the private-abort-block attack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowAttackParams {
-    /// Attacker's share of total hash power, in (0, 1).
-    pub alpha: f64,
-    /// Confirmation blocks required beyond the decisive vote.
-    pub confirmations: u64,
-    /// Bound on total blocks mined in one trial (keeps trials finite; the
-    /// attacker gives up once the honest chain is this far ahead).
-    pub max_blocks: u64,
-}
-
-impl Default for PowAttackParams {
-    fn default() -> Self {
-        PowAttackParams {
-            alpha: 0.25,
-            confirmations: 6,
-            max_blocks: 200,
-        }
-    }
-}
-
-/// Outcome of one simulated attack trial.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PowAttackTrial {
-    /// Whether the attacker assembled a private proof-of-abort with the
-    /// required confirmations before the honest proof-of-commit did.
-    pub success: bool,
-    /// Blocks the attacker mined.
-    pub attacker_blocks: u64,
-    /// Blocks the honest network mined.
-    pub honest_blocks: u64,
-}
-
-/// Simulates one trial of the attack: starting at the moment the deal's votes
-/// are complete on the public chain, the attacker privately extends a fork
-/// containing its abort vote while the honest network extends the public
-/// chain containing the commit votes. The attacker wins if its private fork
-/// reaches `confirmations + 1` blocks (abort vote block plus confirmations)
-/// before the public chain accumulates `confirmations` blocks on top of the
-/// decisive commit vote.
-pub fn simulate_attack_trial<R: Rng + ?Sized>(
-    params: &PowAttackParams,
-    rng: &mut R,
-) -> PowAttackTrial {
-    let mut private = PowFork::new();
-    let mut public = PowFork::new();
-    // The attacker needs its abort block plus `confirmations` on top.
-    let attacker_goal = params.confirmations + 1;
-    let honest_goal = params.confirmations;
-
-    let mut mined = 0u64;
-    loop {
-        if mined >= params.max_blocks {
-            return PowAttackTrial {
-                success: false,
-                attacker_blocks: private.len() as u64,
-                honest_blocks: public.len() as u64,
-            };
-        }
-        mined += 1;
-        if rng.gen_bool(params.alpha.clamp(0.0, 1.0)) {
-            private.mine(Miner::Attacker, vec![0xAB087]);
-            if private.len() as u64 >= attacker_goal {
-                return PowAttackTrial {
-                    success: true,
-                    attacker_blocks: private.len() as u64,
-                    honest_blocks: public.len() as u64,
-                };
+/// Simulates one race, one `gen_bool(alpha)` draw per block, and returns
+/// whether the attacker won it: whether its private fork reached
+/// `confirmations + 1` blocks (the abort vote's block and its
+/// confirmations) before the public chain accumulated `confirmations`
+/// blocks on top of the decisive commit vote. With no confirmations
+/// required, the commit proof is final the moment the vote is in, so the
+/// attacker never wins and no block is drawn.
+pub fn simulate_attack_trial<R: Rng + ?Sized>(alpha: f64, confirmations: u64, rng: &mut R) -> bool {
+    let alpha = alpha.clamp(0.0, 1.0);
+    let (mut attacker, mut honest) = (0u64, 0u64);
+    while honest < confirmations {
+        if rng.gen_bool(alpha) {
+            attacker += 1;
+            if attacker > confirmations {
+                return true;
             }
         } else {
-            public.mine(Miner::Honest, vec![0xC0_3317]);
-            if public.len() as u64 >= honest_goal {
-                return PowAttackTrial {
-                    success: false,
-                    attacker_blocks: private.len() as u64,
-                    honest_blocks: public.len() as u64,
-                };
-            }
+            honest += 1;
         }
     }
+    false
 }
 
-/// Monte-Carlo estimate of the attack success probability over `trials` runs.
+/// Monte-Carlo estimate of the attack success probability over `trials`
+/// races.
 pub fn attack_success_rate<R: Rng + ?Sized>(
-    params: &PowAttackParams,
+    alpha: f64,
+    confirmations: u64,
     trials: u64,
     rng: &mut R,
 ) -> f64 {
     if trials == 0 {
         return 0.0;
     }
-    let mut successes = 0u64;
-    for _ in 0..trials {
-        if simulate_attack_trial(params, rng).success {
-            successes += 1;
-        }
-    }
+    let successes = (0..trials)
+        .filter(|_| simulate_attack_trial(alpha, confirmations, rng))
+        .count();
     successes as f64 / trials as f64
 }
 
-/// Analytic approximation of the attack success probability: the attacker must
-/// win a race to `k + 1` blocks before the honest network mines `k`; with
-/// per-block win probability `alpha` the dominant term behaves like
-/// `(alpha / (1 - alpha))^(k+1)`, matching the exponential decay Nakamoto
-/// derives for double-spend attacks. Values are clamped to `[0, 1]`.
+/// The exact probability that the attacker wins the race of
+/// [`simulate_attack_trial`], for every `alpha` in `[0, 1]`: it wins with
+/// its `(k + 1)`-th block after `j < k` honest blocks, so
+/// `P = Σ_{j<k} C(k + j, j) · alpha^(k+1) · (1 − alpha)^j`
+/// (0 for `k = 0`), summed to `f64` rounding while `alpha^(k+1)` does not
+/// underflow. Nakamoto's `(alpha / (1 − alpha))^z` bound (Bitcoin paper,
+/// §11) answers a different race, an attacker catching up from `z` blocks
+/// behind with unlimited time, so it is no estimate of this one.
 pub fn analytic_success_probability(alpha: f64, confirmations: u64) -> f64 {
-    if alpha >= 0.5 {
-        return 1.0;
+    let alpha = alpha.clamp(0.0, 1.0);
+    let k = confirmations as f64;
+    let mut term = alpha.powf(k + 1.0);
+    let mut p = 0.0;
+    for j in 1..=confirmations {
+        p += term;
+        let j = j as f64;
+        term *= (k + j) / j * (1.0 - alpha);
     }
-    if alpha <= 0.0 {
-        return 0.0;
-    }
-    let ratio = alpha / (1.0 - alpha);
-    ratio.powi(confirmations as i32 + 1).clamp(0.0, 1.0)
+    p.min(1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
-    fn fork_linkage_and_confirmations() {
-        let mut fork = PowFork::new();
-        assert!(fork.is_empty());
-        let genesis_tip = fork.tip_hash();
-        fork.mine(Miner::Honest, vec![1]);
-        fork.mine(Miner::Honest, vec![2]);
-        fork.mine(Miner::Attacker, vec![3]);
-        assert_eq!(fork.len(), 3);
-        assert_eq!(fork.blocks()[0].parent, genesis_tip);
-        assert_eq!(fork.blocks()[1].parent, fork.blocks()[0].hash);
-        assert_eq!(fork.confirmations_of(1), 2);
-        assert_eq!(fork.confirmations_of(3), 0);
-    }
-
-    #[test]
-    fn fork_choice_prefers_longer_chain() {
-        let mut a = PowFork::new();
-        let mut b = PowFork::new();
-        a.mine(Miner::Honest, vec![]);
-        a.mine(Miner::Honest, vec![]);
-        b.mine(Miner::Attacker, vec![]);
-        assert!(a.wins_against(&b));
-        assert!(!b.wins_against(&a));
-        b.mine(Miner::Attacker, vec![]);
-        // tie goes to first-seen
-        assert!(a.wins_against(&b));
-        assert!(b.wins_against(&a));
-    }
-
-    #[test]
-    fn minority_attacker_rarely_wins_with_deep_confirmations() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let weak = attack_success_rate(
-            &PowAttackParams {
-                alpha: 0.2,
-                confirmations: 8,
-                max_blocks: 400,
-            },
-            400,
-            &mut rng,
+    fn every_cell_of_the_pow_table_matches_the_exact_race() {
+        // The grid, trial count and seed of the experiment's PoW table; its
+        // cells share one generator in this order.
+        let trials = 300;
+        let mut rng = StdRng::seed_from_u64(33);
+        for alpha in [0.10, 0.25, 0.33, 0.45] {
+            for k in [1, 3, 6, 12] {
+                let rate = attack_success_rate(alpha, k, trials, &mut rng);
+                let p = analytic_success_probability(alpha, k);
+                let n = trials as f64;
+                let bound = 4.0 * (p * (1.0 - p) / n).sqrt() + 1.0 / n;
+                assert!(
+                    (rate - p).abs() <= bound,
+                    "alpha {alpha}, k {k}: measured {rate}, exact {p}, bound {bound}"
+                );
+            }
+        }
+        // The exact column at alpha = 0.45, which grows from k = 1 to k = 6.
+        let at = |k| analytic_success_probability(0.45, k);
+        for (k, want) in [(1, 0.203), (3, 0.255), (6, 0.261), (12, 0.242)] {
+            assert_eq!(format!("{:.3}", at(k)), format!("{want:.3}"), "k {k}");
+        }
+        assert!(at(6) > at(1));
+        // The closed form stays exact for a majority attacker.
+        assert_eq!(
+            format!("{:.3}", analytic_success_probability(0.7, 3)),
+            "0.744"
         );
-        assert!(weak < 0.05, "weak attacker with deep confirmations: {weak}");
-    }
-
-    #[test]
-    fn success_rate_decreases_with_confirmations() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let shallow = attack_success_rate(
-            &PowAttackParams {
-                alpha: 0.35,
-                confirmations: 1,
-                max_blocks: 200,
-            },
-            600,
-            &mut rng,
-        );
-        let deep = attack_success_rate(
-            &PowAttackParams {
-                alpha: 0.35,
-                confirmations: 10,
-                max_blocks: 400,
-            },
-            600,
-            &mut rng,
-        );
-        assert!(
-            shallow > deep,
-            "shallow {shallow} should exceed deep {deep}"
-        );
-    }
-
-    #[test]
-    fn success_rate_increases_with_hash_power() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let weak = attack_success_rate(
-            &PowAttackParams {
-                alpha: 0.15,
-                confirmations: 4,
-                max_blocks: 200,
-            },
-            600,
-            &mut rng,
-        );
-        let strong = attack_success_rate(
-            &PowAttackParams {
-                alpha: 0.45,
-                confirmations: 4,
-                max_blocks: 200,
-            },
-            600,
-            &mut rng,
-        );
-        assert!(strong > weak, "strong {strong} should exceed weak {weak}");
-    }
-
-    #[test]
-    fn analytic_probability_behaves() {
-        assert_eq!(analytic_success_probability(0.0, 6), 0.0);
-        assert_eq!(analytic_success_probability(0.6, 6), 1.0);
-        let p1 = analytic_success_probability(0.3, 1);
-        let p6 = analytic_success_probability(0.3, 6);
-        assert!(p1 > p6);
-        assert!(p6 > 0.0 && p6 < 1.0);
-    }
-
-    #[test]
-    fn majority_attacker_usually_wins_the_race() {
-        // With majority hash power the attacker out-mines the honest network
-        // most of the time despite the one-block handicap (it needs k+1 blocks
-        // before the honest chain reaches k confirmations).
-        let mut rng = StdRng::seed_from_u64(3);
-        let rate = attack_success_rate(
-            &PowAttackParams {
-                alpha: 0.7,
-                confirmations: 3,
-                max_blocks: 500,
-            },
-            200,
-            &mut rng,
-        );
-        assert!(rate > 0.55, "majority attacker should usually win: {rate}");
+        for k in [0, 1, 6, 12] {
+            assert_eq!(analytic_success_probability(0.0, k), 0.0, "k {k}");
+            let certain = if k == 0 { 0.0 } else { 1.0 };
+            assert_eq!(analytic_success_probability(1.0, k), certain, "k {k}");
+        }
+        // k = 0: the commit proof needs no confirmations, so the race is
+        // over before a block is drawn and the attacker never wins.
+        for alpha in [0.0, 0.45, 1.0] {
+            let mut untouched = rng.clone();
+            assert_eq!(analytic_success_probability(alpha, 0), 0.0);
+            assert!(!simulate_attack_trial(alpha, 0, &mut rng));
+            assert_eq!(rng.next_u64(), untouched.next_u64(), "no block drawn");
+        }
     }
 }

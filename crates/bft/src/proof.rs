@@ -320,7 +320,7 @@ mod tests {
             index,
             time: Time(index),
             record,
-            certificate: Certificate::issue(0, digest, sigs),
+            certificate: Certificate::issue(0, sigs),
         }
     }
 

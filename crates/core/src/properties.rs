@@ -300,13 +300,35 @@ fn decide(
 /// What `p` holds after the whole deal, starting from `initial`:
 /// `(initial + incoming) - outgoing`. Incoming assets may fund outgoing ones
 /// (Alice pays Bob out of Carol's coins), so they are added before the
-/// outgoing assets are subtracted.
-fn full_deal(spec: &DealSpec, p: PartyId, initial: &AssetBag, outgoing: &AssetBag) -> AssetBag {
-    let mut with_incoming = initial.clone();
-    for t in spec.transfers.iter().filter(|t| t.to == p) {
-        with_incoming.add(&t.asset);
+/// outgoing assets are subtracted, kind by kind and, as in
+/// [`Ledger::full_deal`], in 128 bits. `None` if a kind's floor is more
+/// coins than a `u64` counts, which no holdings reach.
+fn full_deal(
+    spec: &DealSpec,
+    p: PartyId,
+    initial: &AssetBag,
+    outgoing: &AssetBag,
+) -> Option<AssetBag> {
+    let incoming = spec.incoming_of(p);
+    let mut floor = AssetBag::new();
+    let coin_kinds: BTreeSet<&AssetKind> = initial
+        .fungible_holdings()
+        .chain(incoming.fungible_holdings())
+        .map(|(kind, _)| kind)
+        .collect();
+    for kind in coin_kinds {
+        let coins = (u128::from(initial.balance(kind)) + u128::from(incoming.balance(kind)))
+            .saturating_sub(u128::from(outgoing.balance(kind)));
+        floor.add(&Asset::fungible(kind.clone(), u64::try_from(coins).ok()?));
     }
-    with_incoming.minus(outgoing)
+    for (kind, tokens) in initial
+        .non_fungible_holdings()
+        .chain(incoming.non_fungible_holdings())
+    {
+        let kept = tokens.difference(outgoing.tokens(kind)).map(|t| t.0);
+        floor.add(&Asset::non_fungible(kind.clone(), kept));
+    }
+    Some(floor)
 }
 
 /// Checks Property 1 (safety) for every compliant party.
@@ -337,7 +359,8 @@ pub fn check_safety(
         // must end up at least at the full-deal floor.
         if !lost.is_empty() {
             let floor = full_deal(spec, p, initial, &expected_out);
-            if !fin.covers(&floor) {
+            if !floor.as_ref().is_some_and(|floor| fin.covers(floor)) {
+                let floor = floor.map_or_else(|| "(beyond a u64)".into(), |f| f.to_string());
                 report.violations.push(SafetyViolation {
                     party: p,
                     detail: format!(
@@ -391,10 +414,8 @@ pub fn check_strong_liveness(
         let fin = outcome.final_of(p);
         match decide(spec, p, initial, fin, true) {
             Some(full_deal) => full_deal,
-            None => {
-                let expected = full_deal(spec, p, initial, &spec.outgoing_of(p));
-                fin.covers(&expected) && expected.covers(fin)
-            }
+            None => full_deal(spec, p, initial, &spec.outgoing_of(p))
+                .is_some_and(|expected| fin.covers(&expected) && expected.covers(fin)),
         }
     })
 }
@@ -535,6 +556,12 @@ mod tests {
         b
     }
 
+    fn bag_of(kind: &str, coins: u64) -> AssetBag {
+        let mut b = AssetBag::new();
+        b.add(&Asset::fungible(kind, coins));
+        b
+    }
+
     #[test]
     fn all_or_nothing_outcomes_are_safe() {
         let spec = broker_spec();
@@ -599,6 +626,44 @@ mod tests {
         let report = check_safety(&spec, &[], &bad);
         assert!(!report.holds());
         assert_eq!(report.violations[0].party, bob);
+    }
+
+    #[test]
+    fn a_floor_beyond_a_u64_is_never_reached_on_the_bag_path() {
+        // Bob holds nine more kinds than the ring moves, so both checks take
+        // the bag path, and almost every asset-0 the ring pays him: his
+        // floor is u64::MAX + 4 asset-0, which a `u64` sum wraps to 4.
+        let spec = ring_spec(DealId(91), 2);
+        let (alice, bob) = (PartyId(0), PartyId(1));
+        let outcome = |bob_ends_with: u64| {
+            let mut spare = AssetBag::new();
+            for i in 0..9 {
+                spare.add(&Asset::fungible(format!("spare-{i}").as_str(), 1));
+            }
+            let (mut initial, mut fin) = (spare.clone(), spare);
+            initial.add(&Asset::fungible("asset-0", u64::MAX - 5));
+            initial.add(&Asset::fungible("asset-1", 10));
+            fin.add(&Asset::fungible("asset-0", bob_ends_with));
+            outcome_with(
+                vec![(alice, bag_of("asset-0", 10)), (bob, initial)],
+                vec![(alice, bag_of("asset-1", 10)), (bob, fin)],
+                vec![
+                    (ChainId(0), ChainResolution::Committed),
+                    (ChainId(1), ChainResolution::Committed),
+                ],
+            )
+        };
+        // The payout to Bob is refused: he paid his asset-1 for nothing.
+        let refused = outcome(u64::MAX - 5);
+        let report = check_safety(&spec, &[], &refused);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].party, bob);
+        assert!(report.violations[0]
+            .detail
+            .ends_with("floor (beyond a u64)"));
+        assert!(!check_strong_liveness(&spec, &[], &refused));
+        // Ending at the wrapped floor is not the full deal either.
+        assert!(!check_strong_liveness(&spec, &[], &outcome(4)));
     }
 
     #[test]

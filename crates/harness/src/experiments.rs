@@ -7,7 +7,7 @@
 //! [`Deal`] builder / [`Sweep`] API, so adding a protocol or network model is
 //! a one-line change.
 
-use xchain_bft::pow::{analytic_success_probability, attack_success_rate, PowAttackParams};
+use xchain_bft::pow::{analytic_success_probability, attack_success_rate};
 use xchain_deals::builders::{auction_spec, broker_spec, brokered_chain_spec, ring_spec};
 use xchain_deals::cbc::CbcOptions;
 use xchain_deals::digraph::DealDigraph;
@@ -507,22 +507,14 @@ pub fn pow_attack_experiment(trials: u64) -> Table {
             "attacker hash power",
             "confirmations",
             "measured success",
-            "analytic estimate",
+            "exact",
         ],
     );
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(33);
     for &alpha in &[0.10, 0.25, 0.33, 0.45] {
         for &k in &[1u64, 3, 6, 12] {
-            let rate = attack_success_rate(
-                &PowAttackParams {
-                    alpha,
-                    confirmations: k,
-                    max_blocks: 60 * (k + 2),
-                },
-                trials,
-                &mut rng,
-            );
+            let rate = attack_success_rate(alpha, k, trials, &mut rng);
             t.push_row(vec![
                 format!("{alpha:.2}"),
                 k.to_string(),

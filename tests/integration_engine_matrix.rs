@@ -10,7 +10,9 @@ use xchain_deals::builders::{auction_spec, broker_spec, brokered_chain_spec, rin
 use xchain_deals::engine::DealEngine;
 use xchain_deals::party::PartyConfig;
 use xchain_deals::phases::Phase;
-use xchain_deals::properties::{check_conservation, check_safety, check_weak_liveness};
+use xchain_deals::properties::{
+    check_conservation, check_safety, check_strong_liveness, check_weak_liveness,
+};
 use xchain_deals::spec::{DealSpec, EscrowSpec, TransferSpec};
 use xchain_deals::strategy::{strategies, ObservationCtx, ObservationHub, Strategy, Vote};
 use xchain_deals::DealError;
@@ -272,6 +274,16 @@ fn a_payout_that_would_overflow_the_receiver_is_refused_for_every_engine() {
         assert_eq!(chain.assets().balance(bob, &asset0), u64::MAX - 5, "{name}");
         assert_eq!(chain.assets().balance(alice, &asset0), 0, "{name}");
         assert_eq!(chain.assets().balance(escrow, &asset0), 10, "{name}");
+        // Bob paid his 10 asset-1 and got nothing: his full-deal floor,
+        // u64::MAX + 4 asset-0, is beyond any balance, and the checks must
+        // say so (in a release build too, where a `u64` sum would wrap).
+        let out = &run.outcome;
+        let safety = check_safety(&spec, &[], out);
+        let harmed: Vec<PartyId> = safety.violations.iter().map(|v| v.party).collect();
+        assert_eq!(harmed, [PartyId(1)], "{name}: {:?}", safety.violations);
+        assert!(check_weak_liveness(&spec, &[], out), "{name}");
+        assert!(!check_strong_liveness(&spec, &[], out), "{name}");
+        assert!(!check_conservation(&spec, out), "{name}");
     }
 }
 

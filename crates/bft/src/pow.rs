@@ -87,6 +87,56 @@ mod tests {
     use rand::{RngCore, SeedableRng};
 
     #[test]
+    fn minority_attacker_rarely_wins_with_deep_confirmations() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let weak = attack_success_rate(0.2, 8, 400, &mut rng);
+        assert!(weak < 0.05, "weak attacker with deep confirmations: {weak}");
+    }
+
+    #[test]
+    fn success_rate_decreases_with_confirmations() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let shallow = attack_success_rate(0.35, 1, 600, &mut rng);
+        let deep = attack_success_rate(0.35, 10, 600, &mut rng);
+        assert!(
+            shallow > deep,
+            "shallow {shallow} should exceed deep {deep}"
+        );
+    }
+
+    #[test]
+    fn success_rate_increases_with_hash_power() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let weak = attack_success_rate(0.15, 4, 600, &mut rng);
+        let strong = attack_success_rate(0.45, 4, 600, &mut rng);
+        assert!(strong > weak, "strong {strong} should exceed weak {weak}");
+    }
+
+    #[test]
+    fn analytic_probability_behaves() {
+        assert_eq!(analytic_success_probability(0.0, 6), 0.0);
+        assert_eq!(analytic_success_probability(1.0, 6), 1.0);
+        // A majority attacker is favoured but not certain: it needs k + 1
+        // blocks before the honest chain mines k.
+        let majority = analytic_success_probability(0.6, 6);
+        assert_eq!(format!("{majority:.3}"), "0.665");
+        let p1 = analytic_success_probability(0.3, 1);
+        let p6 = analytic_success_probability(0.3, 6);
+        assert!(p1 > p6);
+        assert!(p6 > 0.0 && p6 < 1.0);
+    }
+
+    #[test]
+    fn majority_attacker_usually_wins_the_race() {
+        // With majority hash power the attacker out-mines the honest network
+        // most of the time despite the one-block handicap (it needs k+1 blocks
+        // before the honest chain reaches k confirmations).
+        let mut rng = StdRng::seed_from_u64(3);
+        let rate = attack_success_rate(0.7, 3, 200, &mut rng);
+        assert!(rate > 0.55, "majority attacker should usually win: {rate}");
+    }
+
+    #[test]
     fn every_cell_of_the_pow_table_matches_the_exact_race() {
         // The grid, trial count and seed of the experiment's PoW table; its
         // cells share one generator in this order.

@@ -1,6 +1,7 @@
 //! Microbenchmarks of the protocol building blocks: escrow/transfer contract
-//! calls (Figure 3), path-signature verification (Figure 5), CBC certificate
-//! verification (Figure 6), and the well-formedness check (Section 5.1).
+//! calls (Figure 3), the strategy-context layer of a Figure 7 ring deal,
+//! path-signature verification (Figure 5), CBC certificate verification
+//! (Figure 6), and the well-formedness check (Section 5.1).
 //!
 //! Run with: `cargo bench -p xchain-bench --bench protocol_micro`
 
@@ -8,6 +9,9 @@ use xchain_bench::measure;
 use xchain_bft::log::CbcLog;
 use xchain_deals::builders::{broker_spec, ring_spec};
 use xchain_deals::digraph::DealDigraph;
+use xchain_deals::party::PartyConfig;
+use xchain_deals::phases::Phase;
+use xchain_deals::strategy::strategies;
 use xchain_deals::{Deal, Protocol};
 use xchain_sim::crypto::{hash_words, KeyDirectory, KeyPair, PathSignature};
 use xchain_sim::ids::{DealId, PartyId};
@@ -24,6 +28,34 @@ fn main() {
     measure("protocol_micro/fig3_broker_deal_timelock", 100, || {
         deal.run(Protocol::timelock()).unwrap()
     });
+
+    // Figure 7: one ring-9 deal under forwarded timelock, all compliant
+    // (decided without views, no observation hub) and with every party
+    // `crash_after(Commit)`, which answers every hook compliantly but is
+    // classed as deviating, so each decision folds the party's view. Same
+    // outcome; the difference is the cost of the views.
+    let ring9 = ring_spec(DealId(9), 9);
+    let deviating: Vec<PartyConfig> = ring9
+        .parties
+        .iter()
+        .map(|&p| PartyConfig::with_strategy(p, strategies::crash_after(Phase::Commit)))
+        .collect();
+    let ring_deal = |configs: &[PartyConfig]| {
+        Deal::new(ring9.clone())
+            .network(NetworkModel::synchronous(100))
+            .parties(configs)
+            .seed(7)
+    };
+    let (without_views, with_views) = (ring_deal(&[]), ring_deal(&deviating));
+    let outcome = |deal: &Deal| format!("{:?}", deal.run(Protocol::timelock()).unwrap().outcome);
+    assert_eq!(outcome(&without_views), outcome(&with_views));
+    for (label, deal) in [("no_views", &without_views), ("all_views", &with_views)] {
+        measure(
+            &format!("protocol_micro/fig7_ring9_timelock/{label}"),
+            100,
+            || deal.run(Protocol::timelock()).unwrap(),
+        );
+    }
 
     // Figure 5: verifying a forwarded path signature of length k as the
     // timelock contract does: hash the vote message once, then per signature

@@ -57,6 +57,9 @@ pub struct TimelockManager {
     /// Shared with the deal's other chains: one copy per deal, not per chain.
     info: Arc<TimelockDealInfo>,
     voted: BTreeSet<PartyId>,
+    /// How many distinct parties the plist names: every vote is in plist and
+    /// none is a duplicate, so all have voted once `voted` holds this many.
+    parties: usize,
 }
 
 impl TimelockManager {
@@ -65,21 +68,21 @@ impl TimelockManager {
     /// [`TimelockDealInfo`] is wrapped.
     pub fn new(info: impl Into<Arc<TimelockDealInfo>>) -> Self {
         let info = info.into();
+        let plist = &info.plist;
+        let parties = (0..plist.len())
+            .filter(|&i| !plist[..i].contains(&plist[i]))
+            .count();
         TimelockManager {
             core: EscrowCore::new(info.deal),
             info,
             voted: BTreeSet::new(),
+            parties,
         }
-    }
-
-    /// Parties whose commit votes have been accepted so far.
-    pub fn voted(&self) -> &BTreeSet<PartyId> {
-        &self.voted
     }
 
     /// True if a vote from every party has been accepted.
     pub fn all_voted(&self) -> bool {
-        self.info.plist.iter().all(|p| self.voted.contains(p))
+        self.voted.len() == self.parties
     }
 
     /// Commit phase: `commit(D, v, p)` — accept a (possibly forwarded) commit
@@ -298,6 +301,35 @@ mod tests {
                 .unwrap(),
             Some(EscrowResolution::Committed)
         );
+    }
+
+    #[test]
+    fn a_party_named_twice_in_the_plist_votes_once() {
+        let mut fx = fixture();
+        let (alice, bob) = (fx.info.plist[0], fx.info.plist[1]);
+        let info = TimelockDealInfo {
+            plist: vec![alice, bob, alice],
+            ..fx.info.clone()
+        };
+        let contract = fx.chain.install(TimelockManager::new(info.clone()));
+        let all_voted = |chain: &Blockchain| {
+            chain
+                .view(contract, |m: &TimelockManager| m.all_voted())
+                .unwrap()
+        };
+        for (i, voter) in [alice, bob].into_iter().enumerate() {
+            assert!(!all_voted(&fx.chain));
+            let vote = PathSignature::direct(voter, &fx.keys[i], &info.vote_message(voter));
+            fx.chain
+                .call(
+                    Time(T0 + 10),
+                    Owner::Party(voter),
+                    contract,
+                    |m: &mut TimelockManager, ctx| m.commit(ctx, &vote),
+                )
+                .unwrap();
+        }
+        assert!(all_voted(&fx.chain));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! their bookkeeping but funds and claims in its own order. A
 //! [`DealDriver`] owns everything the engines have in common:
 //!
-//! * the world, the [`DealPlan`], the deal's shared [`ObservationHub`], the
-//!   [`PhaseMetrics`], and the party configurations (resolved once per deal,
-//!   in plan order);
+//! * the world, the [`DealPlan`], the [`PhaseMetrics`], the party
+//!   configurations (resolved once per deal, in plan order) and, when some
+//!   party deviates, the deal's shared [`ObservationHub`];
 //! * per-phase gas and simulated-duration metering ([`DealDriver::phase`]);
 //! * every strategy consultation ([`DealDriver::decide`], online parties
 //!   only) and every contract call a party makes ([`DealDriver::call`]);
@@ -39,7 +39,7 @@ use crate::party::{config_of, PartyConfig};
 use crate::phases::{Phase, PhaseMetrics};
 use crate::plan::DealPlan;
 use crate::setup::{self, advance_one_observation};
-use crate::strategy::{ObservationCtx, ObservationHub, Strategy};
+use crate::strategy::{DealView, ObservationCtx, ObservationHub, Strategy};
 use crate::validation;
 
 /// One deal execution in progress. Built by [`DealDriver::new`], driven by a
@@ -53,7 +53,9 @@ pub struct DealDriver<'a> {
     /// The deal contract the clearing step installed on each of the plan's
     /// chains, parallel to [`DealPlan::chains`].
     contracts: Vec<Option<ContractId>>,
-    hub: ObservationHub,
+    /// The deal's observation hub; `None` when every party is compliant,
+    /// since compliant parties decide without a view.
+    hub: Option<ObservationHub>,
     metrics: PhaseMetrics,
     /// One configuration per deal party, in plan order. Cloning keeps each
     /// `Arc` strategy shared, so a coalition stays one value.
@@ -77,17 +79,19 @@ impl<'a> DealDriver<'a> {
         setup::check_chains_exist(world, spec)?;
         setup::apply_offline_windows(world, configs);
         let initial_holdings = holdings(world, &spec.parties);
+        let configs: Vec<PartyConfig> = spec
+            .parties
+            .iter()
+            .map(|&p| config_of(configs, p))
+            .collect();
+        let deviates = configs.iter().any(|c| !c.is_compliant());
         Ok(DealDriver {
             world,
             plan,
             contracts: vec![None; plan.chains().len()],
-            hub: ObservationHub::new(plan),
+            hub: deviates.then(|| ObservationHub::new(plan)),
             metrics: PhaseMetrics::new(),
-            configs: spec
-                .parties
-                .iter()
-                .map(|&p| config_of(configs, p))
-                .collect(),
+            configs,
             verdicts: Vec::new(),
             initial_holdings,
         })
@@ -106,10 +110,11 @@ impl<'a> DealDriver<'a> {
     }
 
     /// Asks `party`'s strategy for a decision: builds the party's observation
-    /// context, whose `validated` is the party's own verdict once validation
-    /// has run, and hands it to `hook` if the world and the strategy both
-    /// have the party online. An offline party answers `R::default()`
-    /// (`false`, [`crate::strategy::Vote::Withhold`]): it never reaches a call.
+    /// context (see `DealDriver::ask`), whose `validated` is the party's own
+    /// verdict once validation has run, and hands it to `hook` if the world
+    /// and the strategy both have the party online. An offline party answers
+    /// `R::default()` (`false`, [`crate::strategy::Vote::Withhold`]): it
+    /// never reaches a call.
     pub fn decide<R: Default>(
         &mut self,
         party: PartyId,
@@ -128,7 +133,11 @@ impl<'a> DealDriver<'a> {
     }
 
     /// Builds the `i`-th party's observation context and hands it, with the
-    /// party's strategy, to `hook`.
+    /// party's strategy, to `hook`. A deviating party's view comes from the
+    /// hub; a compliant party's hooks never read theirs, so it gets the empty
+    /// view and the hub folds nothing for it. Since a view depends only on
+    /// the logs at the party's own decisions, skipping those folds changes
+    /// no deviator's view.
     fn ask<R>(
         &mut self,
         i: usize,
@@ -136,10 +145,26 @@ impl<'a> DealDriver<'a> {
         validated: Option<bool>,
         hook: impl FnOnce(&dyn Strategy, &ObservationCtx<'_>) -> R,
     ) -> R {
-        let config = &self.configs[i];
-        let ctx = self
-            .hub
-            .ctx(self.world, self.plan.spec(), config.id, phase, validated);
+        static EMPTY_VIEW: DealView = DealView {
+            escrows: Vec::new(),
+            transfers: Vec::new(),
+            commit_votes: Vec::new(),
+            resolutions: Vec::new(),
+        };
+        let (config, spec) = (&self.configs[i], self.plan.spec());
+        let ctx = match &mut self.hub {
+            Some(hub) if !config.is_compliant() => {
+                hub.ctx(self.world, spec, config.id, phase, validated)
+            }
+            _ => ObservationCtx {
+                party: config.id,
+                phase,
+                now: self.world.now(),
+                spec,
+                view: &EMPTY_VIEW,
+                validated,
+            },
+        };
         hook(&*config.strategy, &ctx)
     }
 
@@ -358,4 +383,71 @@ fn holdings(world: &World, parties: &[PartyId]) -> BTreeMap<PartyId, AssetBag> {
         .iter()
         .map(|&p| (p, world.holdings(Owner::Party(p))))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use xchain_contracts::timelock::{TimelockDealInfo, TimelockManager};
+    use xchain_sim::network::NetworkModel;
+    use xchain_sim::time::Time;
+
+    use super::*;
+    use crate::builders::broker_spec;
+    use crate::setup::world_for_plan;
+    use crate::strategy::strategies;
+
+    /// Runs the escrow phase of the broker deal under timelock with
+    /// `configs`, then returns whether the driver built a hub and what view
+    /// each party sees at its next decision.
+    fn views_after_escrow(configs: &[PartyConfig]) -> (bool, Vec<DealView>) {
+        let spec = broker_spec();
+        let plan = DealPlan::new(&spec).unwrap();
+        let mut world = world_for_plan(&plan, NetworkModel::synchronous(100), 7).unwrap();
+        let mut d = DealDriver::new(&mut world, &plan, configs).unwrap();
+        let info = Arc::new(TimelockDealInfo {
+            deal: spec.deal,
+            plist: spec.parties.clone(),
+            t0: Time(10_000),
+            delta: Duration(100),
+        });
+        d.install_everywhere(|| TimelockManager::new(Arc::clone(&info)))
+            .unwrap();
+        d.escrow_all::<TimelockManager>().unwrap();
+        let has_hub = d.hub.is_some();
+        let views = spec
+            .parties
+            .iter()
+            .map(|&p| d.decide(p, Phase::Transfer, |_, ctx| ctx.view.clone()))
+            .collect();
+        (has_hub, views)
+    }
+
+    #[test]
+    fn an_all_compliant_deal_builds_no_hub_and_shows_empty_views() {
+        let (has_hub, views) = views_after_escrow(&[]);
+        assert!(!has_hub);
+        assert!(views.iter().all(|v| *v == DealView::default()));
+    }
+
+    #[test]
+    fn only_deviating_parties_see_the_hubs_views() {
+        let bob = PartyId(1);
+        let configs = [PartyConfig::with_strategy(
+            bob,
+            strategies::crash_after(Phase::Commit),
+        )];
+        let (has_hub, views) = views_after_escrow(&configs);
+        assert!(has_hub);
+        let spec = broker_spec();
+        for (&p, view) in spec.parties.iter().zip(&views) {
+            if p == bob {
+                let escrows: Vec<_> = spec.escrows.iter().map(|e| (e.chain, e.owner)).collect();
+                assert_eq!(view.escrows, escrows);
+            } else {
+                assert_eq!(*view, DealView::default(), "{p}");
+            }
+        }
+    }
 }

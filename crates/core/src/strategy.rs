@@ -9,12 +9,15 @@
 //! strategies can be *adaptive and stateful*, not just static flags. The
 //! protocol engines only ever call the hooks; a new attack never edits them.
 //!
-//! Observation is first-class: every engine keeps one [`ObservationHub`] per
-//! deal, holding a single shared [`LogCursor`] per chain, so monitoring costs
-//! O(new entries) per decision, never a re-scan of the whole log, and each
-//! entry is parsed once however many parties watch. What a party has seen
-//! (escrow lock-ins, tentative transfers, commit votes, escrow resolutions)
-//! is exposed as its own [`DealView`].
+//! Observation is first-class for the parties that use it: every deal with a
+//! deviating party keeps one [`ObservationHub`], holding a single shared
+//! [`LogCursor`] per chain, so monitoring costs O(new entries) per decision,
+//! never a re-scan of the whole log, and each entry is parsed once however
+//! many parties watch. What a deviating party has seen (escrow lock-ins,
+//! tentative transfers, commit votes, escrow resolutions) is exposed as its
+//! own [`DealView`]. Compliant parties follow the protocol whatever they
+//! observe, so they decide on an empty view, and a deal whose parties are
+//! all compliant builds no hub.
 //!
 //! The [`strategies`] module holds the built-in behaviours. The classic
 //! failure and attack modes the paper discusses — crashing or walking away
@@ -65,7 +68,8 @@ pub enum Vote {
 /// What one party has observed of a deal so far, distilled from the chain
 /// logs by the deal's [`ObservationHub`]. All collections are deduplicated
 /// and in observation order: the deal's chains in subscription order, and
-/// each chain's events in log order.
+/// each chain's events in log order. The engines show a compliant party
+/// ([`Strategy::is_compliant`]) an empty view: its hooks never read it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DealView {
     /// Escrow lock-ins observed: `(chain, escrowing party)`. Includes HTLC
@@ -176,7 +180,8 @@ impl ObservedEvent {
 /// Shared, tag-filtered deal monitoring: **one** log ingest pass per chain,
 /// fanned out to every party's [`DealView`].
 ///
-/// The engines keep one hub per deal. Each chain has a single shared
+/// The engines keep one hub per deal that has a deviating party, and ask it
+/// for deviating parties' contexts only. Each chain has a single shared
 /// [`LogCursor`], and [`ObservationHub::ctx`] reads each new entry exactly
 /// once, through a [`LogFilter`] covering only the deal vocabulary (entries
 /// the views would never ingest — token mints, CBC bookkeeping, foreign
@@ -320,6 +325,7 @@ pub struct ObservationCtx<'a> {
     /// The deal specification under execution.
     pub spec: &'a DealSpec,
     /// What this party has observed so far (cursor-fed, O(new entries)).
+    /// Empty in the engines for a compliant party, whose hooks never read it.
     pub view: &'a DealView,
     /// The party's own mechanical validation verdict, once validation has
     /// run (`None` in earlier phases and in protocols without a validation
@@ -344,6 +350,9 @@ pub trait Strategy: Send + Sync {
     /// safety/liveness properties protect *compliant* parties only, so a
     /// deviating strategy must return `false` (the default) or the property
     /// checks would hold it to guarantees it forfeited.
+    ///
+    /// Returning `true` also promises hooks that do not read `ctx.view`: the
+    /// engines build no view for a compliant party and hand it an empty one.
     fn is_compliant(&self) -> bool {
         false
     }

@@ -102,19 +102,20 @@ fn deal_allocations<E: DealEngine>(spec: DealSpec, engine: E) -> (u64, u64) {
     (in_deal, in_checks)
 }
 
-/// Budgets about 15% above the counts this code makes under `cargo test`
-/// (timelock deal 233, CBC deal 237; Fig 7's ring under forwarded timelock
-/// 306). Before shared kind names, one-scan holdings snapshots, borrowing
+/// Budgets about 10% above the counts this code makes under `cargo test`
+/// (timelock deal 168, CBC deal 161; Fig 7's ring under forwarded timelock
+/// 238). Before shared kind names, one-scan holdings snapshots, borrowing
 /// property checks and pooled path signatures, the same deals made 875
 /// (timelock) and 584 (CBC) allocations in the deal call and 716 in the
 /// checks; before worlds stopped regrowing their tables and the deal
 /// information was shared across chains, 339 and 323; before assets were
 /// keyed by their names instead of interned ids, 255 and 247; before
 /// timelock forwarding kept a dense acceptance table instead of a
-/// `BTreeSet`, 245 (the ring 320).
-const TIMELOCK_DEAL_BUDGET: u64 = 268;
-const RING_TIMELOCK_DEAL_BUDGET: u64 = 352;
-const CBC_DEAL_BUDGET: u64 = 272;
+/// `BTreeSet`, 245 (the ring 320); before all-compliant deals stopped
+/// building an observation hub, 235 and 212 (the ring 308).
+const TIMELOCK_DEAL_BUDGET: u64 = 185;
+const RING_TIMELOCK_DEAL_BUDGET: u64 = 262;
+const CBC_DEAL_BUDGET: u64 = 178;
 
 /// The four property checks of one compliant deal decide every party with
 /// the two exact tests on the stack, so they make no allocation: 0 on each
@@ -124,14 +125,15 @@ const CBC_DEAL_BUDGET: u64 = 272;
 const CHECKS_BUDGET: u64 = 4;
 
 /// Budgets about 15% above the counts of `DealPlan::new` (79 on the n = 9
-/// brokered chain, 28 on a 3-party ring) and of one timelock `Deal::run` of
-/// that ring in a fresh session (120). Before the plan was resolved in one
-/// pass, they were 128, 45 and 172; before assets were keyed by their names
-/// instead of interned ids, 87, 34 and 132; before timelock forwarding kept
-/// a dense acceptance table, the run made 122.
+/// brokered chain, 28 on a 3-party ring) and about 10% above one timelock
+/// `Deal::run` of that ring in a fresh session (98). Before the plan was
+/// resolved in one pass, they were 128, 45 and 172; before assets were
+/// keyed by their names instead of interned ids, 87, 34 and 132; before
+/// all-compliant deals stopped building an observation hub, the run made
+/// 122.
 const PLAN_N9_BUDGET: u64 = 91;
 const PLAN_RING3_BUDGET: u64 = 32;
-const SMALL_RUN_BUDGET: u64 = 138;
+const SMALL_RUN_BUDGET: u64 = 108;
 
 #[test]
 fn an_n9_deal_stays_within_its_allocation_budget() {

@@ -6,17 +6,24 @@
 //!
 //! [`Strategy`]: xchain_deals::strategy::Strategy
 
+use std::sync::{Arc, Mutex};
+
 use xchain_bft::log::CbcRecord;
 use xchain_deals::builders::broker_spec;
+use xchain_deals::engine::DealEngine;
 use xchain_deals::party::PartyConfig;
+use xchain_deals::phases::Phase;
 use xchain_deals::properties::{check_conservation, check_safety, check_weak_liveness};
-use xchain_deals::strategy::strategies;
+use xchain_deals::spec::DealSpec;
+use xchain_deals::strategy::{strategies, DealView, ObservationCtx, Strategy, Vote};
 use xchain_deals::{Deal, Protocol};
 use xchain_harness::adversary::novel_strategy_scenarios;
 use xchain_harness::sweep::{standard_engines, Sweep};
 use xchain_harness::workload::ring_spec;
 use xchain_sim::ids::{DealId, PartyId};
 use xchain_sim::network::NetworkModel;
+use xchain_sim::time::Time;
+use xchain_swap::SwapEngine;
 
 const DELTA: u64 = 100;
 
@@ -185,5 +192,122 @@ fn novel_strategies_run_deterministically_through_sweeps() {
             "{label}"
         );
         assert!(check_conservation(&p.deal, &p.run.outcome), "{label}");
+    }
+}
+
+/// A deviating strategy that answers every hook as the compliant one does
+/// and records the phase, the time and the view of each decision.
+struct Recorder {
+    seen: Mutex<Vec<(Phase, Time, DealView)>>,
+}
+
+impl Recorder {
+    /// Records the decision and returns the strategy that answers it.
+    fn record(&self, ctx: &ObservationCtx<'_>) -> Arc<dyn Strategy> {
+        let entry = (ctx.phase, ctx.now, ctx.view.clone());
+        self.seen.lock().unwrap().push(entry);
+        strategies::compliant()
+    }
+}
+
+impl Strategy for Recorder {
+    fn name(&self) -> String {
+        "recorder".into()
+    }
+
+    fn on_escrow(&self, ctx: &ObservationCtx<'_>) -> bool {
+        self.record(ctx).on_escrow(ctx)
+    }
+
+    fn on_transfer(&self, ctx: &ObservationCtx<'_>) -> bool {
+        self.record(ctx).on_transfer(ctx)
+    }
+
+    fn on_validate(&self, ctx: &ObservationCtx<'_>) -> bool {
+        self.record(ctx).on_validate(ctx)
+    }
+
+    fn on_vote(&self, ctx: &ObservationCtx<'_>) -> Vote {
+        self.record(ctx).on_vote(ctx)
+    }
+
+    fn on_forward(&self, ctx: &ObservationCtx<'_>) -> bool {
+        self.record(ctx).on_forward(ctx)
+    }
+
+    fn on_claim(&self, ctx: &ObservationCtx<'_>) -> bool {
+        self.record(ctx).on_claim(ctx)
+    }
+}
+
+/// Compliant parties decide without a view, so the hub folds only for
+/// deviating ones. Whether the recorder's peers are compliant or deviating
+/// (`crash_after(Phase::Commit)` answers every hook compliantly but is
+/// classed as deviating, so every decision folds a view), the recorder must
+/// see the same views at the same decisions, and the deal must end the same.
+/// An all-compliant deal, which builds no hub, must end like the one in
+/// which everyone deviates that way.
+#[test]
+fn compliant_peers_change_no_deviators_view_and_no_outcome() {
+    let engines: Vec<(&str, Box<dyn DealEngine>, Vec<DealSpec>)> = vec![
+        (
+            "timelock",
+            Box::new(Protocol::timelock()),
+            vec![broker_spec(), ring_spec(DealId(3), 3)],
+        ),
+        (
+            "CBC",
+            Box::new(Protocol::cbc()),
+            vec![broker_spec(), ring_spec(DealId(3), 3)],
+        ),
+        (
+            "HTLC swap",
+            Box::new(SwapEngine::default()),
+            vec![ring_spec(DealId(2), 2)],
+        ),
+    ];
+    let run = |engine: &dyn DealEngine, spec: &DealSpec, configs: &[PartyConfig]| {
+        let deal = Deal::new(spec.clone())
+            .network(NetworkModel::synchronous(DELTA))
+            .parties(configs)
+            .seed(11);
+        let run = deal.run(engine).unwrap();
+        format!("{:?} {:?}", run.outcome, run.ext)
+    };
+    for (name, engine, specs) in &engines {
+        for spec in specs {
+            let label = format!("{name} / {:?}", spec.deal);
+            let peers = |peer: &dyn Fn() -> Arc<dyn Strategy>| {
+                spec.parties
+                    .iter()
+                    .map(|&p| PartyConfig::with_strategy(p, peer()))
+                    .collect::<Vec<_>>()
+            };
+            let compliant = peers(&strategies::compliant);
+            let crashing = peers(&|| strategies::crash_after(Phase::Commit));
+            assert_eq!(
+                run(&**engine, spec, &compliant),
+                run(&**engine, spec, &crashing),
+                "{label}"
+            );
+            for (i, &me) in spec.parties.iter().enumerate() {
+                let recorded = |peers: &[PartyConfig]| {
+                    let recorder = Arc::new(Recorder {
+                        seen: Mutex::new(Vec::new()),
+                    });
+                    let mut configs = peers.to_vec();
+                    configs[i] = PartyConfig::with_strategy(me, recorder.clone());
+                    let outcome = run(&**engine, spec, &configs);
+                    let seen = recorder.seen.lock().unwrap().clone();
+                    (seen, outcome)
+                };
+                let (seen, outcome) = recorded(&compliant);
+                assert!(
+                    seen.iter().any(|(_, _, view)| !view.escrows.is_empty()),
+                    "{label}: {me} saw no escrow"
+                );
+                assert_eq!((seen, outcome), recorded(&crashing), "{label}: {me}");
+            }
+        }
     }
 }
